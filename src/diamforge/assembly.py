@@ -21,7 +21,6 @@ from .core import (
     certify,
     covered_edges,
     edge,
-    edge_multiplicities,
     expand_pair,
     hs_max_diameter,
     is_good,
@@ -496,14 +495,9 @@ def _construct_seq(n: int) -> TriangleSeq:
 def _seed_cut(ring: TriangleSeq) -> CutSpec:
     """Cut a full-coverage ring at the singly covered edge of its first triangle.
 
-    The cut removes that triangle, so the edge it shared with its successor
-    becomes the exposed end of the unrolled sequence.
+    That edge avoids the vertex r shared with both ring neighbours; removing
+    the triangle exposes the edge it shared with its successor.
     """
-    counts = edge_multiplicities(ring)
-    first = ring.triangles[0]
-    x, y, z = sorted(first)
-    blues = [e for e in ((x, y), (x, z), (y, z)) if counts[e] == 1]
-    if len(blues) != 1:
-        raise AssertionError("first ring triangle has no unique cut edge")
-    shared = edge(*sorted(first & ring.triangles[1]))
-    return CutSpec(destroyed_edge=blues[0], end_edge=shared)
+    first, second = ring.triangles[0], ring.triangles[1]
+    (r,) = first & second & ring.triangles[-1]
+    return CutSpec(destroyed_edge=tuple(first - {r}), end_edge=tuple(first & second))

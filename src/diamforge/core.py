@@ -276,8 +276,9 @@ def is_good(seq: TriangleSeq) -> bool:
     Consecutive triangles (including the wrap-around pair when circular)
     must share exactly two vertices, and no edge may belong to two
     non-consecutive triangles or to three triangles.  A single triangle is
-    good.  Equivalent characterisation: a linear sequence of t+1 triangles
-    is good iff it covers 2t+3 distinct edges (2t+2 when circular).
+    good.  A walk from ``expand_pair`` (never re-attaching across the edge
+    it just shared) is good iff its t+1 triangles cover 2t+3 distinct edges
+    (2t+2 when circular); {0,1,2},{0,1,3},{0,1,4} covers 7 but is not good.
     """
     tris = seq.triangles
     if len(tris) == 1:

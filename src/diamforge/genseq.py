@@ -153,11 +153,11 @@ _FULL_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     5: ((1, 2, 7, 6, 4), ()),
 }
 
-_MISSING12_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    4: ((3, 4, 8), ()),
-    5: ((4, 7, 6, -9), ()),
-    6: ((4, 10, 7, 6, -9), ()),
-    7: ((11, 8, -12, 7, 6, 3), ()),
+_MISSING12_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...], Edge]] = {
+    4: ((3, 4, 8), (), (0, 6)),
+    5: ((4, 7, 6, -9), (), (6, 14)),
+    6: ((4, 10, 7, 6, -9), (), (6, 18)),
+    7: ((11, 8, -12, 7, 6, 3), (), (0, 20)),
 }
 
 _MISSING1248_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
@@ -203,7 +203,7 @@ def gs_missing_12(k: int, end: str = "long") -> tuple[GeneratingSequence, CutSpe
         raise ValueError(f"need k >= 4, got {k}")
     n = 4 * k + 1
     if k in _MISSING12_ROWS:
-        terms, turns = _MISSING12_ROWS[k]
+        terms, turns, long_cut = _MISSING12_ROWS[k]
         gs = GeneratingSequence(n, list(terms), frozenset(turns))
     elif k % 2 == 1:
         ell = (k - 1) // 2
@@ -212,6 +212,7 @@ def gs_missing_12(k: int, end: str = "long") -> tuple[GeneratingSequence, CutSpe
             terms += [4 * i + 3, 4 * i + 2]
         terms.append(4 * ell - 5)
         gs = GeneratingSequence(n, terms, frozenset({2}))
+        long_cut = (5, 2 * k + 5)
     else:
         ell = k // 2
         terms = [4, 4 * ell - 6, 9, -12]
@@ -219,10 +220,10 @@ def gs_missing_12(k: int, end: str = "long") -> tuple[GeneratingSequence, CutSpe
             terms += [4 * i + 3, 4 * i + 2]
         terms.append(4 * ell - 5)
         gs = GeneratingSequence(n, terms, frozenset({0}))
+        long_cut = (9, 2 * k + 7)
 
     if end == "long":
-        ring = expand_pair_of(gs)
-        spec = cut_exposing(ring, edge(0, (4 * k - 2) % n))
+        spec = CutSpec(destroyed_edge=long_cut, end_edge=(0, 4 * k - 2))
     elif end == "seven":
         if k < 5:
             raise ValueError("the {0,13} cut needs k >= 5")
@@ -362,15 +363,15 @@ def cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
     linear = seq.triangles[c + 1 :] + seq.triangles[:c]
     result = TriangleSeq(linear, circular=False)
 
-    res_mult = edge_multiplicities(result)
     terminals = (result.triangles[0], result.triangles[-1])
     sides = []
     for e in (spec.end_edge, spec.second_end_edge):
         if e is None:
             continue
         e = edge(*e)
-        if res_mult.get(e, 0) != 1:
-            raise ValueError(f"end edge {e} is covered {res_mult.get(e, 0)} times after the cut")
+        count = mult[e] - (set(e) <= seq.triangles[c])
+        if count != 1:
+            raise ValueError(f"end edge {e} is covered {count} times after the cut")
         side = [i for i, tri in enumerate(terminals) if e[0] in tri and e[1] in tri]
         if not side:
             raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")

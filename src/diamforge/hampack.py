@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-from sympy import isprime, n_order
+from math import isqrt
 
 from .core import Edge, all_edges, edge
 
@@ -117,11 +116,18 @@ def square_edges(c: CycleSquare) -> set[Edge]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def ord_mod(base: int, p: int) -> int:
-    """Multiplicative order of ``base`` modulo ``p``."""
+    """Order of ``base`` modulo the prime ``p``: least d | p-1 with base^d = 1."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if base % p == 0:
         raise ValueError(f"{base} is divisible by {p}, order undefined")
-    return int(n_order(base, p))
+    small = [d for d in range(1, isqrt(p - 1) + 1) if (p - 1) % d == 0]
+    return next(d for d in small + [(p - 1) // d for d in small[::-1]] if pow(base, d, p) == 1)
 
 
 def decompose_prime(p: int) -> Decomposition:
@@ -130,9 +136,12 @@ def decompose_prime(p: int) -> Decomposition:
     Needs p prime, p = 1 mod 4 and ord_p(2) divisible by 4.  Each cycle is
     an arithmetic ordering with step a * 2^k for a coset representative a
     and even k below ord/2; halfway through the powers of 2 reach -1, so
-    one coset contributes both signs of every difference.
+    one coset contributes both signs of every difference.  p > 10**5 is
+    rejected before trial division: its Theta(p^2) partition is out of reach.
     """
-    if not isprime(p):
+    if p > 10**5:
+        raise ValueError(f"p = {p} exceeds the ceiling 10**5")
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"p = {p} is {p % 4} mod 4, need 1")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 
 def run(*args, stdin=None):
@@ -124,6 +125,16 @@ def test_decompose_prime():
     assert out["report"]["ok"]
     assert len(out["cycles"]) == 3
     assert run("decompose", "--p", "7").returncode == 2
+    # A product of two primes near 10**9 hits the p ceiling, not trial division.
+    started = time.monotonic()
+    res = run("decompose", "--p", "1000000016000000063")
+    assert res.returncode == 2 and res.stdout == ""
+    assert time.monotonic() - started < 1
+
+
+def test_import_leaves_out_sympy():
+    code = "import sys, diamforge; assert 'sympy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_decompose_builtin():

@@ -123,6 +123,8 @@ def test_goodness_rejections():
         [frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 1, 4})]
     )
     assert not is_good(triple_cover)
+    # 7 = 2*2 + 3 distinct edges, so the edge count alone cannot decide goodness.
+    assert len(covered_edges(triple_cover)) == 7
     distant_share = TriangleSeq(
         [
             frozenset({0, 1, 2}),

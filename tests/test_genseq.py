@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from diamforge.assembly import _seed_cut
 from diamforge.core import (
     covered_edges,
     dual_diameter,
@@ -190,9 +191,17 @@ def test_cut_exposes_both_ends_for_1248():
 
 
 def test_cut_exposing_scan_matches_returned_spec():
-    gs, spec = gs_missing_12(5)
-    ring = expand_pair_of(gs)
-    assert cut_exposing(ring, spec.end_edge) == spec
+    for k in range(4, 61):
+        gs, spec = gs_missing_12(k)
+        ring = expand_pair_of(gs)
+        assert cut_exposing(ring, spec.end_edge) == spec, k
+
+
+def test_cut_exposing_scan_matches_seed_cut():
+    for k in range(3, 61):
+        ring = expand_pair_of(gs_full(k))
+        shared = tuple(ring.triangles[0] & ring.triangles[1])
+        assert _seed_cut(ring) == cut_exposing(ring, shared), k
 
 
 def test_cut_exposing_on_full_ring():

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from sympy import isprime, n_order, primerange
 
 from diamforge.core import all_edges, edge
 from diamforge.hampack import (
     SEQUENCES_105,
     CycleSquare,
     Decomposition,
+    _is_prime,
     cycles_from_sequences,
     decompose_prime,
     ord_mod,
@@ -70,6 +72,18 @@ def test_ord_mod():
     assert ord_mod(2, 13) == 12
     with pytest.raises(ValueError):
         ord_mod(13, 13)
+    with pytest.raises(ValueError, match="not prime"):
+        ord_mod(2, 15)
+
+
+def test_number_theory_matches_sympy():
+    assert [_is_prime(n) for n in range(-5, 30001)] == [
+        isprime(n) for n in range(-5, 30001)
+    ]
+    for p in primerange(2, 20000):
+        for b in (2, 3, 10):
+            if b % p:
+                assert ord_mod(b, p) == n_order(b, p), (b, p)
 
 
 def test_prime_preconditions():
@@ -79,6 +93,8 @@ def test_prime_preconditions():
         decompose_prime(15)
     with pytest.raises(ValueError, match="9"):
         decompose_prime(73)
+    with pytest.raises(ValueError, match="ceiling"):
+        decompose_prime(100003)
 
 
 def test_decompose_five():

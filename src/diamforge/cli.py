@@ -72,6 +72,19 @@ def _load_json(path: str) -> dict | None:
     return data
 
 
+def _int(what: str, x) -> int:
+    # bool is a subclass of int, so compare the type itself.
+    if type(x) is not int:
+        raise ValueError(f"{what}: expected an integer, got {json.dumps(x)}")
+    return x
+
+
+def _int_list(what: str, xs) -> tuple[int, ...]:
+    if not isinstance(xs, list):
+        raise ValueError(f"{what}: expected a list of integers, got {json.dumps(xs)}")
+    return tuple(_int(what, x) for x in xs)
+
+
 def _load_pair(path: str) -> LabelsLayout | None:
     data = _load_json(path)
     if data is None:
@@ -84,7 +97,9 @@ def _load_pair(path: str) -> LabelsLayout | None:
         print(f"diamforge: {path}: missing key {exc}", file=sys.stderr)
         return None
     try:
-        return LabelsLayout(n, tuple(labels), tuple(layout))
+        return LabelsLayout(
+            _int("n", n), _int_list("labels", labels), _int_list("layout", layout)
+        )
     except (TypeError, ValueError) as exc:
         print(f"diamforge: {path}: {exc}", file=sys.stderr)
         return None
@@ -172,8 +187,8 @@ def _cmd_decompose(args) -> int:
         if data is None:
             return 2
         try:
-            cycles = tuple(CycleSquare(tuple(c)) for c in data["cycles"])
-            dec = Decomposition(int(data["n"]), cycles)
+            cycles = tuple(CycleSquare(_int_list("cycles", c)) for c in data["cycles"])
+            dec = Decomposition(_int("n", data["n"]), cycles)
         except (KeyError, TypeError, ValueError) as exc:
             return _fail(f"bad decomposition input: {exc}", 2)
     report = verify_partition(dec)
@@ -258,7 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive small-n diameter search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="node limit, 0 = unlimited")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; the search runs in one process",
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table", help="look up a transcribed small-n optimal pair")

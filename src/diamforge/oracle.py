@@ -10,13 +10,25 @@ it would create are still unused.
 
 Symmetry is removed by fixing the seed triangle to {0, 1, 2} and introducing
 fresh labels in increasing order.
+
+Pruning is exact: it never changes the diameter, the witness or the
+exhaustive flag.  A walk of diameter d covers 2d + 3 edges and each
+extension consumes two fresh ones, so no completion of a node passes
+``ub = d + (C(n, 2) - 2d - 3) // 2``.  A node is cut, after it has offered
+itself as the incumbent, when ``ub`` is below the incumbent's diameter, or
+equal to it while the node's labels already compare greater than the
+incumbent's.  Every extension keeps that labels prefix, so it can at best
+tie the diameter and then loses the (labels, layout) tie-break.
+
+The search runs in one process.  Split across processes, a worker cannot
+see the other workers' incumbent and explores more nodes; at n = 10 two
+workers were no faster than one.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .core import LabelsLayout, dual_diameter, expand_pair, is_good
 
@@ -69,10 +81,11 @@ def _dfs(
         best[1] = list(labels)
         best[2] = list(layout)
 
-    # A walk of diameter d covers exactly 2d + 3 edges and each extension
-    # consumes two fresh ones, which bounds every completion of this node.
-    if prune and diam + (n * (n - 1) // 2 - 2 * diam - 3) // 2 < best[0]:
-        return True
+    # Exact cut after the offer above; the module docstring gives the proof.
+    if prune:
+        ub = diam + (n * (n - 1) // 2 - 2 * diam - 3) // 2
+        if ub < best[0] or (ub == best[0] and labels > best[1]):
+            return True
 
     c, u, v = state
     for w in range(min(fresh + 1, n)):
@@ -108,54 +121,6 @@ def _dfs(
     return True
 
 
-def _seed():
-    used = [0, 0, 0]
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        used[a] |= 1 << b
-        used[b] |= 1 << a
-    return [0, 1, 2], [], (0, 1, 2), used
-
-
-def _branch_moves(n: int) -> list[tuple[int, int]]:
-    """Legal (label, bit) extensions of the bare seed triangle.
-
-    Every edge among {0, 1, 2} is taken, so only the fresh label 3 can
-    extend the seed, across either free edge.
-    """
-    return [(3, 0), (3, 1)] if n >= 4 else []
-
-
-def _run_moves(args) -> tuple:
-    n, moves, limit, prune = args
-    best = [0, [0, 1, 2], [], 0]
-    complete = True
-    for w, bit in moves:
-        labels, layout, state, used = _seed()
-        used += [0] * (n - 3)
-        c, u, v = state
-        p, q = (u, v) if bit == 0 else (c, v)
-        used[p] |= 1 << w
-        used[q] |= 1 << w
-        used[w] |= (1 << p) | (1 << q)
-        labels.append(w)
-        layout.append(bit)
-        ok = _dfs(
-            n,
-            labels,
-            layout,
-            (p, q, w) if bit == 0 else (c, q, w),
-            used,
-            4,
-            limit,
-            prune,
-            best,
-        )
-        if not ok:
-            complete = False
-            break
-    return best[0], best[1], best[2], complete, best[3]
-
-
 def search_max_diameter(
     n: int,
     budget: int | None = None,
@@ -164,17 +129,17 @@ def search_max_diameter(
 ) -> SearchResult:
     """Depth-first search over all good sequences on at most n labels.
 
-    Branches are cut when the unused-edge supply cannot pay for enough
-    further triangles to beat the current best.  With ``jobs`` > 1 the
-    top-level branches are split across processes, each given an equal
-    share of the budget; the merged result does not depend on the worker
-    count.
+    A branch is cut once the unused-edge supply cannot pay for a walk that
+    beats the incumbent, or can only tie its diameter while the branch's
+    labels already sort after the incumbent's; see the module docstring
+    for why this is exact.  The search runs in one process, so neither
+    the answer nor ``nodes_explored`` depends on ``jobs``.
 
     Args:
         n: number of available labels, at least 3.
-        budget: node limit; None reads DIAMFORGE_BUDGET (default 1e8) and
-            0 means unlimited.
-        jobs: worker processes.
+        budget: limit on the total nodes explored, the seed included; None
+            reads DIAMFORGE_BUDGET (default 1e8) and 0 means unlimited.
+        jobs: accepted and validated for interface stability; unused.
         prune: disable only to cross-check the bound on tiny n.
     """
     if n < 3:
@@ -187,26 +152,18 @@ def search_max_diameter(
         raise ValueError("budget cannot be negative")
     limit = None if budget == 0 else budget
 
-    moves = _branch_moves(n)
-    if jobs == 1 or len(moves) < 2:
-        parts = [_run_moves((n, moves, limit, prune))]
-        root_nodes = 1
-    else:
-        chunks = [moves[i::jobs] for i in range(jobs)]
-        chunks = [chunk for chunk in chunks if chunk]
-        share = None if limit is None else limit // len(chunks)
-        with Pool(len(chunks)) as pool:
-            parts = pool.map(_run_moves, [(n, c, share, prune) for c in chunks])
-        root_nodes = 1
-
-    best_diam = max(p[0] for p in parts)
-    pair = min((p[1], p[2]) for p in parts if p[0] == best_diam)
+    used = [0] * n
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        used[a] |= 1 << b
+        used[b] |= 1 << a
+    best = [0, [0, 1, 2], [], 0]
+    complete = _dfs(n, [0, 1, 2], [], (0, 1, 2), used, 3, limit, prune, best)
     result = SearchResult(
         n,
-        best_diam,
-        LabelsLayout(n, tuple(pair[0]), tuple(pair[1])),
-        all(p[3] for p in parts),
-        root_nodes + sum(p[4] for p in parts),
+        best[0],
+        LabelsLayout(n, tuple(best[1]), tuple(best[2])),
+        complete,
+        best[3],
     )
 
     seq = expand_pair(result.witness)

@@ -84,6 +84,16 @@ def test_verify_schema_errors(tmp_path):
     assert res.returncode == 2
     assert "layout" in res.stderr
     assert run("verify", "--input", str(tmp_path / "absent.json")).returncode == 2
+    # Only JSON integers are accepted: no floats, bools or numeric strings.
+    for pair in (
+        {"n": 6, "labels": [0, 1, 2, 3.0], "layout": [1.0]},
+        {"n": True, "labels": [0, 0, 0], "layout": []},
+        {"n": "5", "labels": [0, 1, 2], "layout": []},
+    ):
+        path.write_text(json.dumps(pair))
+        res = run("verify", "--input", str(path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert "expected an integer" in res.stderr
 
 
 def test_verify_circular_flag(tmp_path):
@@ -133,7 +143,11 @@ def test_decompose_prime():
 
 
 def test_import_leaves_out_sympy():
-    code = "import sys, diamforge; assert 'sympy' not in sys.modules"
+    code = (
+        "import sys, diamforge; "
+        "assert 'sympy' not in sys.modules; "
+        "assert 'multiprocessing' not in sys.modules"
+    )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
@@ -160,6 +174,11 @@ def test_decompose_input_round_trip(tmp_path):
     assert res.returncode == 1
     report = json.loads(res.stdout)["report"]
     assert report["missing"] and not report["ok"]
+
+    path.write_text(json.dumps({"n": 5.9, "cycles": [[0, 1, 2, 3, 4]]}))
+    res = run("decompose", "--input", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert "expected an integer" in res.stderr
 
 
 def test_search_json():

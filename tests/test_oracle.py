@@ -10,7 +10,15 @@ from diamforge.oracle import search_max_diameter
 
 
 def test_tiny_label_counts():
-    expect = {3: (0, 1), 4: (1, 3), 5: (3, 11), 6: (5, 55), 7: (9, 619)}
+    expect = {
+        3: (0, 1),
+        4: (1, 3),
+        5: (3, 11),
+        6: (5, 55),
+        7: (9, 288),
+        8: (12, 404),
+        9: (16, 277),
+    }
     for n, (diam, nodes) in expect.items():
         res = search_max_diameter(n)
         assert res.exhaustive
@@ -62,12 +70,26 @@ def test_jobs_do_not_change_the_answer():
 
 
 def test_prune_preserves_the_optimum():
-    for n in (4, 5):
+    for n in range(4, 9):
         fast = search_max_diameter(n, prune=True)
         slow = search_max_diameter(n, prune=False)
+        assert fast.exhaustive and slow.exhaustive
         assert fast.best_diameter == slow.best_diameter
         assert fast.witness == slow.witness
         assert fast.nodes_explored <= slow.nodes_explored
+        if n >= 7:
+            assert fast.nodes_explored < slow.nodes_explored
+
+
+@pytest.mark.slow
+def test_exhaustive_ten_labels():
+    res = search_max_diameter(10, budget=0)
+    assert res.exhaustive
+    assert res.best_diameter == hs_max_diameter(10) == 21
+    assert res.nodes_explored == 2_254_261
+    seq = expand_pair(res.witness)
+    assert is_good(seq)
+    assert dual_diameter(seq) == res.best_diameter
 
 
 def test_argument_validation():

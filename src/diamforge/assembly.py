@@ -21,6 +21,7 @@ from .core import (
     certify,
     covered_edges,
     edge,
+    encode_triples,
     expand_pair,
     hs_max_diameter,
     is_good,
@@ -435,23 +436,24 @@ def _oriented(seq: TriangleSeq, last_edge: Edge) -> TriangleSeq:
     raise AssertionError(f"no terminal triangle contains {last_edge}")
 
 
-def construct_optimal(n: int) -> tuple[TriangleSeq, Certificate]:
+def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
     """Build a strongly connected complex on n vertices with maximal dual diameter.
 
     Dispatches on n mod 4 to the parametric constructions where they apply
-    and otherwise falls back to the transcribed small table.  The returned
-    certificate always reports the optimum was met.
+    and otherwise falls back to the transcribed small table.  The walk is
+    returned in codec form, and the certificate describes exactly that
+    pair; it always reports the optimum was met.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
-    seq = _construct_seq(n)
-    cert = certify(seq, n)
+    pair = encode_triples(_construct_seq(n), n)
+    cert = certify(pair)
     if not cert.matches_optimum:
         raise AssertionError(
             f"construction for n={n} reached diameter {cert.diameter}, "
             f"optimum is {hs_max_diameter(n)}"
         )
-    return seq, cert
+    return pair, cert
 
 
 def _construct_seq(n: int) -> TriangleSeq:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .assembly import construct_optimal, small_table
-from .core import Certificate, LabelsLayout, certify, encode_triples, expand_pair
+from .core import Certificate, LabelsLayout, certify
 from .genseq import gs_full, gs_missing_12, gs_missing_1248, verify_generating_sequence
 from .hampack import (
     SEQUENCES_105,
@@ -107,10 +107,9 @@ def _load_pair(path: str) -> LabelsLayout | None:
 
 def _cmd_construct(args) -> int:
     try:
-        seq, cert = construct_optimal(args.n)
+        pair, cert = construct_optimal(args.n)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    pair = encode_triples(seq)
     if args.format == "text":
         print(f"n: {args.n}")
         print("labels: " + " ".join(str(x) for x in pair.labels))
@@ -132,10 +131,9 @@ def _cmd_verify(args) -> int:
     if pair is None:
         return 2
     try:
-        seq = expand_pair(pair)
+        cert = certify(pair)
     except ValueError as exc:
         return _fail(f"expansion failed: {exc}", 1)
-    cert = certify(seq, pair.n)
     _emit(_cert_dict(cert))
     if not cert.good:
         return 1

@@ -11,7 +11,9 @@ search space for maximising dual diameter.
 The (LABELS, LAYOUT) codec stores a good sequence as one vertex label per
 step plus one bit per step from the third triangle on.  The bit says which of
 the two legal attachment edges of the previous triangle the new triangle is
-glued to.
+glued to.  :func:`certify` reads that form directly, in one pass; the
+frozenset helpers serve walks built triangle by triangle and the walks that
+are not good.
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ class LabelsLayout:
         for y in self.layout:
             if y not in (0, 1):
                 raise ValueError(f"layout bit {y!r} is not 0 or 1")
+
+    def __len__(self) -> int:
+        """Number of triangles in the walk."""
+        return len(self.labels) - 2
 
 
 @dataclass
@@ -387,28 +393,68 @@ def hs_max_diameter(n: int) -> int:
     return (n * (n - 1) // 2 - 3) // 2
 
 
-def certify(seq: TriangleSeq, n: int) -> Certificate:
-    """Build the verification certificate of ``seq`` against K_n.
+def certify(pair: LabelsLayout) -> Certificate:
+    """Build the verification certificate of a codec walk against K_n.
 
-    ``diameter`` is None when the dual graph is disconnected.
-    ``matches_optimum`` requires goodness, a linear (non-circular) sequence
-    and diameter equal to :func:`hs_max_diameter`.
+    One pass over ``(labels, layout)`` fills an edge table of packed ints
+    ``lo * n + hi``, sized by the walk rather than by ``n``.  Every step
+    glues its triangle to the previous one across the edge ``{first, v}``
+    and brings two edges of its own, so the walk is good exactly when each
+    step adds two fresh edges: t triangles cover 2t + 1 distinct edges, or
+    2t when circular, since the last step of a ring always re-covers the
+    wrap edge ``{x_0, x_1}`` of the first triangle (see :func:`is_good`).
+
+    The diameter of a good walk needs no search.  Only consecutive
+    triangles share an edge, so the dual graph of a good linear walk of t
+    triangles is a path, of diameter t - 1, and that of a good ring is a
+    cycle, of diameter t // 2.  Any other walk is expanded and measured by
+    :func:`dual_diameter`; its dual is connected, because consecutive
+    triangles always share ``{first, v}``.
+
+    ``circular`` matches :func:`expand_pair`.  ``matches_optimum`` requires
+    goodness, a linear walk and diameter equal to :func:`hs_max_diameter`.
+
+    Raises:
+        ValueError: on a degenerate triangle, with the message of
+            :func:`expand_pair`.
     """
-    good = is_good(seq)
-    covered = covered_edges(seq)
-    try:
-        diameter: int | None = dual_diameter(seq)
-    except ValueError:
-        diameter = None
+    n, xs, layout = pair.n, pair.labels, pair.layout
+    c, u, v = xs[0], xs[1], xs[2]
+    if c == u or c == v or u == v:
+        raise ValueError("degenerate triangle at index 0")
+    seen = {
+        c * n + u if c < u else u * n + c,
+        c * n + v if c < v else v * n + c,
+        u * n + v if u < v else v * n + u,
+    }
+    add = seen.add
+    for i, (w, y) in enumerate(zip(xs[3:], layout), start=1):
+        first = u if y == 0 else c
+        if w == first or w == v or first == v:
+            raise ValueError(f"degenerate triangle at index {i}")
+        add(first * n + w if first < w else w * n + first)
+        add(v * n + w if v < w else w * n + v)
+        c, u, v = first, v, w
+
+    t = len(layout) + 1
+    # After the loop c is the last step's first vertex; the ring closes when
+    # the last triangle {c, x_0, x_1} meets the first in exactly two vertices.
+    circular = t >= 3 and xs[-2] == xs[0] and xs[-1] == xs[1] and c != xs[2]
+    good = len(seen) == 2 * t + 1 - circular
+    if good:
+        diameter = t // 2 if circular else t - 1
+    else:
+        diameter = dual_diameter(expand_pair(pair))
     optimum = hs_max_diameter(n)
-    matches = good and not seq.circular and diameter == optimum
-    uncovered = sorted(all_edges(n) - covered)
+    uncovered = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if a * n + b not in seen
+    ]
     return Certificate(
         good=good,
-        circular=seq.circular,
-        covered_edges=len(covered),
+        circular=circular,
+        covered_edges=len(seen),
         diameter=diameter,
         optimum=optimum,
-        matches_optimum=matches,
+        matches_optimum=good and not circular and diameter == optimum,
         uncovered_edges=uncovered,
     )

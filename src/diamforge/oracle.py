@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import LabelsLayout, dual_diameter, expand_pair, is_good
+from .core import LabelsLayout, certify
 
 __all__ = ["SearchResult", "search_max_diameter", "DEFAULT_BUDGET"]
 
@@ -53,72 +53,81 @@ class SearchResult:
     nodes_explored: int
 
 
-def _dfs(
-    n: int,
-    labels: list[int],
-    layout: list[int],
-    state: tuple[int, int, int],
-    used: list[int],
-    fresh: int,
-    limit: int | None,
-    prune: bool,
-    best: list,
-) -> bool:
-    """Explore all good extensions; returns False once the node limit hits.
+def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
+    """Explore all good walks from the seed triangle {0, 1, 2}.
 
-    ``best`` holds [diameter, labels, layout, nodes]; every node offers its
-    partial walk under (larger diameter, then smaller (labels, layout))
-    order, so the result does not depend on traversal order.
+    Returns False once the node limit hits.  ``best`` holds [diameter,
+    labels, layout, nodes]; every node offers its partial walk under
+    (larger diameter, then smaller (labels, layout)) order, so the result
+    does not depend on traversal order.
+
+    The walk lives on an explicit stack with one frame per open node, so
+    its depth is not bounded by the interpreter's recursion limit.  A frame
+    holds the node's state (c, u, v), its next fresh label and the next
+    move to try, coded as 2 * w + bit; moves are tried in label order, bit
+    0 first.  ``used[x]`` is the bit set of x's covered neighbours.
     """
-    if limit is not None and best[3] >= limit:
-        return False
-    best[3] += 1
-    diam = len(layout)
-    if diam > best[0] or (
-        diam == best[0] and (labels, layout) < (best[1], best[2])
-    ):
-        best[0] = diam
-        best[1] = list(labels)
-        best[2] = list(layout)
+    used = [0] * n
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        used[a] |= 1 << b
+        used[b] |= 1 << a
+    labels, layout = [0, 1, 2], []
+    pairs = n * (n - 1) // 2
+    stack: list[list[int]] = []
+    c, u, v, fresh = 0, 1, 2, 3
+    while True:
+        # Enter the node (labels, layout) with state (c, u, v).
+        if limit is not None and best[3] >= limit:
+            return False
+        best[3] += 1
+        diam = len(layout)
+        if diam > best[0] or (
+            diam == best[0] and (labels, layout) < (best[1], best[2])
+        ):
+            best[0] = diam
+            best[1] = list(labels)
+            best[2] = list(layout)
+        # Exact cut after the offer above; the module docstring gives the
+        # proof.  A cut node keeps a frame with no moves left, so it is
+        # retracted like an exhausted one.
+        cursor = 0
+        if prune:
+            ub = diam + (pairs - 2 * diam - 3) // 2
+            if ub < best[0] or (ub == best[0] and labels > best[1]):
+                cursor = 2 * n
+        stack.append([c, u, v, fresh, cursor])
 
-    # Exact cut after the offer above; the module docstring gives the proof.
-    if prune:
-        ub = diam + (n * (n - 1) // 2 - 2 * diam - 3) // 2
-        if ub < best[0] or (ub == best[0] and labels > best[1]):
-            return True
+        # Find the next legal move, retracting exhausted nodes on the way.
+        while True:
+            frame = stack[-1]
+            c, u, v, fresh, k = frame
+            stop = 2 * min(fresh + 1, n)
+            while k < stop:
+                w, bit = k >> 1, k & 1
+                k += 1
+                p = u if bit == 0 else c
+                if w != p and w != v and not (used[w] >> p | used[w] >> v) & 1:
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    return True
+                # The move into this node was (p, q, w) = (c, u, v).
+                used[c] &= ~(1 << v)
+                used[u] &= ~(1 << v)
+                used[v] &= ~((1 << c) | (1 << u))
+                labels.pop()
+                layout.pop()
+                continue
+            frame[4] = k
+            break
 
-    c, u, v = state
-    for w in range(min(fresh + 1, n)):
-        uw = used[w]
-        for bit, p, q in ((0, u, v), (1, c, v)):
-            if w == p or w == q:
-                continue
-            if (uw >> p | uw >> q) & 1:
-                continue
-            used[p] |= 1 << w
-            used[q] |= 1 << w
-            used[w] |= (1 << p) | (1 << q)
-            labels.append(w)
-            layout.append(bit)
-            ok = _dfs(
-                n,
-                labels,
-                layout,
-                (p, q, w) if bit == 0 else (c, q, w),
-                used,
-                fresh + (w == fresh),
-                limit,
-                prune,
-                best,
-            )
-            labels.pop()
-            layout.pop()
-            used[p] &= ~(1 << w)
-            used[q] &= ~(1 << w)
-            used[w] &= ~((1 << p) | (1 << q))
-            if not ok:
-                return False
-    return True
+        used[p] |= 1 << w
+        used[v] |= 1 << w
+        used[w] |= (1 << p) | (1 << v)
+        labels.append(w)
+        layout.append(bit)
+        c, u, v, fresh = p, v, w, fresh + (w == fresh)
 
 
 def search_max_diameter(
@@ -152,12 +161,8 @@ def search_max_diameter(
         raise ValueError("budget cannot be negative")
     limit = None if budget == 0 else budget
 
-    used = [0] * n
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        used[a] |= 1 << b
-        used[b] |= 1 << a
     best = [0, [0, 1, 2], [], 0]
-    complete = _dfs(n, [0, 1, 2], [], (0, 1, 2), used, 3, limit, prune, best)
+    complete = _dfs(n, limit, prune, best)
     result = SearchResult(
         n,
         best[0],
@@ -166,7 +171,7 @@ def search_max_diameter(
         best[3],
     )
 
-    seq = expand_pair(result.witness)
-    if not is_good(seq) or dual_diameter(seq) != result.best_diameter:
+    cert = certify(result.witness)
+    if not cert.good or cert.diameter != result.best_diameter:
         raise AssertionError("search produced an unsound witness")
     return result

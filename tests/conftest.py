@@ -1,4 +1,5 @@
-"""Shared test helpers: random good-walk generation and acceptance reporting."""
+"""Shared test helpers: the reference certifier, random good-walk generation
+and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -6,7 +7,44 @@ import re
 
 import pytest
 
-from diamforge.core import LabelsLayout, expand_pair, is_good
+from diamforge.core import (
+    Certificate,
+    LabelsLayout,
+    TriangleSeq,
+    all_edges,
+    covered_edges,
+    dual_diameter,
+    expand_pair,
+    hs_max_diameter,
+    is_good,
+)
+
+
+def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
+    """Certificate of ``seq`` against K_n from the frozenset helpers.
+
+    The slow reference for :func:`diamforge.core.certify`: goodness from
+    :func:`is_good`, the diameter by BFS over the dual graph (None when it
+    is disconnected), and the uncovered edges as a set difference.
+    """
+    good = is_good(seq)
+    covered = covered_edges(seq)
+    try:
+        diameter: int | None = dual_diameter(seq)
+    except ValueError:
+        diameter = None
+    optimum = hs_max_diameter(n)
+    matches = good and not seq.circular and diameter == optimum
+    uncovered = sorted(all_edges(n) - covered)
+    return Certificate(
+        good=good,
+        circular=seq.circular,
+        covered_edges=len(covered),
+        diameter=diameter,
+        optimum=optimum,
+        matches_optimum=matches,
+        uncovered_edges=uncovered,
+    )
 
 
 def _legal_moves(state, used, fresh, n):

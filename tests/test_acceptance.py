@@ -60,7 +60,7 @@ def cli(*args):
 def test_criterion_01_construction_totality():
     started = time.monotonic()
     for n in range(3, 201):
-        seq, cert = construct_optimal(n)
+        _, cert = construct_optimal(n)
         assert cert.good and not cert.circular
         assert cert.diameter == hs_max_diameter(n)
         assert cert.matches_optimum

@@ -1,0 +1,91 @@
+"""The one-pass codec certifier against the frozenset reference."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import corrupted_pair, random_good_pair, reference_certify
+from diamforge.assembly import construct_optimal
+from diamforge.core import LabelsLayout, certify, expand_pair
+from diamforge.genseq import expand_to_circular, gs_full, gs_missing_12, gs_missing_1248
+from test_core import RING13, STRIP
+
+
+def assert_agrees(pair: LabelsLayout):
+    """certify(pair) equals the reference certificate of its expansion."""
+    cert = certify(pair)
+    assert cert == reference_certify(expand_pair(pair), pair.n)
+    return cert
+
+
+def closed_pair(rng, n: int) -> LabelsLayout | None:
+    """A random walk forced to end on its first two labels, or None when
+    that step is degenerate; most such walks are not good."""
+    base = random_good_pair(rng, n)
+    labels = base.labels + base.labels[:2]
+    layout = base.layout + (rng.randrange(2), rng.randrange(2))
+    pair = LabelsLayout(n, labels, layout)
+    try:
+        expand_pair(pair)
+    except ValueError:
+        return None
+    return pair
+
+
+def test_random_and_corrupted_walks():
+    rng = random.Random(0xCE27)
+    for _ in range(10_000):
+        assert assert_agrees(random_good_pair(rng)).good
+        assert not assert_agrees(corrupted_pair(rng)).good
+
+
+def test_rings_are_circular():
+    assert assert_agrees(RING13).circular
+    rings = 0
+    for k in range(3, 31):
+        families = [gs_full(k)]
+        if k >= 4:
+            families.append(gs_missing_12(k)[0])
+        if k >= 7:
+            families.append(gs_missing_1248(k)[0])
+        for gs in families:
+            cert = assert_agrees(expand_to_circular(gs))
+            assert cert.good and cert.circular and not cert.matches_optimum
+            rings += 1
+    assert rings == 28 + 27 + 24
+
+
+def test_walks_that_close_on_their_first_edge():
+    rng = random.Random(0x41A6)
+    circular = 0
+    for _ in range(2_000):
+        pair = closed_pair(rng, rng.randint(4, 9))
+        if pair is not None:
+            circular += assert_agrees(pair).circular
+    assert circular > 100
+
+
+def test_edge_reusing_walks_take_the_bfs_fallback():
+    rng = random.Random(0x5EED)
+    for _ in range(200):
+        cert = assert_agrees(corrupted_pair(rng, rng.randint(12, 30)))
+        assert not cert.good and cert.diameter is not None
+    # Every extension of the strip through its tail edge {1, 4} reuses an edge.
+    for x in range(7):
+        for bit in (0, 1):
+            pair = LabelsLayout(7, STRIP.labels + (x,), STRIP.layout + (bit,))
+            try:
+                expand_pair(pair)
+            except ValueError:
+                continue
+            assert not assert_agrees(pair).good
+
+
+@pytest.mark.slow
+def test_every_construction_up_to_200():
+    for n in range(3, 201):
+        pair, cert = construct_optimal(n)
+        assert cert == reference_certify(expand_pair(pair), n)
+        assert cert.matches_optimum

@@ -96,6 +96,17 @@ def test_verify_schema_errors(tmp_path):
         assert "expected an integer" in res.stderr
 
 
+def test_verify_reports_degenerate_triangles(tmp_path):
+    path = tmp_path / "degenerate.json"
+    for labels, layout, index in (([0, 1, 1], [], 0), ([0, 1, 2, 3, 4, 1], [0, 1, 1], 3)):
+        path.write_text(json.dumps({"n": 5, "labels": labels, "layout": layout}))
+        res = run("verify", "--input", str(path))
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == (
+            f"diamforge: expansion failed: degenerate triangle at index {index}\n"
+        )
+
+
 def test_verify_circular_flag(tmp_path):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(
@@ -195,6 +206,16 @@ def test_search_budget_and_jobs():
     assert res.returncode == 0
     assert json.loads(res.stdout)["exhaustive"] is False
     assert run("search", "--n", "2").returncode == 2
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # The first branch runs about 1,000 triangles deep before the budget hits.
+    res = run("search", "--n", "70", "--budget", "3000")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["exhaustive"] is False
+    assert out["nodes_explored"] == 3000
+    assert out["best_diameter"] > 1000
 
 
 def test_table_lookup():

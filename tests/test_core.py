@@ -179,7 +179,7 @@ def test_encode_rejects_broken_walks():
 
 
 def test_certify_optimal_pair():
-    cert = certify(expand_pair(LabelsLayout(4, (0, 1, 2, 3), (0,))), 4)
+    cert = certify(LabelsLayout(4, (0, 1, 2, 3), (0,)))
     assert cert == Certificate(
         good=True,
         circular=False,
@@ -192,16 +192,45 @@ def test_certify_optimal_pair():
 
 
 def test_certify_circular_never_matches():
-    cert = certify(expand_pair(RING13), 13)
+    cert = certify(RING13)
     assert cert.good and cert.circular
     assert cert.covered_edges == 78 and cert.uncovered_edges == []
     assert not cert.matches_optimum
 
 
 def test_certify_rejects_bad_walks():
+    from conftest import reference_certify
+
+    # Three triangles on one edge: the codec cannot express it, so only the
+    # reference sees it.
     seq = TriangleSeq([frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 1, 4})])
-    cert = certify(seq, 5)
+    cert = reference_certify(seq, 5)
     assert not cert.good and not cert.matches_optimum
+    # {2, 3, 0} re-covers {0, 2} from the first triangle: the dual is a
+    # triangle, not a path.
+    cert = certify(LabelsLayout(4, (0, 1, 2, 3, 0), (0, 0)))
+    assert not cert.good and not cert.matches_optimum and not cert.circular
+    assert cert.covered_edges == 6 and cert.diameter == 1
+
+
+def test_pair_length_counts_triangles():
+    assert len(LabelsLayout(3, (0, 1, 2), ())) == 1
+    assert len(STRIP) == 8
+    assert len(RING13) == len(expand_pair(RING13)) == 39
+
+
+def test_certify_rejects_degenerate_pairs_like_expand_pair():
+    for pair in (
+        LabelsLayout(4, (0, 1, 1), ()),
+        LabelsLayout(4, (0, 1, 2, 1), (0,)),
+        LabelsLayout(5, (0, 1, 2, 3, 4, 1), (0, 1, 1)),
+        LabelsLayout(5, (0, 1, 2, 3, 2), (0, 0)),
+    ):
+        with pytest.raises(ValueError) as slow:
+            expand_pair(pair)
+        with pytest.raises(ValueError) as fast:
+            certify(pair)
+        assert str(fast.value) == str(slow.value)
 
 
 def test_random_walks_obey_the_edge_law():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from diamforge.assembly import small_table
@@ -52,6 +54,16 @@ def test_budget_truncation():
     assert not res.exhaustive
     assert res.nodes_explored <= 51
     assert res.best_diameter <= 9
+
+
+def test_budget_search_deeper_than_the_recursion_limit():
+    res = search_max_diameter(70, budget=3000)
+    assert not res.exhaustive
+    assert res.nodes_explored == 3000
+    assert len(res.witness) == res.best_diameter + 1 > sys.getrecursionlimit()
+    seq = expand_pair(res.witness)
+    assert is_good(seq)
+    assert dual_diameter(seq) == res.best_diameter
 
 
 def test_zero_budget_is_unlimited():

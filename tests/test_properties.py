@@ -1,0 +1,106 @@
+"""Property tests over drawn walks: the codec round trip and the certifier."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import _apply, _legal_moves, reference_certify
+from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def good_pairs(draw):
+    """Good walks from the seed triangle, one legal move at a time."""
+    n = draw(st.integers(3, 12))
+    labels, layout = [0, 1, 2], []
+    state, used, fresh = (0, 1, 2), {(0, 1), (0, 2), (1, 2)}, 3
+    for _ in range(draw(st.integers(0, 3 * n))):
+        moves = _legal_moves(state, used, fresh, n)
+        if not moves:
+            break
+        move = draw(st.sampled_from(moves))
+        state, fresh = _apply(move, state, used, labels, layout, fresh)
+    return LabelsLayout(n, tuple(labels), tuple(layout))
+
+
+@st.composite
+def any_pairs(draw):
+    """Arbitrary in-range pairs: degenerate, edge-reusing, closing or good."""
+    n = draw(st.integers(1, 9))
+    steps = draw(st.integers(0, 24))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=steps + 3, max_size=steps + 3))
+    layout = draw(st.lists(st.integers(0, 1), min_size=steps, max_size=steps))
+    if steps >= 2 and draw(st.booleans()):
+        labels[-2:] = labels[:2]  # try to close a ring
+    return LabelsLayout(n, labels, layout)
+
+
+@st.composite
+def walk_pairs(draw):
+    """Non-degenerate pairs: each label avoids the two it is glued to.
+
+    Half of them try to end on their first two labels, as a ring does.
+    """
+    n = draw(st.integers(4, 9))
+    c, u, v = draw(st.permutations(range(n)))[:3]
+    labels, layout = [c, u, v], []
+    steps = [None] * draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        steps += labels[:2]
+    for w in steps:
+        bits = [y for y in (0, 1) if w not in (u if y == 0 else c, v)]
+        if not bits:
+            break
+        y = draw(st.sampled_from(bits))
+        first = u if y == 0 else c
+        if w is None:
+            w = draw(st.sampled_from([x for x in range(n) if x not in (first, v)]))
+        labels.append(w)
+        layout.append(y)
+        c, u, v = first, v, w
+    return LabelsLayout(n, labels, layout)
+
+
+def assert_round_trip(pair: LabelsLayout) -> None:
+    seq = expand_pair(pair)
+    back = encode_triples(seq, pair.n)
+    again = expand_pair(back)
+    assert back.n == pair.n
+    assert again.circular == seq.circular
+    if seq.circular:
+        assert again.triangles == seq.triangles
+    else:
+        assert again.triangles in (seq.triangles, seq.triangles[::-1])
+
+
+@PROPERTY
+@given(good_pairs())
+def test_codec_round_trip_of_good_walks(pair):
+    assert_round_trip(pair)
+
+
+@PROPERTY
+@given(walk_pairs())
+def test_codec_round_trip_when_encodable(pair):
+    try:
+        encode_triples(expand_pair(pair), pair.n)
+    except ValueError:
+        return
+    assert_round_trip(pair)
+
+
+@PROPERTY
+@given(st.one_of(any_pairs(), walk_pairs(), good_pairs()))
+def test_certify_agrees_with_the_reference(pair):
+    try:
+        seq = expand_pair(pair)
+    except ValueError as slow:
+        with pytest.raises(ValueError) as fast:
+            certify(pair)
+        assert str(fast.value) == str(slow)
+        return
+    assert certify(pair) == reference_certify(seq, pair.n)

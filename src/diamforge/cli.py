@@ -189,7 +189,10 @@ def _cmd_decompose(args) -> int:
             dec = Decomposition(_int("n", data["n"]), cycles)
         except (KeyError, TypeError, ValueError) as exc:
             return _fail(f"bad decomposition input: {exc}", 2)
-    report = verify_partition(dec)
+    try:
+        report = verify_partition(dec)
+    except ValueError as exc:  # only input can hold cycles below five vertices
+        return _fail(f"bad decomposition input: {exc}", 2)
     _emit(
         {
             "n": dec.n,

@@ -177,7 +177,8 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
     For linear sequences the starting end is chosen deterministically: the
     end whose triangle is lexicographically smaller (as a sorted triple)
     becomes the first.  The two shared vertices of the first adjacency are
-    emitted in ascending order.  Circular sequences are encoded from
+    emitted in ascending order, unless the labels would then end on the
+    first two and decode as a ring.  Circular sequences are encoded from
     ``triangles[0]`` in the given direction.
 
     ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to that choice
@@ -214,6 +215,15 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
         (x2,) = shared01 - {x1}
     else:
         x1, x2 = sorted(shared01)
+        # Labels ending on x0, x1 would decode as a ring; the other order of
+        # the first shared pair encodes the same walk and ends elsewhere.
+        if (
+            len(tris) >= 3
+            and len(tris[-1] & tris[0]) == 2
+            and tris[-2] - tris[-3] == {x0}
+            and tris[-1] - tris[-2] == {x1}
+        ):
+            x1, x2 = x2, x1
 
     labels = [x0, x1, x2]
     layout: list[int] = []

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 
-from .core import Edge, all_edges, edge
+from .core import Edge, edge
 
 __all__ = [
     "CycleSquare",
@@ -150,21 +150,21 @@ def decompose_prime(p: int) -> Decomposition:
         raise ValueError(f"ord_{p}(2) = {t} is not divisible by 4")
 
     # Coset representatives of <2> in F_p*, smallest first.
-    seen: set[int] = set()
+    seen = bytearray(p)
     reps: list[int] = []
     for x in range(1, p):
-        if x in seen:
+        if seen[x]:
             continue
         reps.append(x)
         cur = x
         for _ in range(t):
-            seen.add(cur)
+            seen[cur] = 1
             cur = cur * 2 % p
     cycles = []
     for a in reps:
         for k in range(0, t // 2, 2):
             step = a * pow(2, k, p) % p
-            cycles.append(CycleSquare(tuple(i * step % p for i in range(p))))
+            cycles.append(CycleSquare([i * step % p for i in range(p)]))
     return Decomposition(p, tuple(cycles))
 
 
@@ -201,16 +201,39 @@ def verify_partition(d: Decomposition) -> PartitionReport:
 
     Reports missing and doubled edges; success additionally requires
     (n-1)/4 cycles, which forces n = 1 mod 4.
+
+    Edges are packed as keys ``lo*n + hi``, which order like ``(lo, hi)``.
+    For n >= 5 the n distance-1 and n distance-2 pairs of a cycle are 2n
+    distinct edges, so a key that the family lists twice comes from two
+    cycles: no edge is doubled iff the distinct keys number as many as the
+    listed ones, and none is missing iff they number C(n, 2).  The per-edge
+    count and the missing-edge scan run only when a count is off.  Smaller
+    orders, whose squares have fewer than 2n edges, raise ValueError through
+    :func:`square_edges`.
     """
-    counts: Counter[Edge] = Counter()
+    n = d.n
+    if d.cycles:
+        square_edges(d.cycles[0])  # every cycle has order n
+    keys: list[int] = []
     for c in d.cycles:
-        counts.update(square_edges(c))
-    missing = tuple(sorted(all_edges(d.n) - set(counts)))
-    doubled = tuple(sorted(e for e, m in counts.items() if m > 1))
+        o = c.order
+        for shifted in (o[1:] + o[:1], o[2:] + o[:2]):
+            keys += [u * n + v if u < v else v * n + u for u, v in zip(o, shifted)]
+    seen = set(keys)
+    doubled: tuple[Edge, ...] = ()
+    if len(seen) != len(keys):
+        doubled = tuple(
+            divmod(k, n) for k, m in sorted(Counter(keys).items()) if m > 1
+        )
+    missing: tuple[Edge, ...] = ()
+    if len(seen) != n * (n - 1) // 2:
+        missing = tuple(
+            (u, v) for u in range(n) for v in range(u + 1, n) if u * n + v not in seen
+        )
     ok = (
         not missing
         and not doubled
-        and d.n % 4 == 1
-        and len(d.cycles) == (d.n - 1) // 4
+        and n % 4 == 1
+        and len(d.cycles) == (n - 1) // 4
     )
     return PartitionReport(ok, missing, doubled)

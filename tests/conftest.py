@@ -1,14 +1,16 @@
-"""Shared test helpers: the reference certifier, random good-walk generation
-and acceptance reporting."""
+"""Shared test helpers: the reference certifier and partition checker,
+random good-walk generation and acceptance reporting."""
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 
 from diamforge.core import (
     Certificate,
+    Edge,
     LabelsLayout,
     TriangleSeq,
     all_edges,
@@ -18,6 +20,7 @@ from diamforge.core import (
     hs_max_diameter,
     is_good,
 )
+from diamforge.hampack import Decomposition, PartitionReport, square_edges
 
 
 def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
@@ -45,6 +48,27 @@ def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
         matches_optimum=matches,
         uncovered_edges=uncovered,
     )
+
+
+def reference_verify_partition(d: Decomposition) -> PartitionReport:
+    """Partition report of ``d`` from edge tuples.
+
+    The slow reference for :func:`diamforge.hampack.verify_partition`: a
+    Counter over every cycle's :func:`square_edges` and the missing edges
+    as a set difference from all of E(K_n).
+    """
+    counts: Counter[Edge] = Counter()
+    for c in d.cycles:
+        counts.update(square_edges(c))
+    missing = tuple(sorted(all_edges(d.n) - set(counts)))
+    doubled = tuple(sorted(e for e, m in counts.items() if m > 1))
+    ok = (
+        not missing
+        and not doubled
+        and d.n % 4 == 1
+        and len(d.cycles) == (d.n - 1) // 4
+    )
+    return PartitionReport(ok, missing, doubled)
 
 
 def _legal_moves(state, used, fresh, n):

@@ -238,3 +238,15 @@ def test_seed_is_accepted():
 
 def test_unknown_verb():
     assert run("frobnicate").returncode == 2
+
+
+def test_decompose_input_below_five_vertices(tmp_path):
+    path = tmp_path / "small.json"
+    for n in (3, 4):
+        path.write_text(json.dumps({"n": n, "cycles": [list(range(n))]}))
+        res = run("decompose", "--input", str(path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "diamforge: bad decomposition input: "
+            "cycle square needs at least five vertices\n"
+        )

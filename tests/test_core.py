@@ -173,6 +173,17 @@ def test_encode_round_trip_circular():
     assert expand_pair(pair).triangles == seq.triangles
 
 
+def test_encode_keeps_a_linear_walk_linear():
+    # The four faces of K_4 as a path: the last triangle shares an edge with
+    # the first, and labels starting 1, 0, 2 would end on 1, 0 like a ring.
+    seq = expand_pair(LabelsLayout(4, (1, 2, 0, 3, 1, 0), (0, 1, 0)))
+    assert not seq.circular
+    pair = encode_triples(seq)
+    assert pair.labels[-2:] != pair.labels[:2]
+    again = expand_pair(pair)
+    assert not again.circular and again.triangles == seq.triangles
+
+
 def test_encode_rejects_broken_walks():
     with pytest.raises(ValueError):
         encode_triples(TriangleSeq([frozenset({0, 1, 2}), frozenset({2, 3, 4})]))

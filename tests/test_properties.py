@@ -1,4 +1,5 @@
-"""Property tests over drawn walks: the codec round trip and the certifier."""
+"""Property tests over drawn walks and families: the codec round trip, the
+certifier and the partition checker."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import _apply, _legal_moves, reference_certify
 from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair
+from diamforge.hampack import CycleSquare, Decomposition, decompose_prime, verify_partition
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -104,3 +106,51 @@ def test_certify_agrees_with_the_reference(pair):
         assert str(fast.value) == str(slow)
         return
     assert certify(pair) == reference_certify(seq, pair.n)
+
+
+@st.composite
+def families(draw):
+    """Cycle-square families on 5..21 vertices.
+
+    Either random permutations, or a prime partition (p = 5, 13, 17) under a
+    random relabelling with up to two cycles dropped or repeated.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 21))
+        size = draw(st.integers(0, 6))
+        orders = [draw(st.permutations(range(n))) for _ in range(size)]
+        return Decomposition(n, [CycleSquare(o) for o in orders])
+    d = decompose_prime(draw(st.sampled_from([5, 13, 17])))
+    relabel = draw(st.permutations(range(d.n)))
+    cycles = [CycleSquare([relabel[v] for v in c.order]) for c in d.cycles]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(cycles) - 1))
+        if draw(st.booleans()):
+            cycles.append(cycles[i])
+        elif len(cycles) > 1:
+            del cycles[i]
+    return Decomposition(d.n, cycles)
+
+
+def brute_force_report(d: Decomposition):
+    """(ok, missing, doubled) from counting, for every vertex pair, the cycles
+    that place it at cyclic distance one or two."""
+    n = d.n
+    positions = [{v: i for i, v in enumerate(c.order)} for c in d.cycles]
+    missing, doubled = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            hits = sum((pos[u] - pos[v]) % n in (1, 2, n - 2, n - 1) for pos in positions)
+            if hits == 0:
+                missing.append((u, v))
+            elif hits > 1:
+                doubled.append((u, v))
+    ok = not missing and not doubled and n % 4 == 1 and len(d.cycles) == (n - 1) // 4
+    return ok, tuple(missing), tuple(doubled)
+
+
+@PROPERTY
+@given(families())
+def test_verify_partition_agrees_with_brute_force(d):
+    rep = verify_partition(d)
+    assert (rep.ok, rep.missing, rep.doubled) == brute_force_report(d)

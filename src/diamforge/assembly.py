@@ -427,15 +427,6 @@ def small_table(n: int) -> SmallTableEntry | None:
     return SmallTableEntry(n, LabelsLayout(n, tuple(labels), tuple(layout)))
 
 
-def _oriented(seq: TriangleSeq, last_edge: Edge) -> TriangleSeq:
-    """Reverse a linear sequence if needed so its last triangle holds the edge."""
-    if set(last_edge) <= seq.triangles[-1]:
-        return seq
-    if set(last_edge) <= seq.triangles[0]:
-        return TriangleSeq(list(reversed(seq.triangles)))
-    raise AssertionError(f"no terminal triangle contains {last_edge}")
-
-
 def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
     """Build a strongly connected complex on n vertices with maximal dual diameter.
 
@@ -459,35 +450,24 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
 def _construct_seq(n: int) -> TriangleSeq:
     r = n % 4
     if r == 1 and n >= 13:
-        gs = gs_full((n - 1) // 4)
-        ring = expand_pair_of(gs)
-        spec = _seed_cut(ring)
-        return cut_circular(ring, spec)
+        ring = expand_pair_of(gs_full((n - 1) // 4))
+        return cut_circular(ring, _seed_cut(ring))
     if r == 0 and n >= 20:
         k = (n - 4) // 4
         gs, spec = gs_missing_12(k)
-        ring = expand_pair_of(gs)
-        body = _oriented(cut_circular(ring, spec), spec.end_edge)
-        plan = attach_4k4(k)
-        return TriangleSeq(list(body.triangles) + list(plan.triangles))
+        body = cut_circular(expand_pair_of(gs), spec)
+        return TriangleSeq([*body.triangles, *attach_4k4(k).triangles])
     if r == 3 and n >= 23:
         k = (n - 3) // 4
         gs, spec = gs_missing_12(k, end="seven")
-        ring = expand_pair_of(gs)
-        body = _oriented(cut_circular(ring, spec), spec.end_edge)
-        plan = attach_4k3(k)
-        return TriangleSeq(list(body.triangles) + list(plan.triangles))
+        body = cut_circular(expand_pair_of(gs), spec)
+        return TriangleSeq([*body.triangles, *attach_4k3(k).triangles])
     if r == 2 and n >= 34:
         k = (n - 6) // 4
         gs, spec = gs_missing_1248(k)
-        ring = expand_pair_of(gs)
-        body = cut_circular(ring, spec)
-        body = _oriented(body, spec.second_end_edge)
-        if not set(spec.end_edge) <= body.triangles[0]:
-            raise AssertionError("cut ring does not expose both anchors")
+        body = cut_circular(expand_pair_of(gs), spec)
         plan_a, plan_b = attach_4k6(k)
-        prefix = list(reversed(plan_a.triangles))
-        return TriangleSeq(prefix + list(body.triangles) + list(plan_b.triangles))
+        return TriangleSeq([*plan_a.triangles[::-1], *body.triangles, *plan_b.triangles])
     entry = small_table(n)
     if entry is None:
         raise ValueError(f"no construction available for n={n}")

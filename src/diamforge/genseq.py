@@ -343,10 +343,15 @@ def cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
     """Open a circular sequence by removing one triangle.
 
     The destroyed edge must be covered by exactly one triangle; that triangle
-    is removed and the ring is unrolled starting just after it.  The covered
-    edge count drops by exactly one (the destroyed edge) and the spec's end
-    edge(s) are verified to be attachable: covered once, in a terminal
-    triangle.  When both end edges are given they must sit at opposite ends.
+    is removed and the ring is unrolled from the triangle after it, so the
+    covered edge count drops by exactly one (the destroyed edge).  Each end
+    edge must then be attachable: covered once, in a terminal triangle; when
+    both are given they must sit at opposite ends.  Each check scans the ring
+    once for the triangles that hold its edge.
+
+    The walk comes back oriented for its attachments: a lone ``end_edge``
+    sits in the last triangle; with two end edges, ``end_edge`` sits in the
+    first triangle and ``second_end_edge`` in the last.
 
     Raises:
         ValueError: destroyed edge covered != 1 times, or end constraints
@@ -354,30 +359,32 @@ def cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
     """
     if not seq.circular:
         raise ValueError("sequence is not circular")
-    d = edge(*spec.destroyed_edge)
-    mult = edge_multiplicities(seq)
-    count = mult.get(d, 0)
-    if count != 1:
-        raise ValueError(f"destroyed edge {d} is covered {count} times, need exactly 1")
-    (c,) = [i for i, tri in enumerate(seq.triangles) if d[0] in tri and d[1] in tri]
-    linear = seq.triangles[c + 1 :] + seq.triangles[:c]
-    result = TriangleSeq(linear, circular=False)
+    ring = seq.triangles
+    t = len(ring) - 1
 
-    terminals = (result.triangles[0], result.triangles[-1])
-    sides = []
+    def holders(e: Edge) -> list[int]:
+        return [i for i, tri in enumerate(ring) if e[0] in tri and e[1] in tri]
+
+    d = edge(*spec.destroyed_edge)
+    cut = holders(d)
+    if len(cut) != 1:
+        raise ValueError(f"destroyed edge {d} is covered {len(cut)} times, need exactly 1")
+    (c,) = cut
+    positions = []
     for e in (spec.end_edge, spec.second_end_edge):
         if e is None:
             continue
         e = edge(*e)
-        count = mult[e] - (set(e) <= seq.triangles[c])
-        if count != 1:
-            raise ValueError(f"end edge {e} is covered {count} times after the cut")
-        side = [i for i, tri in enumerate(terminals) if e[0] in tri and e[1] in tri]
-        if not side:
+        # Positions in the walk that starts just after triangle c.
+        held = [(i - c - 1) % (t + 1) for i in holders(e) if i != c]
+        if len(held) != 1:
+            raise ValueError(f"end edge {e} is covered {len(held)} times after the cut")
+        if held[0] not in (0, t - 1):
             raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
-        sides.append(side)
-    if len(sides) == 2 and not any(
-        a != b for a in sides[0] for b in sides[1]
-    ):
+        positions.append(held[0])
+    if len(positions) == 2 and positions[0] == positions[1] and t > 1:
         raise ValueError("end edges do not sit at opposite ends")
-    return result
+    linear = ring[c + 1 :] + ring[:c]
+    if positions[-1] != t - 1:
+        linear = linear[::-1]
+    return TriangleSeq(linear, circular=False)

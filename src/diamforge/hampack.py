@@ -38,10 +38,9 @@ SEQUENCES_105: tuple[tuple[int, ...], ...] = (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CycleSquare:
-    """A cyclic ordering of all n vertices, compared up to rotation and
-    reflection."""
+    """A cyclic ordering of all n vertices."""
 
     order: tuple[int, ...]
 
@@ -50,31 +49,12 @@ class CycleSquare:
         n = len(self.order)
         if n < 3:
             raise ValueError("cycle needs at least three vertices")
-        if sorted(self.order) != list(range(n)):
+        if set(self.order) != set(range(n)):
             raise ValueError("ordering is not a permutation of 0..n-1")
 
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def canonical(self) -> tuple[int, ...]:
-        """Lexicographically least rotation over both traversal directions."""
-        best = None
-        for seq in (self.order, tuple(reversed(self.order))):
-            for i in range(len(seq)):
-                cand = seq[i:] + seq[:i]
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        return best
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycleSquare):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,10 @@ def search_max_diameter(
         n: number of available labels, at least 3.
         budget: limit on the total nodes explored, the seed included; None
             reads DIAMFORGE_BUDGET (default 1e8) and 0 means unlimited.
-        jobs: accepted and validated for interface stability; unused.
+        jobs: validated (at least 1) and otherwise unused.  It stays
+            because callers pass it: the CLI forwards ``--jobs``, and
+            ``perfbench/run.py`` times an in-process ``jobs=1`` search, so
+            dropping it waits for the next change to that benchmark.
         prune: disable only to cross-check the bound on tiny n.
     """
     if n < 3:

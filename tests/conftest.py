@@ -1,5 +1,5 @@
-"""Shared test helpers: the reference certifier and partition checker,
-random good-walk generation and acceptance reporting."""
+"""Shared test helpers: the reference certifier, ring cut and partition
+checker, random good-walk generation and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -16,10 +16,13 @@ from diamforge.core import (
     all_edges,
     covered_edges,
     dual_diameter,
+    edge,
+    edge_multiplicities,
     expand_pair,
     hs_max_diameter,
     is_good,
 )
+from diamforge.genseq import CutSpec
 from diamforge.hampack import Decomposition, PartitionReport, square_edges
 
 
@@ -48,6 +51,43 @@ def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
         matches_optimum=matches,
         uncovered_edges=uncovered,
     )
+
+
+def reference_cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
+    """Ring cut checked against an edge-multiplicity Counter of the ring.
+
+    The slow reference for :func:`diamforge.genseq.cut_circular`, with the
+    same checks and error messages.  The walk is unrolled from the triangle
+    after the destroyed one and never reversed, so it matches the fast cut
+    up to orientation.
+    """
+    if not seq.circular:
+        raise ValueError("sequence is not circular")
+    d = edge(*spec.destroyed_edge)
+    mult = edge_multiplicities(seq)
+    count = mult.get(d, 0)
+    if count != 1:
+        raise ValueError(f"destroyed edge {d} is covered {count} times, need exactly 1")
+    (c,) = [i for i, tri in enumerate(seq.triangles) if d[0] in tri and d[1] in tri]
+    linear = seq.triangles[c + 1 :] + seq.triangles[:c]
+    result = TriangleSeq(linear, circular=False)
+
+    terminals = (result.triangles[0], result.triangles[-1])
+    sides = []
+    for e in (spec.end_edge, spec.second_end_edge):
+        if e is None:
+            continue
+        e = edge(*e)
+        count = mult[e] - (set(e) <= seq.triangles[c])
+        if count != 1:
+            raise ValueError(f"end edge {e} is covered {count} times after the cut")
+        side = [i for i, tri in enumerate(terminals) if e[0] in tri and e[1] in tri]
+        if not side:
+            raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
+        sides.append(side)
+    if len(sides) == 2 and not any(a != b for a in sides[0] for b in sides[1]):
+        raise ValueError("end edges do not sit at opposite ends")
+    return result
 
 
 def reference_verify_partition(d: Decomposition) -> PartitionReport:

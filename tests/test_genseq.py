@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import reference_cut_circular
 from diamforge.assembly import _seed_cut
 from diamforge.core import (
     covered_edges,
@@ -178,8 +179,7 @@ def test_cut_opens_ring():
     assert len(lin.triangles) == len(ring.triangles) - 1
     assert dual_diameter(lin) == len(lin.triangles) - 1
     assert len(covered_edges(lin)) == len(covered_edges(ring)) - 1
-    ends = (lin.triangles[0], lin.triangles[-1])
-    assert any(set(spec.end_edge) <= t for t in ends)
+    assert set(spec.end_edge) <= lin.triangles[-1]
 
 
 def test_cut_exposes_both_ends_for_1248():
@@ -207,6 +207,82 @@ def test_cut_exposing_scan_matches_seed_cut():
 def test_cut_exposing_on_full_ring():
     ring = expand_pair_of(gs_full(3))
     assert cut_exposing(ring, (0, 1)) == CutSpec((0, 3), (0, 1))
+
+
+def _cut_cases(kmax: int):
+    """Every family ring with its assembly cut, for each valid k <= kmax."""
+    for k in range(3, kmax + 1):
+        ring = expand_pair_of(gs_full(k))
+        yield f"full k={k}", ring, _seed_cut(ring)
+    for k in range(4, kmax + 1):
+        gs, spec = gs_missing_12(k)
+        ring = expand_pair_of(gs)
+        yield f"missing_12 long k={k}", ring, spec
+        if k >= 5:
+            yield f"missing_12 seven k={k}", ring, gs_missing_12(k, end="seven")[1]
+    for k in range(7, kmax + 1):
+        gs, spec = gs_missing_1248(k)
+        yield f"missing_1248 k={k}", expand_pair_of(gs), spec
+
+
+@pytest.mark.slow
+def test_cut_matches_reference_and_exposes_its_ends():
+    """A cut removes one edge and leaves each end edge once, at its end."""
+    for name, ring, spec in _cut_cases(60):
+        lin = cut_circular(ring, spec)
+        ref = reference_cut_circular(ring, spec).triangles
+        assert lin.triangles in (ref, ref[::-1]), name
+        # The walk is the ring minus one triangle, so it covers the ring's
+        # edges except those of that triangle which no other triangle holds.
+        (gone,) = set(ring.triangles) - set(lin.triangles)
+        assert len(lin) == len(ring) - 1, name
+        lin_mult = edge_multiplicities(lin)
+        a, b, c = sorted(gone)
+        assert {(a, b), (a, c), (b, c)} - set(lin_mult) == {spec.destroyed_edge}, name
+        ends = [spec.end_edge] if spec.second_end_edge is None else [
+            spec.second_end_edge, spec.end_edge
+        ]
+        for e, tri in zip(ends, (lin.triangles[-1], lin.triangles[0])):
+            assert lin_mult[e] == 1 and set(e) <= tri, (name, e)
+
+
+def _same_rejection(ring, spec):
+    with pytest.raises(ValueError) as got:
+        cut_circular(ring, spec)
+    with pytest.raises(ValueError) as want:
+        reference_cut_circular(ring, spec)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_cut_rejections_match_reference():
+    gs, spec = gs_missing_12(9)
+    ring = expand_pair_of(gs)
+    mult = edge_multiplicities(ring)
+    doubled = next(e for e, m in mult.items() if m == 2)
+    msg = _same_rejection(ring, CutSpec(doubled, spec.end_edge))
+    assert msg == f"destroyed edge {doubled} is covered 2 times, need exactly 1"
+
+    # A singly covered edge of a triangle in the middle of the cut walk.
+    (c,) = [i for i, tri in enumerate(ring.triangles) if set(spec.destroyed_edge) <= tri]
+    middle = ring.triangles[(c + len(ring.triangles) // 2) % len(ring.triangles)]
+    inner = next(
+        e for e in ((a, b) for a in sorted(middle) for b in sorted(middle) if a < b)
+        if mult[e] == 1
+    )
+    msg = _same_rejection(ring, CutSpec(spec.destroyed_edge, inner))
+    assert msg == f"end edge {inner} is not in a terminal triangle after the cut"
+
+    msg = _same_rejection(ring, CutSpec(spec.destroyed_edge, doubled))
+    assert msg == f"end edge {doubled} is covered 2 times after the cut"
+
+    gs, spec = gs_missing_1248(7)
+    ring = expand_pair_of(gs)
+    same_side = CutSpec(spec.destroyed_edge, spec.end_edge, spec.end_edge)
+    assert _same_rejection(ring, same_side) == "end edges do not sit at opposite ends"
+
+    lin = cut_circular(ring, spec)
+    assert _same_rejection(lin, spec) == "sequence is not circular"
 
 
 def test_cut_rejects_doubled_destroyed_edge():

@@ -18,14 +18,15 @@ from .core import (
     Edge,
     LabelsLayout,
     TriangleSeq,
+    canonical,
     certify,
     covered_edges,
     edge,
     encode_triples,
-    expand_pair,
     hs_max_diameter,
     is_good,
 )
+from .core import join_walks, reverse_walk, triangle_at
 from .genseq import (
     CutSpec,
     cut_circular,
@@ -432,12 +433,13 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
 
     Dispatches on n mod 4 to the parametric constructions where they apply
     and otherwise falls back to the transcribed small table.  The walk is
-    returned in codec form, and the certificate describes exactly that
-    pair; it always reports the optimum was met.
+    built in codec form and returned in the form :func:`canonical` gives
+    it, and the certificate describes exactly that pair; it always reports
+    the optimum was met.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
-    pair = encode_triples(_construct_seq(n), n)
+    pair = canonical(_construct_walk(n))
     cert = certify(pair)
     if not cert.matches_optimum:
         raise AssertionError(
@@ -447,39 +449,35 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
     return pair, cert
 
 
-def _construct_seq(n: int) -> TriangleSeq:
+def _construct_walk(n: int) -> LabelsLayout:
     r = n % 4
     if r == 1 and n >= 13:
         ring = expand_pair_of(gs_full((n - 1) // 4))
         return cut_circular(ring, _seed_cut(ring))
-    if r == 0 and n >= 20:
-        k = (n - 4) // 4
-        gs, spec = gs_missing_12(k)
-        body = cut_circular(expand_pair_of(gs), spec)
-        return TriangleSeq([*body.triangles, *attach_4k4(k).triangles])
-    if r == 3 and n >= 23:
-        k = (n - 3) // 4
-        gs, spec = gs_missing_12(k, end="seven")
-        body = cut_circular(expand_pair_of(gs), spec)
-        return TriangleSeq([*body.triangles, *attach_4k3(k).triangles])
+    if r in (0, 3) and n >= 20 + r:
+        k = (n - 4) // 4 if r == 0 else (n - 3) // 4
+        gs, spec = gs_missing_12(k, end="long" if r == 0 else "seven")
+        plan = attach_4k4(k) if r == 0 else attach_4k3(k)
+        return join_walks(cut_circular(expand_pair_of(gs), spec), encode_triples(plan.seq(), n))
     if r == 2 and n >= 34:
         k = (n - 6) // 4
         gs, spec = gs_missing_1248(k)
         body = cut_circular(expand_pair_of(gs), spec)
-        plan_a, plan_b = attach_4k6(k)
-        return TriangleSeq([*plan_a.triangles[::-1], *body.triangles, *plan_b.triangles])
+        plan_a, plan_b = (encode_triples(p.seq(), n) for p in attach_4k6(k))
+        # Plan A prefixes the body, so build the walk from its other end.
+        return join_walks(reverse_walk(join_walks(body, plan_b)), plan_a)
     entry = small_table(n)
     if entry is None:
         raise ValueError(f"no construction available for n={n}")
-    return expand_pair(entry.pair)
+    return entry.pair
 
 
-def _seed_cut(ring: TriangleSeq) -> CutSpec:
+def _seed_cut(ring: LabelsLayout) -> CutSpec:
     """Cut a full-coverage ring at the singly covered edge of its first triangle.
 
     That edge avoids the vertex r shared with both ring neighbours; removing
     the triangle exposes the edge it shared with its successor.
     """
-    first, second = ring.triangles[0], ring.triangles[1]
-    (r,) = first & second & ring.triangles[-1]
+    first, second = set(ring.labels[:3]), set(triangle_at(ring, 1))
+    (r,) = first & second & set(triangle_at(ring, len(ring) - 1))
     return CutSpec(destroyed_edge=tuple(first - {r}), end_edge=tuple(first & second))

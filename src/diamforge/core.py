@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 Edge = tuple[int, int]
 Triangle = frozenset[int]
@@ -33,6 +34,11 @@ __all__ = [
     "edge",
     "all_edges",
     "expand_pair",
+    "triangle_at",
+    "is_ring",
+    "reverse_walk",
+    "join_walks",
+    "canonical",
     "encode_triples",
     "covered_edges",
     "edge_multiplicities",
@@ -103,12 +109,13 @@ class LabelsLayout:
                 f"label/layout length mismatch: {len(self.labels)} labels, "
                 f"{len(self.layout)} bits (want labels = bits + 3)"
             )
-        for x in self.labels:
-            if not 0 <= x < self.n:
-                raise ValueError(f"label {x} out of range for n={self.n}")
-        for y in self.layout:
-            if y not in (0, 1):
-                raise ValueError(f"layout bit {y!r} is not 0 or 1")
+        seen = set(self.labels)
+        if not 0 <= min(seen) <= max(seen) < self.n:
+            x = next(x for x in self.labels if not 0 <= x < self.n)
+            raise ValueError(f"label {x} out of range for n={self.n}")
+        if not set(self.layout) <= {0, 1}:
+            y = next(y for y in self.layout if y not in (0, 1))
+            raise ValueError(f"layout bit {y!r} is not 0 or 1")
 
     def __len__(self) -> int:
         """Number of triangles in the walk."""
@@ -140,9 +147,7 @@ def expand_pair(pair: LabelsLayout) -> TriangleSeq:
     and bit y appends ``{u, v, w}`` and moves to ``(u, v, w)`` when y = 0, or
     appends ``{carried, v, w}`` and moves to ``(carried, v, w)`` when y = 1.
 
-    The result is flagged circular when the label sequence closes on itself
-    (``x_N == x_0`` and ``x_{N+1} == x_1`` for N + 1 triangles) and the last
-    triangle shares exactly two vertices with the first.
+    The result is flagged circular when the walk :func:`is_ring`.
 
     Raises:
         ValueError: if any step would create a triangle with a repeated
@@ -161,27 +166,82 @@ def expand_pair(pair: LabelsLayout) -> TriangleSeq:
             raise ValueError(f"degenerate triangle at index {i - 2}")
         triangles.append(frozenset((first, v, w)))
         carried, u, v = first, v, w
+    return TriangleSeq(triangles, circular=is_ring(pair))
 
-    circular = (
-        len(triangles) >= 3
-        and xs[-2] == xs[0]
-        and xs[-1] == xs[1]
-        and len(triangles[-1] & triangles[0]) == 2
-    )
-    return TriangleSeq(triangles, circular=circular)
+
+def triangle_at(pair: LabelsLayout, j: int) -> tuple[int, int, int]:
+    """Triangle j of a walk as its state ``(carried, u, v)``: labels j + 1 and
+    j + 2 behind the label of the last step up to j with a 0 bit."""
+    i = j
+    while i and pair.layout[i - 1]:
+        i -= 1
+    return pair.labels[i], pair.labels[j + 1], pair.labels[j + 2]
+
+
+def is_ring(pair: LabelsLayout) -> bool:
+    """Whether the labels end on the first two and the last triangle meets the first in them."""
+    xs, t = pair.labels, len(pair)
+    return t >= 3 and xs[-2:] == xs[:2] and triangle_at(pair, t - 1)[0] != xs[2]
+
+
+def reverse_walk(pair: LabelsLayout) -> LabelsLayout:
+    """The walk from its last triangle back, for a walk :func:`encode_triples`
+    accepts.  Each step back adds the vertex its forward step dropped, and
+    from the third on carries the bit of the forward step two ahead of it."""
+    xs, ys, t = pair.labels, pair.layout, len(pair)
+    gone = list(xs[: t - 1])  # step j drops label j - 1 unless bit j or j - 1 is 1
+    for j in compress(count(1), ys):
+        gone[j - 1] = xs[j]
+        if j < t - 1 and not ys[j]:
+            gone[j] = triangle_at(pair, j)[0]
+    c = triangle_at(pair, t - 1)[0]
+    return LabelsLayout(pair.n, (xs[-1], xs[-2], c, *gone[::-1]), (0, 0, *ys[:1:-1])[: len(ys)])
+
+
+def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
+    """``head`` followed by ``tail``, turned round unless its first triangle
+    meets head's last in an edge, as the next triangle of a good walk does.
+    Only the bits of tail's first three triangles depend on what precedes."""
+    c, u, v = triangle_at(head, len(head) - 1)
+    if len(set(tail.labels[:3]) - {c, u, v}) != 1:
+        tail = reverse_walk(tail)
+    (w0,) = set(tail.labels[:3]) - {c, u, v}
+    bits = []
+    for j, w in enumerate((w0, *tail.labels[3:5])):
+        bits.append(int(u not in triangle_at(tail, j)))
+        c, u, v = (c if bits[-1] else u), v, w
+    labels = head.labels + (w0, *tail.labels[3:])
+    return LabelsLayout(tail.n, labels, head.layout + (*bits, *tail.layout[2:]))
+
+
+def canonical(pair: LabelsLayout) -> LabelsLayout:
+    """The form :func:`encode_triples` gives a linear walk: the end with the
+    smaller sorted triangle first, then the vertex it drops, then the two it
+    shares with the next triangle in ascending order, unless the labels would
+    then end on the first two and decode as a ring; then in the other order."""
+    t = len(pair)
+    if t == 1:
+        return LabelsLayout(pair.n, sorted(pair.labels), ())
+    if sorted(triangle_at(pair, t - 1)) < sorted(pair.labels[:3]):
+        pair = reverse_walk(pair)
+    xs, kept = pair.labels, triangle_at(pair, 1)[0]
+    x0 = xs[1] if kept == xs[0] else xs[0]
+    x1, x2 = sorted((kept, xs[2]))
+    if t >= 3 and xs[-2:] == (x0, x1) and triangle_at(pair, t - 1)[0] != x2:
+        x1, x2 = x2, x1
+    bits = (0,) if t == 2 else (0, int(triangle_at(pair, 2)[0] != x2))
+    return LabelsLayout(pair.n, (x0, x1, x2, *xs[3:]), bits + pair.layout[2:])
 
 
 def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
     """Encode a triangle sequence back into (LABELS, LAYOUT) form.
 
-    For linear sequences the starting end is chosen deterministically: the
-    end whose triangle is lexicographically smaller (as a sorted triple)
-    becomes the first.  The two shared vertices of the first adjacency are
-    emitted in ascending order, unless the labels would then end on the
-    first two and decode as a ring.  Circular sequences are encoded from
-    ``triangles[0]`` in the given direction.
+    Linear sequences get the form of :func:`canonical`.  Circular sequences
+    are encoded from ``triangles[0]`` in the given direction, starting from
+    the vertex it does not share with ``triangles[1]`` and then the vertex it
+    shares with the final triangle, so that the labels close the ring.
 
-    ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to that choice
+    ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to the choice
     of starting end.
 
     Raises:
@@ -196,13 +256,11 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
     if len(tris) == 1:
         return LabelsLayout(n, sorted(tris[0]), [])
 
-    if not seq.circular and sorted(tris[-1]) < sorted(tris[0]):
-        tris = list(reversed(tris))
-
     shared01 = tris[0] & tris[1]
     if len(shared01) != 2:
         raise ValueError("cannot encode: triangles 0 and 1 do not share 2 vertices")
     (x0,) = tris[0] - shared01
+    x1, x2 = sorted(shared01)
     if seq.circular:
         # Close the ring in codec order: x1 must be the vertex shared with
         # the final triangle so that the labels end with x0, x1.
@@ -213,17 +271,6 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
         if x1 not in shared01:
             raise ValueError("cannot encode: ring does not close on triangle 0")
         (x2,) = shared01 - {x1}
-    else:
-        x1, x2 = sorted(shared01)
-        # Labels ending on x0, x1 would decode as a ring; the other order of
-        # the first shared pair encodes the same walk and ends elsewhere.
-        if (
-            len(tris) >= 3
-            and len(tris[-1] & tris[0]) == 2
-            and tris[-2] - tris[-3] == {x0}
-            and tris[-1] - tris[-2] == {x1}
-        ):
-            x1, x2 = x2, x1
 
     labels = [x0, x1, x2]
     layout: list[int] = []
@@ -252,9 +299,10 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
         prev = tri
 
     pair = LabelsLayout(n, labels, layout)
-    if seq.circular:
-        if not (labels[-2] == labels[0] and labels[-1] == labels[1]):
-            raise ValueError("cannot encode: circular walk does not close in codec order")
+    if not seq.circular:
+        return canonical(pair)
+    if not (labels[-2] == labels[0] and labels[-1] == labels[1]):
+        raise ValueError("cannot encode: circular walk does not close in codec order")
     return pair
 
 
@@ -406,13 +454,15 @@ def hs_max_diameter(n: int) -> int:
 def certify(pair: LabelsLayout) -> Certificate:
     """Build the verification certificate of a codec walk against K_n.
 
-    One pass over ``(labels, layout)`` fills an edge table of packed ints
-    ``lo * n + hi``, sized by the walk rather than by ``n``.  Every step
-    glues its triangle to the previous one across the edge ``{first, v}``
-    and brings two edges of its own, so the walk is good exactly when each
-    step adds two fresh edges: t triangles cover 2t + 1 distinct edges, or
-    2t when circular, since the last step of a ring always re-covers the
-    wrap edge ``{x_0, x_1}`` of the first triangle (see :func:`is_good`).
+    One pass over ``(labels, layout)`` fills an edge table keyed by packed
+    ints ``lo * n + hi``: a ``bytearray`` of n * n bytes when the walk can
+    cover a quarter of the C(n, 2) edges, else a dict sized by the walk
+    rather than by ``n``.  Every step glues its triangle to the previous one
+    across the edge ``{first, v}`` and brings two edges of its own, so the
+    walk is good exactly when each step adds two fresh edges: t triangles
+    cover 2t + 1 distinct edges, or 2t when circular, since the last step of
+    a ring always re-covers the wrap edge ``{x_0, x_1}`` of the first
+    triangle (see :func:`is_good`).
 
     The diameter of a good walk needs no search.  Only consecutive
     triangles share an edge, so the dual graph of a good linear walk of t
@@ -421,48 +471,45 @@ def certify(pair: LabelsLayout) -> Certificate:
     :func:`dual_diameter`; its dual is connected, because consecutive
     triangles always share ``{first, v}``.
 
-    ``circular`` matches :func:`expand_pair`.  ``matches_optimum`` requires
+    ``circular`` is :func:`is_ring`.  ``matches_optimum`` requires
     goodness, a linear walk and diameter equal to :func:`hs_max_diameter`.
 
     Raises:
         ValueError: on a degenerate triangle, with the message of
             :func:`expand_pair`.
     """
-    n, xs, layout = pair.n, pair.labels, pair.layout
+    n, xs, layout, t = pair.n, pair.labels, pair.layout, len(pair)
     c, u, v = xs[0], xs[1], xs[2]
     if c == u or c == v or u == v:
         raise ValueError("degenerate triangle at index 0")
-    seen = {
-        c * n + u if c < u else u * n + c,
-        c * n + v if c < v else v * n + c,
-        u * n + v if u < v else v * n + u,
-    }
-    add = seen.add
+    dense = 4 * (2 * t + 1) >= n * (n - 1) // 2
+    seen = bytearray(n * n) if dense else {}
+    for a, b in ((c, u), (c, v), (u, v)):
+        seen[a * n + b if a < b else b * n + a] = 1
     for i, (w, y) in enumerate(zip(xs[3:], layout), start=1):
         first = u if y == 0 else c
         if w == first or w == v or first == v:
             raise ValueError(f"degenerate triangle at index {i}")
-        add(first * n + w if first < w else w * n + first)
-        add(v * n + w if v < w else w * n + v)
+        seen[first * n + w if first < w else w * n + first] = 1
+        seen[v * n + w if v < w else w * n + v] = 1
         c, u, v = first, v, w
 
-    t = len(layout) + 1
-    # After the loop c is the last step's first vertex; the ring closes when
-    # the last triangle {c, x_0, x_1} meets the first in exactly two vertices.
-    circular = t >= 3 and xs[-2] == xs[0] and xs[-1] == xs[1] and c != xs[2]
-    good = len(seen) == 2 * t + 1 - circular
+    circular = is_ring(pair)
+    covered = seen.count(1) if dense else len(seen)
+    good = covered == 2 * t + 1 - circular
     if good:
         diameter = t // 2 if circular else t - 1
     else:
         diameter = dual_diameter(expand_pair(pair))
+    # A dense table skips at C speed the rows with no uncovered edge.
+    hit = seen.__getitem__ if dense else seen.__contains__
+    rows = [a for a in range(n) if not dense or seen.find(0, a * n + a + 1, a * n + n) >= 0]
+    uncovered = [(a, b) for a in rows for b in range(a + 1, n) if not hit(a * n + b)]
     optimum = hs_max_diameter(n)
-    uncovered = [
-        (a, b) for a in range(n) for b in range(a + 1, n) if a * n + b not in seen
-    ]
     return Certificate(
         good=good,
         circular=circular,
-        covered_edges=len(seen),
+        covered_edges=covered,
         diameter=diameter,
         optimum=optimum,
         matches_optimum=good and not circular and diameter == optimum,

@@ -12,9 +12,11 @@ it cuts the ring open and grafts attachments onto the exposed edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations, compress, count, cycle, islice
 from math import gcd
 
-from .core import Edge, LabelsLayout, TriangleSeq, edge, edge_multiplicities, expand_pair
+from .core import Edge, LabelsLayout, TriangleSeq, edge, edge_multiplicities
+from .core import is_ring, reverse_walk, triangle_at
 
 __all__ = [
     "GeneratingSequence",
@@ -272,36 +274,28 @@ def expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
     Labels follow x_0 = 0, x_{i+1} = x_i + a_{i mod m} for m*n steps plus one
     (so the list closes with x_{mn} = 0, x_{mn+1} = x_1), and the layout bit
     at index i is 1 exactly when triangle i-2 sits at a turn position.  A
-    turn cannot be expressed on the seed triangle, so the terms are first
-    rotated cyclically until index 0 is turn-free; rotation does not change
-    the complex.
+    turn cannot be expressed on the seed triangle, so the terms are read
+    cyclically from the first turn-free index r; rotation does not change
+    the complex.  The bits repeat with period m.
     """
     report = verify_generating_sequence(gs)
     if not report.valid:
         raise ValueError(f"invalid generating sequence: {report.reason}")
     n, m = gs.n, gs.m
-    terms, turns = list(gs.terms), set(gs.turns)
-    for _ in range(m):
-        if 0 not in turns:
-            break
-        terms = terms[1:] + terms[:1]
-        turns = {(i - 1) % m for i in turns}
-
-    labels = [0]
-    x = 0
-    for i in range(m * n + 1):
-        x = (x + terms[i % m]) % n
-        labels.append(x)
-    layout = [1 if (i - 2) % m in turns else 0 for i in range(3, m * n + 2)]
-    return LabelsLayout(n, labels, layout)
+    r = min(set(range(m)) - gs.turns)
+    steps = islice(cycle(gs.terms), r, r + m * n + 1)
+    vertex = tuple(range(n))  # one int object per vertex, shared by all the labels
+    labels = tuple(map(vertex.__getitem__, map(n.__rmod__, accumulate(steps, initial=0))))
+    period = tuple(int((r + j + 1) % m in gs.turns) for j in range(m))
+    return LabelsLayout(n, labels, (period * n)[:-1])
 
 
-def expand_pair_of(gs: GeneratingSequence) -> TriangleSeq:
-    """Convenience: expand to the circular TriangleSeq."""
-    seq = expand_pair(expand_to_circular(gs))
-    if not seq.circular:
+def expand_pair_of(gs: GeneratingSequence) -> LabelsLayout:
+    """Expand to the ring's codec pair, checking that it closes."""
+    ring = expand_to_circular(gs)
+    if not is_ring(ring):
         raise ValueError("expansion did not close into a ring")
-    return seq
+    return ring
 
 
 def cut_exposing(seq: TriangleSeq, end_edge: Edge) -> CutSpec:
@@ -327,27 +321,24 @@ def cut_exposing(seq: TriangleSeq, end_edge: Edge) -> CutSpec:
             continue
         if left[0] not in ((c - 1) % t, (c + 1) % t):
             continue
-        blues = [e for e in _triangle_edges(tris[c]) if mult[e] == 1]
+        blues = [e for e in combinations(sorted(tris[c]), 2) if mult[e] == 1]
         if len(blues) != 1 or blues[0] == end_edge:
             continue
         return CutSpec(destroyed_edge=blues[0], end_edge=end_edge)
     raise ValueError(f"no cut exposes {end_edge} at an end")
 
 
-def _triangle_edges(tri: frozenset[int]) -> list[Edge]:
-    a, b, c = sorted(tri)
-    return [(a, b), (a, c), (b, c)]
-
-
-def cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
-    """Open a circular sequence by removing one triangle.
+def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
+    """Open a circular walk by removing one triangle.
 
     The destroyed edge must be covered by exactly one triangle; that triangle
     is removed and the ring is unrolled from the triangle after it, so the
     covered edge count drops by exactly one (the destroyed edge).  Each end
     edge must then be attachable: covered once, in a terminal triangle; when
-    both are given they must sit at opposite ends.  Each check scans the ring
-    once for the triangles that hold its edge.
+    both are given they must sit at opposite ends.
+
+    The step back into triangle 0 adds label 2 under a 0 bit, so the cut
+    walk is a rotation of the ring's labels and bits behind a new seed.
 
     The walk comes back oriented for its attachments: a lone ``end_edge``
     sits in the last triangle; with two end edges, ``end_edge`` sits in the
@@ -357,13 +348,17 @@ def cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
         ValueError: destroyed edge covered != 1 times, or end constraints
             unsatisfiable.
     """
-    if not seq.circular:
+    if not is_ring(ring):
         raise ValueError("sequence is not circular")
-    ring = seq.triangles
     t = len(ring) - 1
 
+    # A triangle holding an edge has an end of it among its last two labels.
+    ends = {*spec.destroyed_edge, *spec.end_edge, *(spec.second_end_edge or ())}
+    near = compress(count(), map(ends.__contains__, ring.labels))
+    tris = {j: set(triangle_at(ring, j)) for k in near for j in (k - 2, k - 1) if 0 <= j <= t}
+
     def holders(e: Edge) -> list[int]:
-        return [i for i, tri in enumerate(ring) if e[0] in tri and e[1] in tri]
+        return sorted(j for j, tri in tris.items() if set(e) <= tri)
 
     d = edge(*spec.destroyed_edge)
     cut = holders(d)
@@ -384,7 +379,7 @@ def cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
         positions.append(held[0])
     if len(positions) == 2 and positions[0] == positions[1] and t > 1:
         raise ValueError("end edges do not sit at opposite ends")
-    linear = ring[c + 1 :] + ring[:c]
-    if positions[-1] != t - 1:
-        linear = linear[::-1]
-    return TriangleSeq(linear, circular=False)
+    s, news, bits = (c + 1) % (t + 1), ring.labels[2:], (0, *ring.layout)
+    labels = (triangle_at(ring, s)[0], *news[c:], *news[:c])
+    linear = LabelsLayout(ring.n, labels, (bits[s:] + bits[:s])[1:-1])
+    return linear if positions[-1] == t - 1 else reverse_walk(linear)

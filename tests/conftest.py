@@ -1,5 +1,6 @@
-"""Shared test helpers: the reference certifier, ring cut and partition
-checker, random good-walk generation and acceptance reporting."""
+"""Shared test helpers: the reference certifier, encoder, ring cut,
+construction and partition checker, random good-walk generation and
+acceptance reporting."""
 
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from diamforge.core import (
     hs_max_diameter,
     is_good,
 )
-from diamforge.genseq import CutSpec
+from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
+from diamforge.genseq import CutSpec, expand_to_circular, gs_full, gs_missing_12, gs_missing_1248
 from diamforge.hampack import Decomposition, PartitionReport, square_edges
 
 
@@ -88,6 +90,136 @@ def reference_cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
     if len(sides) == 2 and not any(a != b for a in sides[0] for b in sides[1]):
         raise ValueError("end edges do not sit at opposite ends")
     return result
+
+
+def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
+    """Encode a triangle sequence back into (LABELS, LAYOUT) form.
+
+    The triangle-by-triangle reference for :func:`diamforge.core.encode_triples`
+    and :func:`diamforge.core.canonical`.
+
+    For linear sequences the starting end is chosen deterministically: the
+    end whose triangle is lexicographically smaller (as a sorted triple)
+    becomes the first.  The two shared vertices of the first adjacency are
+    emitted in ascending order, unless the labels would then end on the
+    first two and decode as a ring.  Circular sequences are encoded from
+    ``triangles[0]`` in the given direction.
+
+    ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to that choice
+    of starting end.
+
+    Raises:
+        ValueError: if some consecutive pair does not share exactly two
+            vertices, or a shared pair is not one of the two attachment
+            edges the codec can express.
+    """
+    tris = seq.triangles
+    if n is None:
+        n = max(max(t) for t in tris) + 1
+
+    if len(tris) == 1:
+        return LabelsLayout(n, sorted(tris[0]), [])
+
+    if not seq.circular and sorted(tris[-1]) < sorted(tris[0]):
+        tris = list(reversed(tris))
+
+    shared01 = tris[0] & tris[1]
+    if len(shared01) != 2:
+        raise ValueError("cannot encode: triangles 0 and 1 do not share 2 vertices")
+    (x0,) = tris[0] - shared01
+    if seq.circular:
+        # Close the ring in codec order: x1 must be the vertex shared with
+        # the final triangle so that the labels end with x0, x1.
+        wrap = tris[0] & tris[-1]
+        if len(wrap) != 2 or x0 not in wrap:
+            raise ValueError("cannot encode: ring does not close on triangle 0")
+        (x1,) = wrap - {x0}
+        if x1 not in shared01:
+            raise ValueError("cannot encode: ring does not close on triangle 0")
+        (x2,) = shared01 - {x1}
+    else:
+        x1, x2 = sorted(shared01)
+        # Labels ending on x0, x1 would decode as a ring; the other order of
+        # the first shared pair encodes the same walk and ends elsewhere.
+        if (
+            len(tris) >= 3
+            and len(tris[-1] & tris[0]) == 2
+            and tris[-2] - tris[-3] == {x0}
+            and tris[-1] - tris[-2] == {x1}
+        ):
+            x1, x2 = x2, x1
+
+    labels = [x0, x1, x2]
+    layout: list[int] = []
+    carried, u, v = x0, x1, x2
+    prev = tris[0]
+    for k, tri in enumerate(tris[1:], start=1):
+        shared = prev & tri
+        if len(shared) != 2:
+            raise ValueError(
+                f"cannot encode: triangles {k - 1} and {k} share {len(shared)} vertices"
+            )
+        (w,) = tri - shared
+        if shared == {u, v}:
+            y = 0
+        elif shared == {carried, v}:
+            y = 1
+        else:
+            raise ValueError(
+                f"cannot encode: triangle {k} reattaches to the edge already "
+                f"shared by triangles {k - 2} and {k - 1}"
+            )
+        labels.append(w)
+        layout.append(y)
+        first = u if y == 0 else carried
+        carried, u, v = first, v, w
+        prev = tri
+
+    pair = LabelsLayout(n, labels, layout)
+    if seq.circular:
+        if not (labels[-2] == labels[0] and labels[-1] == labels[1]):
+            raise ValueError("cannot encode: circular walk does not close in codec order")
+    return pair
+
+
+def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
+    """construct_optimal's pair and certificate by the frozenset route.
+
+    The slow reference for :func:`diamforge.assembly.construct_optimal`:
+    the ring expanded into triangles, cut by :func:`reference_cut_circular`
+    and turned so that its end edges meet the plans, the plan triangles
+    concatenated, and the walk encoded by :func:`reference_encode_triples`.
+    """
+    r = n % 4
+    if r == 1 and n >= 13:
+        ring = expand_pair(expand_to_circular(gs_full((n - 1) // 4)))
+        first, second = ring.triangles[0], ring.triangles[1]
+        (keep,) = first & second & ring.triangles[-1]
+        walk = _oriented_cut(ring, CutSpec(tuple(first - {keep}), tuple(first & second)))
+    elif r == 0 and n >= 20:
+        gs, spec = gs_missing_12((n - 4) // 4)
+        walk = _oriented_cut(expand_pair(expand_to_circular(gs)), spec)
+        walk += attach_4k4((n - 4) // 4).triangles
+    elif r == 3 and n >= 23:
+        gs, spec = gs_missing_12((n - 3) // 4, end="seven")
+        walk = _oriented_cut(expand_pair(expand_to_circular(gs)), spec)
+        walk += attach_4k3((n - 3) // 4).triangles
+    elif r == 2 and n >= 34:
+        gs, spec = gs_missing_1248((n - 6) // 4)
+        plan_a, plan_b = attach_4k6((n - 6) // 4)
+        body = _oriented_cut(expand_pair(expand_to_circular(gs)), spec)
+        walk = [*plan_a.triangles[::-1], *body, *plan_b.triangles]
+    else:
+        walk = expand_pair(small_table(n).pair).triangles
+    pair = reference_encode_triples(TriangleSeq(list(walk)), n)
+    return pair, reference_certify(expand_pair(pair), n)
+
+
+def _oriented_cut(ring: TriangleSeq, spec: CutSpec) -> list:
+    """The reference cut, turned so that the last end edge sits in the last triangle."""
+    walk = reference_cut_circular(ring, spec).triangles
+    last = spec.second_end_edge or spec.end_edge
+    return walk if set(last) <= walk[-1] else walk[::-1]
 
 
 def reference_verify_partition(d: Decomposition) -> PartitionReport:

@@ -121,7 +121,7 @@ def test_criterion_05_missing_classes_match_ring_coverage():
     for gs, missing in cases:
         n = gs.n
         assert n <= 250
-        ring = expand_pair_of(gs)
+        ring = expand_pair(expand_pair_of(gs))
         classes = {canonical_residue(u - v, n) for u, v in covered_edges(ring)}
         assert classes == set(range(1, (n - 1) // 2 + 1)) - missing
     assert time.monotonic() - started < 30

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import reference_construct
 from diamforge.assembly import (
     AttachmentPlan,
     attach_4k3,
@@ -181,3 +182,8 @@ def test_construct_odd_even_spare_edges():
         _, cert = construct_optimal(n)
         spare = len(cert.uncovered_edges)
         assert spare == (1 if n % 4 in (0, 1) else 0)
+
+
+def test_construct_matches_the_frozenset_reference():
+    for n in range(3, 151):
+        assert construct_optimal(n) == reference_construct(n), n

@@ -1,0 +1,68 @@
+"""The span contract of ``perfbench/spans.py``: every function the benchmark
+wraps exists, and ``construct`` calls each one whose time it reports."""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from diamforge import assembly, cli
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench/spans.py loaded from source, writing no bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_function_exists(spans):
+    for layer, names in spans.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"diamforge.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_construct_feeds_every_span_it_reports(spans, monkeypatch):
+    """One order per residue, all parametric: each construct span the
+    benchmark indexes is recorded, the ring is never expanded into
+    triangles, and encode_triples only ever sees attachment plans."""
+    tracer, encoded = spans.Tracer(), []
+    with tracer.patch():
+        traced_encode = assembly.encode_triples
+
+        def encode(seq, n=None):
+            encoded.append(len(seq))
+            return traced_encode(seq, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "encode_triples", encode)
+            for n in range(36, 40):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["construct", "--n", str(n)]) == 0
+
+    names = {s.name for s in tracer.spans}
+    want = {
+        "core.encode_triples", "core.is_good", "core.certify",
+        "genseq.expand_to_circular", "genseq.expand_pair_of", "genseq.cut_circular",
+        "genseq.gs_full", "genseq.gs_missing_12", "genseq.gs_missing_1248",
+        "assembly.attach_4k4", "assembly.attach_4k3", "assembly.attach_4k6",
+        "assembly.construct_optimal",
+    }
+    assert want <= names, sorted(want - names)
+    assert "core.expand_pair" not in names
+    plan_a, plan_b = assembly.attach_4k6(8)
+    plans = [assembly.attach_4k4(8), plan_a, plan_b, assembly.attach_4k3(9)]
+    assert encoded == [len(p) for p in plans]

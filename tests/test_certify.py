@@ -89,3 +89,19 @@ def test_every_construction_up_to_200():
         pair, cert = construct_optimal(n)
         assert cert == reference_certify(expand_pair(pair), n)
         assert cert.matches_optimum
+
+
+def test_dense_and_sparse_edge_tables():
+    """A walk that can cover a quarter of the C(n, 2) edges gets a dense
+    table; walks on both sides of that line agree with the reference."""
+    rng = random.Random(0xDE75)
+    dense = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(4, 40)
+        make = random_good_pair if rng.random() < 0.5 else corrupted_pair
+        pair = make(rng, n)
+        dense[4 * (2 * len(pair) + 1) >= n * (n - 1) // 2] += 1
+        assert_agrees(pair)
+    assert min(dense.values()) > 100
+    for n in (40, 41, 42, 43, 60):
+        assert assert_agrees(construct_optimal(n)[0]).matches_optimum

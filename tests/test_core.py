@@ -10,6 +10,7 @@ from diamforge.core import (
     Certificate,
     LabelsLayout,
     TriangleSeq,
+    canonical,
     certify,
     covered_edges,
     dual_diameter,
@@ -19,6 +20,8 @@ from diamforge.core import (
     expand_pair,
     hs_max_diameter,
     is_good,
+    join_walks,
+    reverse_walk,
 )
 
 # All-zero layout strip on seven labels whose dual is a path of length 7;
@@ -44,10 +47,16 @@ def test_edge_canonicalizes():
 def test_pair_schema_validation():
     with pytest.raises(ValueError):
         LabelsLayout(5, (0, 1, 2, 3), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^label 5 out of range for n=3$"):
         LabelsLayout(3, (0, 1, 5), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^label -1 out of range for n=4$"):
+        LabelsLayout(4, (0, 1, -1, 2), (0,))
+    with pytest.raises(ValueError, match=r"^label 9 out of range for n=4$"):
+        LabelsLayout(4, (0, 1, 9, 2, -1), (0, 0))
+    with pytest.raises(ValueError, match=r"^layout bit 2 is not 0 or 1$"):
         LabelsLayout(4, (0, 1, 2, 3), (2,))
+    with pytest.raises(ValueError, match=r"^layout bit -1 is not 0 or 1$"):
+        LabelsLayout(4, (0, 1, 2, 3, 0, 1), (0, -1, 3))
 
 
 def test_expand_single_triangle():
@@ -265,3 +274,27 @@ def test_corrupted_walks_fail_goodness():
         assert not is_good(seq)
         t = len(seq.triangles)
         assert len(covered_edges(seq)) < 2 * t + 1
+
+
+def test_codec_walk_helpers_match_the_reference_encoder():
+    """reverse_walk, join_walks and canonical against encoding the triangles."""
+    from conftest import random_good_pair, reference_encode_triples
+
+    rng = random.Random(0xC0DE)
+    for _ in range(2000):
+        pair = random_good_pair(rng)
+        tris = expand_pair(pair).triangles
+        want = reference_encode_triples(TriangleSeq(tris), pair.n)
+        assert canonical(pair) == want
+        back = reverse_walk(pair)
+        assert expand_pair(back).triangles == tris[::-1]
+        assert canonical(back) == want
+        if len(tris) < 2:
+            continue
+        i = rng.randrange(1, len(tris))
+        head = reference_encode_triples(TriangleSeq(tris[:i]), pair.n)
+        if expand_pair(head).triangles[-1] != tris[i - 1]:
+            head = reverse_walk(head)
+        joined = join_walks(head, reference_encode_triples(TriangleSeq(tris[i:]), pair.n))
+        assert expand_pair(joined).triangles == tris
+        assert canonical(joined) == want

@@ -117,7 +117,7 @@ def test_verification_failures():
 
 
 def test_expansion_closes_into_ring():
-    seq = expand_pair_of(gs_full(3))
+    seq = expand_pair(expand_pair_of(gs_full(3)))
     assert seq.circular and len(seq.triangles) == 39
     assert is_good(seq)
     assert dual_diameter(seq) == 19
@@ -126,7 +126,7 @@ def test_expansion_closes_into_ring():
 
 def test_expansion_with_turn_covers_predicted_residues():
     gs, _ = gs_missing_1248(9)
-    seq = expand_pair_of(gs)
+    seq = expand_pair(expand_pair_of(gs))
     n = gs.n
     assert len(seq.triangles) == gs.m * n
     predicted = {canonical_residue(a, n) for a in gs.terms}
@@ -139,7 +139,7 @@ def test_expansion_with_turn_covers_predicted_residues():
 def test_turn_on_seed_is_rotated_away():
     gs, _ = gs_missing_12(8)
     assert 0 in gs.turns
-    seq = expand_pair_of(gs)
+    seq = expand_pair(expand_pair_of(gs))
     assert seq.circular and is_good(seq)
     missing = {1, 2}
     residues = {canonical_residue(v - u, gs.n) for u, v in covered_edges(seq)}
@@ -149,7 +149,7 @@ def test_turn_on_seed_is_rotated_away():
 def test_multiplicity_profile():
     """Each residue class sits at one uniform multiplicity across the ring."""
     gs, _ = gs_missing_1248(9)
-    seq = expand_pair_of(gs)
+    seq = expand_pair(expand_pair_of(gs))
     by_res: dict[int, set[int]] = {}
     for e, m in edge_multiplicities(seq).items():
         by_res.setdefault(canonical_residue(e[1] - e[0], gs.n), set()).add(m)
@@ -173,8 +173,8 @@ def test_cut_specs_are_deterministic():
 
 def test_cut_opens_ring():
     gs, spec = gs_missing_12(4)
-    ring = expand_pair_of(gs)
-    lin = cut_circular(ring, spec)
+    pair = expand_pair_of(gs)
+    ring, lin = expand_pair(pair), expand_pair(cut_circular(pair, spec))
     assert not lin.circular and is_good(lin)
     assert len(lin.triangles) == len(ring.triangles) - 1
     assert dual_diameter(lin) == len(lin.triangles) - 1
@@ -185,7 +185,7 @@ def test_cut_opens_ring():
 def test_cut_exposes_both_ends_for_1248():
     for k in (7, 8, 9):
         gs, spec = gs_missing_1248(k)
-        lin = cut_circular(expand_pair_of(gs), spec)
+        lin = expand_pair(cut_circular(expand_pair_of(gs), spec))
         assert set(spec.end_edge) <= lin.triangles[0]
         assert set(spec.second_end_edge) <= lin.triangles[-1]
 
@@ -193,19 +193,20 @@ def test_cut_exposes_both_ends_for_1248():
 def test_cut_exposing_scan_matches_returned_spec():
     for k in range(4, 61):
         gs, spec = gs_missing_12(k)
-        ring = expand_pair_of(gs)
+        ring = expand_pair(expand_pair_of(gs))
         assert cut_exposing(ring, spec.end_edge) == spec, k
 
 
 def test_cut_exposing_scan_matches_seed_cut():
     for k in range(3, 61):
         ring = expand_pair_of(gs_full(k))
-        shared = tuple(ring.triangles[0] & ring.triangles[1])
-        assert _seed_cut(ring) == cut_exposing(ring, shared), k
+        seq = expand_pair(ring)
+        shared = tuple(seq.triangles[0] & seq.triangles[1])
+        assert _seed_cut(ring) == cut_exposing(seq, shared), k
 
 
 def test_cut_exposing_on_full_ring():
-    ring = expand_pair_of(gs_full(3))
+    ring = expand_pair(expand_pair_of(gs_full(3)))
     assert cut_exposing(ring, (0, 1)) == CutSpec((0, 3), (0, 1))
 
 
@@ -228,8 +229,9 @@ def _cut_cases(kmax: int):
 @pytest.mark.slow
 def test_cut_matches_reference_and_exposes_its_ends():
     """A cut removes one edge and leaves each end edge once, at its end."""
-    for name, ring, spec in _cut_cases(60):
-        lin = cut_circular(ring, spec)
+    for name, pair, spec in _cut_cases(60):
+        ring = expand_pair(pair)
+        lin = expand_pair(cut_circular(pair, spec))
         ref = reference_cut_circular(ring, spec).triangles
         assert lin.triangles in (ref, ref[::-1]), name
         # The walk is the ring minus one triangle, so it covers the ring's
@@ -250,7 +252,7 @@ def _same_rejection(ring, spec):
     with pytest.raises(ValueError) as got:
         cut_circular(ring, spec)
     with pytest.raises(ValueError) as want:
-        reference_cut_circular(ring, spec)
+        reference_cut_circular(expand_pair(ring), spec)
     assert str(got.value) == str(want.value)
     return str(got.value)
 
@@ -258,14 +260,15 @@ def _same_rejection(ring, spec):
 def test_cut_rejections_match_reference():
     gs, spec = gs_missing_12(9)
     ring = expand_pair_of(gs)
-    mult = edge_multiplicities(ring)
+    seq = expand_pair(ring)
+    tris, mult = seq.triangles, edge_multiplicities(seq)
     doubled = next(e for e, m in mult.items() if m == 2)
     msg = _same_rejection(ring, CutSpec(doubled, spec.end_edge))
     assert msg == f"destroyed edge {doubled} is covered 2 times, need exactly 1"
 
     # A singly covered edge of a triangle in the middle of the cut walk.
-    (c,) = [i for i, tri in enumerate(ring.triangles) if set(spec.destroyed_edge) <= tri]
-    middle = ring.triangles[(c + len(ring.triangles) // 2) % len(ring.triangles)]
+    (c,) = [i for i, tri in enumerate(tris) if set(spec.destroyed_edge) <= tri]
+    middle = tris[(c + len(tris) // 2) % len(tris)]
     inner = next(
         e for e in ((a, b) for a in sorted(middle) for b in sorted(middle) if a < b)
         if mult[e] == 1
@@ -288,7 +291,7 @@ def test_cut_rejections_match_reference():
 def test_cut_rejects_doubled_destroyed_edge():
     gs, _ = gs_missing_12(4)
     ring = expand_pair_of(gs)
-    doubled = next(e for e, m in edge_multiplicities(ring).items() if m == 2)
+    doubled = next(e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 2)
     with pytest.raises(ValueError):
         cut_circular(ring, CutSpec(doubled, (0, 14)))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _apply, _legal_moves, reference_certify
+from conftest import _apply, _legal_moves, reference_certify, reference_encode_triples
 from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair
 from diamforge.hampack import CycleSquare, Decomposition, decompose_prime, verify_partition
 
@@ -93,6 +93,19 @@ def test_codec_round_trip_when_encodable(pair):
     except ValueError:
         return
     assert_round_trip(pair)
+
+
+@PROPERTY
+@given(st.one_of(walk_pairs(), good_pairs()))
+def test_encode_triples_agrees_with_the_reference(pair):
+    seq = expand_pair(pair)
+    try:
+        want = reference_encode_triples(seq, pair.n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            encode_triples(seq, pair.n)
+        return
+    assert encode_triples(seq, pair.n) == want
 
 
 @PROPERTY

@@ -11,12 +11,11 @@ transcribed table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     Certificate,
     Edge,
     LabelsLayout,
+    Record,
     TriangleSeq,
     canonical,
     certify,
@@ -47,11 +46,15 @@ __all__ = [
     "attach_4k6",
     "small_table",
     "construct_optimal",
+    "MAX_N",
 ]
 
+# construct's largest order.  Its walk has about n**2 / 4 triangles and the
+# verb peaks near 85 bytes per triangle (100 as text): 0.5 GB at n = 5000.
+MAX_N = 5000
 
-@dataclass(frozen=True)
-class AttachmentPlan:
+
+class AttachmentPlan(Record):
     """A good linear run of triangles that glues onto a ring cut end.
 
     The first triangle contains ``anchor_edge``; when the plan is appended
@@ -59,10 +62,10 @@ class AttachmentPlan:
     is again a walk.
     """
 
-    anchor_edge: Edge
-    triangles: tuple[frozenset[int], ...]
+    __slots__ = ("anchor_edge", "triangles")
 
-    def __post_init__(self) -> None:
+    def __init__(self, anchor_edge: Edge, triangles: tuple[frozenset[int], ...]) -> None:
+        self.anchor_edge, self.triangles = anchor_edge, triangles
         if not self.triangles:
             raise ValueError("attachment plan needs at least one triangle")
         if not set(self.anchor_edge) <= self.triangles[0]:
@@ -78,12 +81,19 @@ class AttachmentPlan:
         return TriangleSeq(self.triangles)
 
 
-@dataclass(frozen=True)
-class SmallTableEntry:
-    """One transcribed optimal complex for a small vertex count."""
+class SmallTableEntry(Record):
+    """One transcribed optimal complex for a small vertex count; entries
+    compare by ``n`` alone."""
 
-    n: int
-    pair: LabelsLayout = field(compare=False)
+    __slots__ = ("n", "pair")
+
+    def __init__(self, n: int, pair: LabelsLayout) -> None:
+        self.n, self.pair = n, pair
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
 
 
 def rotation(center: int, path: list[int]) -> AttachmentPlan:
@@ -435,10 +445,12 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
     and otherwise falls back to the transcribed small table.  The walk is
     built in codec form and returned in the form :func:`canonical` gives
     it, and the certificate describes exactly that pair; it always reports
-    the optimum was met.
+    the optimum was met.  n > :data:`MAX_N` is rejected before any work.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the ceiling {MAX_N}")
     pair = canonical(_construct_walk(n))
     cert = certify(pair)
     if not cert.matches_optimum:

@@ -19,7 +19,6 @@ are not good.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import compress, count
 
 Edge = tuple[int, int]
@@ -61,8 +60,26 @@ def all_edges(n: int) -> set[Edge]:
     return {(u, v) for u in range(n) for v in range(u + 1, n)}
 
 
-@dataclass
-class TriangleSeq:
+class Record:
+    """Base of the package's records: field-wise ``==`` and a readable repr
+    over ``__slots__``.  Records are mutable and not hashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class TriangleSeq(Record):
     """An ordered triangle sequence, optionally closed into a ring.
 
     ``circular`` means the last triangle is also adjacent to the first, i.e.
@@ -70,10 +87,10 @@ class TriangleSeq:
     class does not enforce goodness; use :func:`is_good`.
     """
 
-    triangles: list[Triangle]
-    circular: bool = False
+    __slots__ = ("triangles", "circular")
 
-    def __post_init__(self) -> None:
+    def __init__(self, triangles: list[Triangle], circular: bool = False) -> None:
+        self.triangles, self.circular = triangles, circular
         if not self.triangles:
             raise ValueError("empty triangle sequence")
         for i, tri in enumerate(self.triangles):
@@ -84,8 +101,7 @@ class TriangleSeq:
         return len(self.triangles)
 
 
-@dataclass
-class LabelsLayout:
+class LabelsLayout(Record):
     """Codec form of a triangle sequence.
 
     ``labels`` lists one vertex per step (so ``len(labels) == t + 3`` for
@@ -93,13 +109,10 @@ class LabelsLayout:
     Vertex ids live in ``range(n)``.
     """
 
-    n: int
-    labels: tuple[int, ...]
-    layout: tuple[int, ...]
+    __slots__ = ("n", "labels", "layout")
 
-    def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
-        self.layout = tuple(self.layout)
+    def __init__(self, n: int, labels: tuple[int, ...], layout: tuple[int, ...]) -> None:
+        self.n, self.labels, self.layout = n, tuple(labels), tuple(layout)
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if len(self.labels) < 3:
@@ -122,17 +135,20 @@ class LabelsLayout:
         return len(self.labels) - 2
 
 
-@dataclass
-class Certificate:
-    """Verification summary for a triangle sequence on n vertices."""
+class Certificate(Record):
+    """Verification summary for a triangle sequence on n vertices.
 
-    good: bool
-    circular: bool
-    covered_edges: int
-    diameter: int | None
-    optimum: int
-    matches_optimum: bool
-    uncovered_edges: list[Edge] = field(default_factory=list)
+    ``uncovered_edges`` defaults to a fresh empty list."""
+
+    __slots__ = ("good", "circular", "covered_edges", "diameter", "optimum",
+                 "matches_optimum", "uncovered_edges")
+
+    def __init__(self, good: bool, circular: bool, covered_edges: int, diameter: int | None,
+                 optimum: int, matches_optimum: bool,
+                 uncovered_edges: list[Edge] | None = None) -> None:
+        self.good, self.circular, self.covered_edges = good, circular, covered_edges
+        self.diameter, self.optimum, self.matches_optimum = diameter, optimum, matches_optimum
+        self.uncovered_edges = [] if uncovered_edges is None else uncovered_edges
 
 
 # ---------------------------------------------------------------------------

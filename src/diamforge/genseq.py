@@ -11,11 +11,10 @@ it cuts the ring open and grafts attachments onto the exposed edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, compress, count, cycle, islice
 from math import gcd
 
-from .core import Edge, LabelsLayout, TriangleSeq, edge, edge_multiplicities
+from .core import Edge, LabelsLayout, Record, TriangleSeq, edge, edge_multiplicities
 from .core import is_ring, reverse_walk, triangle_at
 
 __all__ = [
@@ -35,18 +34,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class GeneratingSequence:
+class GeneratingSequence(Record):
     """Step terms and turn positions over Z/nZ, n = 4k+1.
 
     Terms are reduced mod n at construction; negative inputs are fine.
     """
 
-    n: int
-    terms: list[int]
-    turns: frozenset[int]
+    __slots__ = ("n", "terms", "turns")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, terms: list[int], turns: frozenset[int]) -> None:
+        self.n, self.terms, self.turns = n, terms, turns
         if self.n < 5 or self.n % 4 != 1:
             raise ValueError(f"modulus must be 4k+1 with k >= 1, got {self.n}")
         m = len(self.terms)
@@ -68,27 +65,24 @@ class GeneratingSequence:
         return len(self.terms)
 
 
-@dataclass
-class GenSeqReport:
-    valid: bool
-    missing: frozenset[int]
-    reason: str | None
+class GenSeqReport(Record):
+    __slots__ = ("valid", "missing", "reason")
+
+    def __init__(self, valid: bool, missing: frozenset[int], reason: str | None) -> None:
+        self.valid, self.missing, self.reason = valid, missing, reason
 
 
-@dataclass
-class CutSpec:
+class CutSpec(Record):
     """Which edge to destroy when cutting a ring, and which exposed edge(s)
     the resulting linear sequence must present at its ends."""
 
-    destroyed_edge: Edge
-    end_edge: Edge
-    second_end_edge: Edge | None = None
+    __slots__ = ("destroyed_edge", "end_edge", "second_end_edge")
 
-    def __post_init__(self) -> None:
-        self.destroyed_edge = edge(*self.destroyed_edge)
-        self.end_edge = edge(*self.end_edge)
-        if self.second_end_edge is not None:
-            self.second_end_edge = edge(*self.second_end_edge)
+    def __init__(self, destroyed_edge: Edge, end_edge: Edge,
+                 second_end_edge: Edge | None = None) -> None:
+        self.destroyed_edge = edge(*destroyed_edge)
+        self.end_edge = edge(*end_edge)
+        self.second_end_edge = None if second_end_edge is None else edge(*second_end_edge)
         if self.destroyed_edge == self.end_edge:
             raise ValueError("destroyed edge cannot also be an end edge")
 

@@ -10,10 +10,9 @@ sequence-driven construction used for the known order-105 data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import isqrt
 
-from .core import Edge, edge
+from .core import Edge, Record, edge
 
 __all__ = [
     "CycleSquare",
@@ -38,14 +37,13 @@ SEQUENCES_105: tuple[tuple[int, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CycleSquare:
+class CycleSquare(Record):
     """A cyclic ordering of all n vertices."""
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
+    def __init__(self, order: tuple[int, ...]) -> None:
+        self.order = tuple(order)
         n = len(self.order)
         if n < 3:
             raise ValueError("cycle needs at least three vertices")
@@ -57,27 +55,25 @@ class CycleSquare:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A family of cycle squares on a common vertex set."""
 
-    n: int
-    cycles: tuple[CycleSquare, ...]
+    __slots__ = ("n", "cycles")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cycles", tuple(self.cycles))
+    def __init__(self, n: int, cycles: tuple[CycleSquare, ...]) -> None:
+        self.n, self.cycles = n, tuple(cycles)
         for c in self.cycles:
             if c.n != self.n:
                 raise ValueError(f"cycle on {c.n} vertices in a decomposition of K_{self.n}")
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(Record):
     """Outcome of an exact-partition check."""
 
-    ok: bool
-    missing: tuple[Edge, ...]
-    doubled: tuple[Edge, ...]
+    __slots__ = ("ok", "missing", "doubled")
+
+    def __init__(self, ok: bool, missing: tuple[Edge, ...], doubled: tuple[Edge, ...]) -> None:
+        self.ok, self.missing, self.doubled = ok, missing, doubled
 
 
 def square_edges(c: CycleSquare) -> set[Edge]:

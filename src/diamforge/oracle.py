@@ -28,17 +28,15 @@ workers were no faster than one.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from .core import LabelsLayout, certify
+from .core import LabelsLayout, Record, certify
 
 __all__ = ["SearchResult", "search_max_diameter", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of one search run.
 
     ``exhaustive`` is only set when every branch was explored within the
@@ -46,11 +44,12 @@ class SearchResult:
     truth.
     """
 
-    n: int
-    best_diameter: int
-    witness: LabelsLayout
-    exhaustive: bool
-    nodes_explored: int
+    __slots__ = ("n", "best_diameter", "witness", "exhaustive", "nodes_explored")
+
+    def __init__(self, n: int, best_diameter: int, witness: LabelsLayout, exhaustive: bool,
+                 nodes_explored: int) -> None:
+        self.n, self.best_diameter, self.witness = n, best_diameter, witness
+        self.exhaustive, self.nodes_explored = exhaustive, nodes_explored
 
 
 def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:

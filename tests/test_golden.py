@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -41,21 +42,60 @@ DIGESTS = {
     "table": "bc52e9c5afccbf74b4f51383b270a5e6add3fa4d2f2682d765bd76e71ba7396d",
     "decompose": "f7aa0b080d6efd9ac7efc5982b9f40d30aa5c174c51bfbc4c9aaa2435daacdd0",
     "search": "64c66f14b7c1fd01b0df0e21f782e7a4477c156a270393962a56c8bdd6e8b8fa",
+    "verify": "7497c7d69ea692dbfc83c4f4590f2815da3bfa0cff65b47b11e3d4fe0c3b691e",
 }
 
+# verify's inputs, by name; ``construct`` outputs for n=3..40 are added in
+# the test.  A key missing from the input file is left out of its object.
+VERIFY_INPUTS = {
+    "ring": {"n": 7, "labels": [0, 1, 2, 3, 4, 5, 6, 0, 1], "layout": [0] * 6},
+    "reused_edge": {"n": 7, "labels": [0, 1, 2, 3, 4, 5, 6, 0, 1, 2], "layout": [0] * 7},
+    "degenerate": {"n": 5, "labels": [0, 1, 2, 2], "layout": [0]},
+    "float_label": {"n": 5, "labels": [0, 1, 2.0], "layout": []},
+    "bool_n": {"n": True, "labels": [0, 1, 2], "layout": []},
+    "string_labels": {"n": 5, "labels": "012", "layout": []},
+    "missing_layout": {"n": 5, "labels": [0, 1, 2]},
+    "label_out_of_range": {"n": 3, "labels": [0, 1, 3], "layout": []},
+}
+VERIFY_TEXTS = {"not_json": "{", "not_an_object": "[0, 1, 2]"}
 
-def corpus_digest(invocations: list[list[str]]) -> str:
-    """sha256 over each invocation's argv, exit code and stdout, in order."""
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def corpus_digest(invocations: list[list[str]], keys: list[str] | None = None) -> str:
+    """sha256 over each invocation's key (its argv unless given), exit code
+    and stdout, in order."""
     h = hashlib.sha256()
-    for argv in invocations:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(argv)
-        h.update(f"{' '.join(argv)}\n{rc}\n".encode())
-        h.update(out.getvalue().encode())
+    for i, argv in enumerate(invocations):
+        rc, out = run_main(argv)
+        key = keys[i] if keys else " ".join(argv)
+        h.update(f"{key}\n{rc}\n".encode())
+        h.update(out.encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("verb", sorted(CORPUS))
 def test_cli_output_digest(verb):
     assert corpus_digest(CORPUS[verb]) == DIGESTS[verb]
+
+
+def test_verify_output_digest(tmp_path):
+    """verify on construct's own outputs, a good ring, an edge-reusing walk,
+    a degenerate triangle and malformed input; keyed by input name, not by
+    the temporary path."""
+    texts = {f"construct_{n}": run_main(["construct", "--n", str(n)])[1] for n in range(3, 41)}
+    texts |= {name: json.dumps(obj) for name, obj in VERIFY_INPUTS.items()}
+    texts |= VERIFY_TEXTS
+    invocations, keys = [], []
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for flags in ([], ["--circular-ok"]):
+            invocations.append(["verify", "--input", str(path), *flags])
+            keys.append(" ".join(["verify", name, *flags]))
+    assert corpus_digest(invocations, keys) == DIGESTS["verify"]

@@ -105,6 +105,15 @@ def _load_pair(path: str) -> LabelsLayout | None:
         return None
 
 
+def _write_words(head: str, xs: tuple[int, ...]) -> None:
+    """Write ``head`` and ``xs`` as one line, 4096 strings at a time."""
+    write = sys.stdout.write
+    write(head + " ")
+    for i in range(0, len(xs), 4096):
+        write((" " if i else "") + " ".join(map(str, xs[i : i + 4096])))
+    write("\n")
+
+
 def _cmd_construct(args) -> int:
     try:
         pair, cert = construct_optimal(args.n)
@@ -112,8 +121,8 @@ def _cmd_construct(args) -> int:
         return _fail(str(exc), 2)
     if args.format == "text":
         print(f"n: {args.n}")
-        print("labels: " + " ".join(str(x) for x in pair.labels))
-        print("layout: " + " ".join(str(y) for y in pair.layout))
+        _write_words("labels:", pair.labels)
+        _write_words("layout:", pair.layout)
         print(f"diameter: {cert.diameter}")
         print(f"optimum: {cert.optimum}")
         print(f"covered edges: {cert.covered_edges}")

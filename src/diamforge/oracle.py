@@ -31,7 +31,7 @@ import os
 
 from .core import LabelsLayout, Record, certify
 
-__all__ = ["SearchResult", "search_max_diameter", "DEFAULT_BUDGET"]
+__all__ = ["SearchResult", "search_max_diameter", "legal_moves", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10**8
 
@@ -52,6 +52,26 @@ class SearchResult(Record):
         self.exhaustive, self.nodes_explored = exhaustive, nodes_explored
 
 
+def legal_moves(used: list[int], c: int, u: int, v: int, fresh: int, n: int) -> list:
+    """The moves ``(w, bit)`` from state (c, u, v) that add two fresh edges.
+
+    Bit 0 glues the triangle {u, v, w} and bit 1 the triangle {c, v, w}, so
+    both create the edge {v, w}, checked once per label.  Labels run up to
+    ``fresh`` and below ``n``, ascending, bit 0 first.  ``used[x]`` is the
+    bit set of x's covered neighbours.
+    """
+    moves = []
+    for w in range(min(fresh + 1, n)):
+        seen = used[w]
+        if w == v or seen >> v & 1:
+            continue
+        if w != u and not seen >> u & 1:
+            moves.append((w, 0))
+        if w != c and not seen >> c & 1:
+            moves.append((w, 1))
+    return moves
+
+
 def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
     """Explore all good walks from the seed triangle {0, 1, 2}.
 
@@ -62,9 +82,10 @@ def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
 
     The walk lives on an explicit stack with one frame per open node, so
     its depth is not bounded by the interpreter's recursion limit.  A frame
-    holds the node's state (c, u, v), its next fresh label and the next
-    move to try, coded as 2 * w + bit; moves are tried in label order, bit
-    0 first.  ``used[x]`` is the bit set of x's covered neighbours.
+    holds the node's state (c, u, v), its next fresh label and an iterator
+    over the node's :func:`legal_moves`, computed when the node is entered.
+    They stay legal while the node is open, because every retract restores
+    ``used``, the bit sets of covered neighbours.
     """
     used = [0] * n
     for a, b in ((0, 1), (0, 2), (1, 2)):
@@ -72,7 +93,7 @@ def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
         used[b] |= 1 << a
     labels, layout = [0, 1, 2], []
     pairs = n * (n - 1) // 2
-    stack: list[list[int]] = []
+    stack: list[tuple] = []
     c, u, v, fresh = 0, 1, 2, 3
     while True:
         # Enter the node (labels, layout) with state (c, u, v).
@@ -87,40 +108,32 @@ def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
             best[1] = list(labels)
             best[2] = list(layout)
         # Exact cut after the offer above; the module docstring gives the
-        # proof.  A cut node keeps a frame with no moves left, so it is
-        # retracted like an exhausted one.
-        cursor = 0
-        if prune:
-            ub = diam + (pairs - 2 * diam - 3) // 2
-            if ub < best[0] or (ub == best[0] and labels > best[1]):
-                cursor = 2 * n
-        stack.append([c, u, v, fresh, cursor])
+        # proof.  A cut node gets no moves, so it is retracted at once.
+        ub = diam + (pairs - 2 * diam - 3) // 2
+        if prune and (ub < best[0] or (ub == best[0] and labels > best[1])):
+            moves = ()
+        else:
+            moves = legal_moves(used, c, u, v, fresh, n)
+        stack.append((c, u, v, fresh, iter(moves)))
 
-        # Find the next legal move, retracting exhausted nodes on the way.
+        # Take the next move, retracting exhausted nodes on the way.
         while True:
-            frame = stack[-1]
-            c, u, v, fresh, k = frame
-            stop = 2 * min(fresh + 1, n)
-            while k < stop:
-                w, bit = k >> 1, k & 1
-                k += 1
-                p = u if bit == 0 else c
-                if w != p and w != v and not (used[w] >> p | used[w] >> v) & 1:
-                    break
-            else:
-                stack.pop()
-                if not stack:
-                    return True
-                # The move into this node was (p, q, w) = (c, u, v).
-                used[c] &= ~(1 << v)
-                used[u] &= ~(1 << v)
-                used[v] &= ~((1 << c) | (1 << u))
-                labels.pop()
-                layout.pop()
-                continue
-            frame[4] = k
-            break
+            c, u, v, fresh, moves = stack[-1]
+            move = next(moves, None)
+            if move is not None:
+                break
+            stack.pop()
+            if not stack:
+                return True
+            # The move into this node was (p, q, w) = (c, u, v).
+            used[c] &= ~(1 << v)
+            used[u] &= ~(1 << v)
+            used[v] &= ~((1 << c) | (1 << u))
+            labels.pop()
+            layout.pop()
 
+        w, bit = move
+        p = u if bit == 0 else c
         used[p] |= 1 << w
         used[v] |= 1 << w
         used[w] |= (1 << p) | (1 << v)
@@ -165,15 +178,10 @@ def search_max_diameter(
 
     best = [0, [0, 1, 2], [], 0]
     complete = _dfs(n, limit, prune, best)
-    result = SearchResult(
-        n,
-        best[0],
-        LabelsLayout(n, tuple(best[1]), tuple(best[2])),
-        complete,
-        best[3],
-    )
-
-    cert = certify(result.witness)
-    if not cert.good or cert.diameter != result.best_diameter:
+    labels, layout = tuple(best[1]), tuple(best[2])
+    # Goodness and diameter do not depend on n, so the witness is checked
+    # on its own labels: certify lists the uncovered edges of K_n.
+    cert = certify(LabelsLayout(max(labels) + 1, labels, layout))
+    if not cert.good or cert.diameter != best[0]:
         raise AssertionError("search produced an unsound witness")
-    return result
+    return SearchResult(n, best[0], LabelsLayout(n, labels, layout), complete, best[3])

@@ -26,6 +26,7 @@ from diamforge.core import (
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
 from diamforge.genseq import CutSpec, expand_to_circular, gs_full, gs_missing_12, gs_missing_1248
 from diamforge.hampack import Decomposition, PartitionReport, square_edges
+from diamforge.oracle import legal_moves
 
 
 def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
@@ -243,28 +244,31 @@ def reference_verify_partition(d: Decomposition) -> PartitionReport:
     return PartitionReport(ok, missing, doubled)
 
 
-def _legal_moves(state, used, fresh, n):
-    c, u, v = state
-    moves = []
-    for w in range(min(fresh + 1, n)):
-        for bit, p, q in ((0, u, v), (1, c, v)):
-            if w in (p, q):
-                continue
-            if (min(p, w), max(p, w)) in used or (min(q, w), max(q, w)) in used:
-                continue
-            moves.append((w, bit))
-    return moves
+def grow_walk(choose, n: int, steps: int) -> tuple[LabelsLayout, list[int], tuple]:
+    """Extend the seed triangle {0, 1, 2} by moves from :func:`legal_moves`.
 
-
-def _apply(move, state, used, labels, layout, fresh):
-    w, bit = move
-    c, u, v = state
-    p, q = (u, v) if bit == 0 else (c, v)
-    used.add((min(p, w), max(p, w)))
-    used.add((min(q, w), max(q, w)))
-    labels.append(w)
-    layout.append(bit)
-    return ((p, q, w) if bit == 0 else (c, q, w)), fresh + (w == fresh)
+    ``choose`` picks one move from each non-empty list.  Stops after
+    ``steps`` extensions or when stuck, whichever comes first.  Returns the
+    pair, ``used`` (each label's covered neighbours as a bit set) and the
+    final state (c, u, v, fresh).
+    """
+    used = [0] * n
+    used[0], used[1], used[2] = 0b110, 0b101, 0b011  # the seed's three edges
+    labels, layout = [0, 1, 2], []
+    c, u, v, fresh = 0, 1, 2, 3
+    for _ in range(steps):
+        moves = legal_moves(used, c, u, v, fresh, n)
+        if not moves:
+            break
+        w, bit = choose(moves)
+        p = u if bit == 0 else c
+        used[p] |= 1 << w
+        used[v] |= 1 << w
+        used[w] |= (1 << p) | (1 << v)
+        labels.append(w)
+        layout.append(bit)
+        c, u, v, fresh = p, v, w, fresh + (w == fresh)
+    return LabelsLayout(n, labels, layout), used, (c, u, v, fresh)
 
 
 def random_good_pair(rng, n: int | None = None, steps: int | None = None) -> LabelsLayout:
@@ -276,16 +280,7 @@ def random_good_pair(rng, n: int | None = None, steps: int | None = None) -> Lab
         n = rng.randint(4, 12)
     if steps is None:
         steps = rng.randint(0, 3 * n)
-    labels, layout = [0, 1, 2], []
-    state = (0, 1, 2)
-    used = {(0, 1), (0, 2), (1, 2)}
-    fresh = 3
-    for _ in range(steps):
-        moves = _legal_moves(state, used, fresh, n)
-        if not moves:
-            break
-        state, fresh = _apply(rng.choice(moves), state, used, labels, layout, fresh)
-    return LabelsLayout(n, tuple(labels), tuple(layout))
+    return grow_walk(rng.choice, n, steps)[0]
 
 
 def corrupted_pair(rng, n: int | None = None, steps: int | None = None) -> LabelsLayout:
@@ -298,28 +293,17 @@ def corrupted_pair(rng, n: int | None = None, steps: int | None = None) -> Label
         n = rng.randint(4, 12)
     if steps is None:
         steps = rng.randint(1, 3 * n)
-    labels, layout = [0, 1, 2], []
-    state = (0, 1, 2)
-    used = {(0, 1), (0, 2), (1, 2)}
-    fresh = 3
-    for _ in range(steps):
-        moves = _legal_moves(state, used, fresh, n)
-        if not moves:
-            break
-        state, fresh = _apply(rng.choice(moves), state, used, labels, layout, fresh)
-    c, u, v = state
-    bad = []
-    for w in range(n):
-        for bit, p, q in ((0, u, v), (1, c, v)):
-            if w in (p, q):
-                continue
-            if (min(p, w), max(p, w)) in used or (min(q, w), max(q, w)) in used:
-                bad.append((w, bit))
+    pair, used, (c, u, v, _) = grow_walk(rng.choice, n, steps)
+    # With every label allowed, the non-degenerate moves left out of the
+    # legal ones are exactly those that re-use an edge.
+    legal = set(legal_moves(used, c, u, v, n, n))
+    bad = [(w, bit) for w in range(n) for bit, p in ((0, u), (1, c))
+           if w != p and w != v and (w, bit) not in legal]
     rng.shuffle(bad)
     # An edge-reusing move can still close a legal ring; re-emitting the
     # current triangle never can, so it serves as the fallback.
     for w, bit in bad + [(c, 0)]:
-        cand = LabelsLayout(n, tuple(labels + [w]), tuple(layout + [bit]))
+        cand = LabelsLayout(n, pair.labels + (w,), pair.layout + (bit,))
         if not is_good(expand_pair(cand)):
             return cand
     raise AssertionError("unreachable: duplicate triangle is never good")

@@ -34,6 +34,13 @@ CORPUS = {
     ]
     + [["decompose", "--builtin", "105"]],
     "search": [["search", "--n", str(n)] for n in range(3, 9)],
+    "search_budget": [
+        ["search", "--n", "9"],
+        ["search", "--n", "10", "--budget", "100000"],
+        ["search", "--n", "70", "--budget", "3000"],
+        ["search", "--n", "7", "--budget", "40", "--jobs", "2"],
+        ["search", "--n", "500", "--budget", "10"],
+    ],
 }
 
 DIGESTS = {
@@ -42,6 +49,7 @@ DIGESTS = {
     "table": "bc52e9c5afccbf74b4f51383b270a5e6add3fa4d2f2682d765bd76e71ba7396d",
     "decompose": "f7aa0b080d6efd9ac7efc5982b9f40d30aa5c174c51bfbc4c9aaa2435daacdd0",
     "search": "64c66f14b7c1fd01b0df0e21f782e7a4477c156a270393962a56c8bdd6e8b8fa",
+    "search_budget": "45729d7ca221c29d5ec85e0d90d7c156b752cf03575bf443201e1f097784e7b0",
     "verify": "7497c7d69ea692dbfc83c4f4590f2815da3bfa0cff65b47b11e3d4fe0c3b691e",
 }
 

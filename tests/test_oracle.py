@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
 import sys
+import tracemalloc
 
 import pytest
 
+from conftest import grow_walk
 from diamforge.assembly import small_table
-from diamforge.core import dual_diameter, expand_pair, hs_max_diameter, is_good
-from diamforge.oracle import search_max_diameter
+from diamforge.core import (
+    LabelsLayout, dual_diameter, expand_pair, hs_max_diameter, is_good, is_ring,
+)
+from diamforge.oracle import legal_moves, search_max_diameter
 
 
 def test_tiny_label_counts():
@@ -64,6 +69,40 @@ def test_budget_search_deeper_than_the_recursion_limit():
     seq = expand_pair(res.witness)
     assert is_good(seq)
     assert dual_diameter(seq) == res.best_diameter
+
+
+def test_witness_check_does_not_scale_with_n():
+    tracemalloc.start()
+    try:
+        res = search_max_diameter(3000, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nodes_explored == 10 and res.witness.n == 3000
+    assert peak < 10 * 2**20
+
+
+def test_legal_moves_agree_with_the_frozenset_rule():
+    """At every prefix of seeded walks, a non-degenerate move with label up
+    to ``fresh`` is listed exactly when the extended walk is good and not a
+    ring, and the list is in (w, bit) order."""
+    for n in range(4, 13):
+        for seed in range(6):
+            stuck = None
+            for steps in range(3 * n + 1):
+                pair, used, (c, u, v, fresh) = grow_walk(random.Random(seed).choice, n, steps)
+                if len(pair.layout) == stuck:
+                    break
+                stuck = len(pair.layout)
+                moves = legal_moves(used, c, u, v, fresh, n)
+                assert moves == sorted(moves)
+                for w in range(min(fresh + 1, n)):
+                    for bit, p in ((0, u), (1, c)):
+                        if w == p or w == v:
+                            continue
+                        ext = LabelsLayout(n, pair.labels + (w,), pair.layout + (bit,))
+                        fine = is_good(expand_pair(ext)) and not is_ring(ext)
+                        assert fine == ((w, bit) in moves), (pair, w, bit)
 
 
 def test_zero_budget_is_unlimited():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _apply, _legal_moves, reference_certify, reference_encode_triples
+from conftest import grow_walk, reference_certify, reference_encode_triples
 from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair
 from diamforge.hampack import CycleSquare, Decomposition, decompose_prime, verify_partition
 
@@ -18,15 +18,8 @@ PROPERTY = settings(max_examples=300, deadline=None)
 def good_pairs(draw):
     """Good walks from the seed triangle, one legal move at a time."""
     n = draw(st.integers(3, 12))
-    labels, layout = [0, 1, 2], []
-    state, used, fresh = (0, 1, 2), {(0, 1), (0, 2), (1, 2)}, 3
-    for _ in range(draw(st.integers(0, 3 * n))):
-        moves = _legal_moves(state, used, fresh, n)
-        if not moves:
-            break
-        move = draw(st.sampled_from(moves))
-        state, fresh = _apply(move, state, used, labels, layout, fresh)
-    return LabelsLayout(n, tuple(labels), tuple(layout))
+    steps = draw(st.integers(0, 3 * n))
+    return grow_walk(lambda moves: draw(st.sampled_from(moves)), n, steps)[0]
 
 
 @st.composite

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import isqrt
+from operator import sub
 
 from .core import Edge, Record, edge
 
@@ -140,7 +141,7 @@ def decompose_prime(p: int) -> Decomposition:
     for a in reps:
         for k in range(0, t // 2, 2):
             step = a * pow(2, k, p) % p
-            cycles.append(CycleSquare([i * step % p for i in range(p)]))
+            cycles.append(CycleSquare([x % p for x in range(0, step * p, step)]))
     return Decomposition(p, tuple(cycles))
 
 
@@ -172,11 +173,41 @@ def cycles_from_sequences(n: int, seqs: list[list[int]]) -> Decomposition:
     return Decomposition(n, tuple(cycles))
 
 
+def _tiles_by_classes(d: Decomposition) -> bool:
+    """True when ``d`` is (n-1)/4 arithmetic cycles with distinct classes."""
+    n = d.n
+    if n % 4 != 1 or n < 5 or len(d.cycles) * 4 != n - 1:
+        return False
+    hit = bytearray(n)
+    for c in d.cycles:
+        o = c.order
+        s = (o[1] - o[0]) % n
+        if not set(map(sub, o[1:], o)) <= {s, s - n}:  # each step is s mod n
+            return False
+        for k in (s, 2 * s % n):
+            k = min(k, n - k)
+            if hit[k]:
+                return False
+            hit[k] = 1
+    return True
+
+
 def verify_partition(d: Decomposition) -> PartitionReport:
     """Check that the squares tile E(K_n) exactly once with the right count.
 
     Reports missing and doubled edges; success additionally requires
     (n-1)/4 cycles, which forces n = 1 mod 4.
+
+    Difference classes decide a family of (n-1)/4 arithmetic cycles
+    ``x_i = x_0 + i*s mod n`` when n = 1 mod 4 and n >= 5.  The order is a
+    permutation, so gcd(s, n) = 1, and the square of such a cycle is exactly
+    the classes {+-s} and {+-2s}: the pairs at difference +-s or +-2s.  For
+    odd n >= 5 these two classes are distinct (3s = 0 would need n | 3) and
+    each holds n edges, and K_n is the disjoint union of its (n-1)/2
+    classes.  So when no class min(k, n-k) repeats, the 2 * (n-1)/4 classes
+    are all of them and the family tiles E(K_n) exactly once (A. Rosa's
+    difference method).  Any other family, or one whose classes repeat, goes
+    to the edge count below.
 
     Edges are packed as keys ``lo*n + hi``, which order like ``(lo, hi)``.
     For n >= 5 the n distance-1 and n distance-2 pairs of a cycle are 2n
@@ -190,6 +221,8 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     n = d.n
     if d.cycles:
         square_edges(d.cycles[0])  # every cycle has order n
+    if _tiles_by_classes(d):
+        return PartitionReport(True, (), ())
     keys: list[int] = []
     for c in d.cycles:
         o = c.order

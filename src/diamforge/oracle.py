@@ -86,8 +86,12 @@ def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
     over the node's :func:`legal_moves`, computed when the node is entered.
     They stay legal while the node is open, because every retract restores
     ``used``, the bit sets of covered neighbours.
+
+    Fresh labels enter in increasing order and a node of depth D, entered
+    within the limit, has D < limit, so no label passes ``limit + 2``:
+    ``used`` is sized by the limit, while the bound keeps the declared n.
     """
-    used = [0] * n
+    used = [0] * (n if limit is None else min(n, limit + 3))
     for a, b in ((0, 1), (0, 2), (1, 2)):
         used[a] |= 1 << b
         used[b] |= 1 << a

@@ -7,7 +7,9 @@ import subprocess
 import sys
 import time
 
+from conftest import reference_verify_partition
 from diamforge.assembly import MAX_N
+from diamforge.hampack import CycleSquare, Decomposition
 
 
 def run(*args, stdin=None):
@@ -201,6 +203,33 @@ def test_decompose_input_round_trip(tmp_path):
     res = run("decompose", "--input", str(path))
     assert res.returncode == 2 and res.stdout == ""
     assert "expected an integer" in res.stderr
+
+
+def test_decompose_input_circulant_families(tmp_path):
+    def arithmetic(x0, s):
+        return [(x0 + i * s) % 29 for i in range(29)]
+
+    path = tmp_path / "dec.json"
+    # The steps of decompose --p 29, shifted and every other cycle reversed.
+    steps = [json.loads(run("decompose", "--p", "29").stdout)["cycles"][i][1] for i in range(7)]
+    cycles = [arithmetic(3 + i, s if i % 2 else 29 - s) for i, s in enumerate(steps)]
+    path.write_text(json.dumps({"n": 29, "cycles": cycles}))
+    res = run("decompose", "--input", str(path))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["report"] == {"ok": True, "missing": [], "doubled": []}
+
+    # Steps 1 and 2 replace steps 1 and 4: class 2 twice, class 8 never.
+    cycles = [arithmetic(0, 1), arithmetic(5, 2)] + cycles[2:]
+    path.write_text(json.dumps({"n": 29, "cycles": cycles}))
+    res = run("decompose", "--input", str(path))
+    assert res.returncode == 1
+    want = reference_verify_partition(Decomposition(29, [CycleSquare(c) for c in cycles]))
+    assert want.doubled and want.missing
+    assert json.loads(res.stdout)["report"] == {
+        "ok": False,
+        "missing": [list(e) for e in want.missing],
+        "doubled": [list(e) for e in want.doubled],
+    }
 
 
 def test_search_json():

@@ -82,6 +82,22 @@ def test_witness_check_does_not_scale_with_n():
     assert peak < 10 * 2**20
 
 
+def test_search_memory_follows_the_budget():
+    """A budgeted search sizes its tables by the budget, not the declared n;
+    the result is the one recorded before the tables shrank."""
+    tracemalloc.start()
+    try:
+        res = search_max_diameter(10**7, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.best_diameter, res.exhaustive, res.nodes_explored) == (9, False, 10)
+    assert res.witness.labels == (0, 1, 2, 3, 4, 0, 5, 1, 6, 2, 7, 0)
+    assert res.witness.layout == (0, 0, 0, 0, 1, 0, 1, 0, 1)
+    assert res.witness.n == 10**7
+    assert peak < 2 * 2**20
+
+
 def test_legal_moves_agree_with_the_frozenset_rule():
     """At every prefix of seeded walks, a non-degenerate move with label up
     to ``fresh`` is listed exactly when the extended walk is good and not a

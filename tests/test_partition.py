@@ -1,7 +1,9 @@
-"""The packed-key partition checker against the edge-tuple reference."""
+"""The partition checker, on its difference-class path and its packed-key
+count, against the edge-tuple reference."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from diamforge.hampack import (
     CycleSquare,
     Decomposition,
     _is_prime,
+    _tiles_by_classes,
     cycles_from_sequences,
     decompose_prime,
     ord_mod,
@@ -31,6 +34,16 @@ def assert_agrees(d: Decomposition):
     return rep
 
 
+def arithmetic(n: int, x0: int, s: int) -> CycleSquare:
+    """The cycle x_i = x0 + i*s mod n."""
+    return CycleSquare([(x0 + i * s) % n for i in range(n)])
+
+
+def class_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The n edges {x, x + k} of the difference class +-k, sorted."""
+    return sorted((min(x, (x + k) % n), max(x, (x + k) % n)) for x in range(n))
+
+
 def corruptions(rng, d: Decomposition):
     """Four damaged copies of ``d``, tagged by the damage done."""
     cycles = list(d.cycles)
@@ -47,7 +60,9 @@ def corruptions(rng, d: Decomposition):
 def test_eligible_primes_below_300():
     assert ELIGIBLE[:6] == [5, 13, 17, 29, 37, 41]
     for p in (p for p in ELIGIBLE if p < 300):
-        rep = assert_agrees(decompose_prime(p))
+        d = decompose_prime(p)
+        assert _tiles_by_classes(d), p
+        rep = assert_agrees(d)
         assert rep.ok and not rep.missing and not rep.doubled
 
 
@@ -58,7 +73,62 @@ def test_eligible_primes_from_300_to_1100():
 
 
 def test_builtin_105():
-    assert assert_agrees(cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])).ok
+    d = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+    assert not _tiles_by_classes(d)  # periodic steps: the edge count decides
+    assert assert_agrees(d).ok
+
+
+def test_shifted_and_reversed_prime_families_take_the_class_path():
+    rng = random.Random(0xC1A5)
+    for p in (5, 13, 29, 37, 101, 197):
+        cycles = []
+        for c in decompose_prime(p).cycles:
+            x0 = rng.randrange(1, p)
+            order = [(v + x0) % p for v in c.order]
+            cycles.append(CycleSquare(order[::-1] if rng.random() < 0.5 else order))
+        d = Decomposition(p, cycles)
+        assert _tiles_by_classes(d), p
+        assert assert_agrees(d).ok
+
+
+def test_arithmetic_families_on_composite_orders():
+    # A unit step s never reaches a class k with gcd(k, n) > 1, so these
+    # families leave edges out and go to the edge count.
+    rng = random.Random(0xC0)
+    for n in (9, 21, 25, 45):
+        units = [s for s in range(1, n) if math.gcd(s, n) == 1]
+        for _ in range(20):
+            steps = rng.sample(units, (n - 1) // 4)
+            d = Decomposition(n, [arithmetic(n, rng.randrange(n), s) for s in steps])
+            assert not _tiles_by_classes(d)
+            rep = assert_agrees(d)
+            assert not rep.ok and rep.missing
+
+
+def test_repeated_class_falls_back_to_the_edge_count():
+    # Steps 1, 2 and 5 on n = 13 reach the classes {1, 2}, {2, 4} and
+    # {5, 3}: class 2 twice and class 6 never.
+    d = Decomposition(13, [arithmetic(13, 0, 1), arithmetic(13, 4, 2), arithmetic(13, 7, 5)])
+    assert not _tiles_by_classes(d)
+    rep = assert_agrees(d)
+    assert not rep.ok
+    assert list(rep.doubled) == class_edges(13, 2)
+    assert list(rep.missing) == class_edges(13, 6)
+
+
+def test_one_non_arithmetic_cycle_falls_back():
+    rng = random.Random(0xA7)
+    for p in (13, 29, 101):
+        cycles = list(decompose_prime(p).cycles)
+        i = rng.randrange(len(cycles))
+        order = list(cycles[i].order)
+        a, b = rng.sample(range(p), 2)
+        order[a], order[b] = order[b], order[a]
+        cycles[i] = CycleSquare(order)
+        d = Decomposition(p, cycles)
+        assert not _tiles_by_classes(d)
+        rep = assert_agrees(d)
+        assert not rep.ok and rep.missing and rep.doubled
 
 
 def test_corrupted_families():

@@ -3,11 +3,15 @@ certifier and the partition checker."""
 
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grow_walk, reference_certify, reference_encode_triples
+from conftest import (
+    grow_walk, reference_certify, reference_encode_triples, reference_verify_partition,
+)
 from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair
 from diamforge.hampack import CycleSquare, Decomposition, decompose_prime, verify_partition
 
@@ -115,13 +119,41 @@ def test_certify_agrees_with_the_reference(pair):
 
 
 @st.composite
-def families(draw):
-    """Cycle-square families on 5..21 vertices.
+def arithmetic_cycles(draw):
+    """Families of arithmetic cycles x_i = x_0 + i*s mod n on odd n from 5 to
+    45, about (n-1)/4 of them, with random starts and directions.
 
-    Either random permutations, or a prime partition (p = 5, 13, 17) under a
-    random relabelling with up to two cycles dropped or repeated.
+    The steps are random units, or those of a prime partition (p = 5..41),
+    so that both the tilings and the near misses of the class path come up.
     """
     if draw(st.booleans()):
+        n = 2 * draw(st.integers(2, 22)) + 1
+        units = [s for s in range(1, n) if gcd(s, n) == 1]
+        size = max(0, (n - 1) // 4 + draw(st.integers(-1, 1)))
+        steps = [draw(st.sampled_from(units)) for _ in range(size)]
+    else:
+        d = decompose_prime(draw(st.sampled_from([5, 13, 17, 29, 37, 41])))
+        n, steps = d.n, [c.order[1] for c in d.cycles]
+    cycles = []
+    for s in steps:
+        s = n - s if draw(st.booleans()) else s
+        x0 = draw(st.integers(0, n - 1))
+        cycles.append(CycleSquare([(x0 + i * s) % n for i in range(n)]))
+    return Decomposition(n, cycles)
+
+
+@st.composite
+def families(draw):
+    """Cycle-square families on 5..45 vertices.
+
+    Random permutations, a prime partition (p = 5, 13, 17) under a random
+    relabelling with up to two cycles dropped or repeated, or a family of
+    arithmetic cycles.
+    """
+    branch = draw(st.integers(0, 2))
+    if branch == 2:
+        return draw(arithmetic_cycles())
+    if branch == 0:
         n = draw(st.integers(5, 21))
         size = draw(st.integers(0, 6))
         orders = [draw(st.permutations(range(n))) for _ in range(size)]
@@ -160,3 +192,4 @@ def brute_force_report(d: Decomposition):
 def test_verify_partition_agrees_with_brute_force(d):
     rep = verify_partition(d)
     assert (rep.ok, rep.missing, rep.doubled) == brute_force_report(d)
+    assert rep == reference_verify_partition(d)

@@ -34,7 +34,6 @@ from .genseq import (
     gs_missing_12,
     gs_missing_1248,
 )
-from ._table import SMALL_ROWS
 
 __all__ = [
     "AttachmentPlan",
@@ -431,6 +430,8 @@ def _plan_b_odd(
 
 def small_table(n: int) -> SmallTableEntry | None:
     """Transcribed optimal pair for small n, or None when absent."""
+    from ._table import SMALL_ROWS  # loaded on first use: no large order needs it
+
     row = SMALL_ROWS.get(n)
     if row is None:
         return None

@@ -27,8 +27,37 @@ from .oracle import search_max_diameter
 __all__ = ["main"]
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _emit(obj: dict, n: int = 0, **arrays) -> None:
+    """Print ``obj`` and ``arrays`` as one JSON object on one line.
+
+    The line equals ``_dumps({**obj, **arrays}) + "\\n"``.  Each value in
+    ``arrays`` holds vertex ids in range(n): a tuple of ids, or a list of
+    such tuples.  Those ids go through a table ``names[x] = str(x)``, built
+    only when some array is non-empty, and reach stdout one 4096-id chunk or
+    one inner tuple per write instead of as one string.
+    """
+    write = sys.stdout.write
+    name = list(map(str, range(n))).__getitem__ if any(arrays.values()) else None
+    write("{")
+    for i, key in enumerate(sorted(obj.keys() | arrays.keys())):
+        write(("," if i else "") + _dumps(key) + ":")
+        xs = arrays.get(key)
+        if xs is None:
+            write(_dumps(obj[key]))
+        elif type(xs) is tuple:
+            write("[")
+            _write_ids(xs, name, ",")
+            write("]")
+        else:
+            write("[")
+            for j, row in enumerate(xs):
+                write(("," if j else "") + "[" + ",".join(map(name, row)) + "]")
+            write("]")
+    write("}\n")
 
 
 def _fail(message: str, code: int) -> int:
@@ -105,13 +134,18 @@ def _load_pair(path: str) -> LabelsLayout | None:
         return None
 
 
-def _write_words(head: str, xs: tuple[int, ...]) -> None:
-    """Write ``head`` and ``xs`` as one line, 4096 strings at a time."""
+def _write_ids(xs: tuple[int, ...], name, sep: str) -> None:
+    """Write ``name(x)`` for each id in ``xs``, ``sep`` between them, 4096 ids per write."""
     write = sys.stdout.write
-    write(head + " ")
     for i in range(0, len(xs), 4096):
-        write((" " if i else "") + " ".join(map(str, xs[i : i + 4096])))
-    write("\n")
+        write((sep if i else "") + sep.join(map(name, xs[i : i + 4096])))
+
+
+def _write_words(head: str, xs: tuple[int, ...]) -> None:
+    """Write ``head`` and ``xs`` as one line."""
+    sys.stdout.write(head + " ")
+    _write_ids(xs, str, " ")
+    sys.stdout.write("\n")
 
 
 def _cmd_construct(args) -> int:
@@ -129,9 +163,12 @@ def _cmd_construct(args) -> int:
         uncov = ", ".join(f"({u},{v})" for u, v in cert.uncovered_edges) or "none"
         print(f"uncovered edges: {uncov}")
         return 0
-    out = _pair_dict(pair)
-    out["certificate"] = _cert_dict(cert)
-    _emit(out)
+    _emit(
+        {"n": pair.n, "certificate": _cert_dict(cert)},
+        pair.n,
+        labels=pair.labels,
+        layout=pair.layout,
+    )
     return 0
 
 
@@ -205,13 +242,14 @@ def _cmd_decompose(args) -> int:
     _emit(
         {
             "n": dec.n,
-            "cycles": [list(c.order) for c in dec.cycles],
             "report": {
                 "ok": report.ok,
                 "missing": [list(e) for e in report.missing],
                 "doubled": [list(e) for e in report.doubled],
             },
-        }
+        },
+        dec.n,
+        cycles=[c.order for c in dec.cycles],
     )
     return 0 if report.ok else 1
 

@@ -10,8 +10,9 @@ sequence-driven construction used for the known order-105 data.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import isqrt
-from operator import sub
+from operator import itemgetter, sub
 
 from .core import Edge, Record, edge
 
@@ -38,6 +39,12 @@ SEQUENCES_105: tuple[tuple[int, ...], ...] = (
 )
 
 
+@lru_cache(maxsize=1)
+def _vertices(n: int) -> frozenset[int]:
+    """The vertex set 0..n-1, kept for the last n asked for."""
+    return frozenset(range(n))
+
+
 class CycleSquare(Record):
     """A cyclic ordering of all n vertices."""
 
@@ -48,7 +55,7 @@ class CycleSquare(Record):
         n = len(self.order)
         if n < 3:
             raise ValueError("cycle needs at least three vertices")
-        if set(self.order) != set(range(n)):
+        if set(self.order) != _vertices(n):
             raise ValueError("ordering is not a permutation of 0..n-1")
 
     @property
@@ -137,11 +144,16 @@ def decompose_prime(p: int) -> Decomposition:
         for _ in range(t):
             seen[cur] = 1
             cur = cur * 2 % p
+    # x -> 4x permutes Z_p, so the ordering of step 4s is that of step s
+    # read at the positions 4i: order_4s[i] = 4is = order_s[4i mod p].
+    times4 = itemgetter(*[x % p for x in range(0, 4 * p, 4)])
     cycles = []
     for a in reps:
-        for k in range(0, t // 2, 2):
-            step = a * pow(2, k, p) % p
-            cycles.append(CycleSquare([x % p for x in range(0, step * p, step)]))
+        c = CycleSquare([x % p for x in range(0, a * p, a)])
+        cycles.append(c)
+        for _ in range(2, t // 2, 2):
+            c = CycleSquare(times4(c.order))
+            cycles.append(c)
     return Decomposition(p, tuple(cycles))
 
 

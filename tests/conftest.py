@@ -4,6 +4,8 @@ acceptance reporting."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 from collections import Counter
 
@@ -26,7 +28,16 @@ from diamforge.core import (
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
 from diamforge.genseq import CutSpec, expand_to_circular, gs_full, gs_missing_12, gs_missing_1248
 from diamforge.hampack import Decomposition, PartitionReport, square_edges
+from diamforge.cli import main
 from diamforge.oracle import legal_moves
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``diamforge.cli.main(argv)`` run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
 
 
 def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
@@ -242,6 +253,26 @@ def reference_verify_partition(d: Decomposition) -> PartitionReport:
         and len(d.cycles) == (d.n - 1) // 4
     )
     return PartitionReport(ok, missing, doubled)
+
+
+def reference_prime_orders(p: int) -> list[list[int]]:
+    """Orderings of ``decompose_prime(p)``, each built from its own stride.
+
+    The slow reference for the composed orderings: for each coset of <2>
+    in F_p*, smallest representative a first, and each even k below
+    ord_p(2)/2, the ordering i * a * 2^k mod p for i = 0..p-1.
+    """
+    t = next(d for d in range(1, p) if pow(2, d, p) == 1)
+    seen: set[int] = set()
+    orders = []
+    for a in range(1, p):
+        if a in seen:
+            continue
+        seen |= {a * pow(2, j, p) % p for j in range(t)}
+        for k in range(0, t // 2, 2):
+            step = a * pow(2, k, p) % p
+            orders.append([x % p for x in range(0, step * p, step)])
+    return orders
 
 
 def grow_walk(choose, n: int, steps: int) -> tuple[LabelsLayout, list[int], tuple]:

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
-from conftest import reference_verify_partition
-from diamforge.assembly import MAX_N
-from diamforge.hampack import CycleSquare, Decomposition
+from conftest import reference_verify_partition, run_main
+from diamforge import cli
+from diamforge.assembly import MAX_N, construct_optimal
+from diamforge.hampack import (
+    SEQUENCES_105,
+    CycleSquare,
+    Decomposition,
+    _is_prime,
+    cycles_from_sequences,
+    decompose_prime,
+    ord_mod,
+    verify_partition,
+)
 
 
 def run(*args, stdin=None):
@@ -167,9 +180,11 @@ def test_decompose_prime():
 
 def test_import_leaves_out_sympy():
     # dataclasses pulls in inspect, ast and dis: about 15 ms on every run.
+    # The small table is read only by orders too small for a construction.
     code = (
         "import sys, diamforge.cli; "
-        "loaded = {'sympy', 'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules); "
+        "loaded = {'sympy', 'multiprocessing', 'dataclasses', 'inspect', 'diamforge._table'}"
+        " & set(sys.modules); "
         "assert not loaded, loaded"
     )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
@@ -290,3 +305,105 @@ def test_decompose_input_below_five_vertices(tmp_path):
             "diamforge: bad decomposition input: "
             "cycle square needs at least five vertices\n"
         )
+
+
+def canonical(obj: dict) -> str:
+    """The reference for every verb's stdout."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def decomposition_object(d: Decomposition) -> tuple[int, dict]:
+    rep = verify_partition(d)
+    report = {
+        "ok": rep.ok,
+        "missing": [list(e) for e in rep.missing],
+        "doubled": [list(e) for e in rep.doubled],
+    }
+    cycles = [list(c.order) for c in d.cycles]
+    return (0 if rep.ok else 1), {"n": d.n, "cycles": cycles, "report": report}
+
+
+def test_construct_emit_matches_json_dumps():
+    for n in [*range(3, 61), *range(400, 404)]:
+        pair, cert = construct_optimal(n)
+        want = {
+            "n": n,
+            "labels": list(pair.labels),
+            "layout": list(pair.layout),
+            "certificate": cli._cert_dict(cert),
+        }
+        assert run_main(["construct", "--n", str(n)]) == (0, canonical(want)), n
+
+
+def test_decompose_emit_matches_json_dumps():
+    for p in range(5, 1014):
+        if _is_prime(p) and p % 4 == 1 and ord_mod(2, p) % 4 == 0:
+            rc, want = decomposition_object(decompose_prime(p))
+            assert run_main(["decompose", "--p", str(p)]) == (rc, canonical(want)), p
+    d = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+    rc, want = decomposition_object(d)
+    assert run_main(["decompose", "--builtin", "105"]) == (rc, canonical(want))
+
+
+def test_decompose_input_emit_matches_json_dumps(tmp_path):
+    def arithmetic(n, s):
+        return [i * s % n for i in range(n)]
+
+    families = {
+        "missing_edges": (29, [arithmetic(29, s) for s in (1, 4, 16, 6, 24, 9)]),
+        "doubled_edges": (13, [arithmetic(13, s) for s in (1, 2, 5)]),
+        "extra_cycle": (13, [arithmetic(13, s) for s in (1, 4, 3, 1)]),
+        "zero_cycles": (13, []),
+        "zero_cycles_n40": (40, []),
+    }
+    path = tmp_path / "dec.json"
+    for name, (n, cycles) in families.items():
+        path.write_text(json.dumps({"n": n, "cycles": cycles}))
+        rc, want = decomposition_object(Decomposition(n, [CycleSquare(c) for c in cycles]))
+        assert run_main(["decompose", "--input", str(path)]) == (rc, canonical(want)), name
+
+
+def test_emit_chunk_boundaries():
+    for length in (0, 1, 2, 4095, 4096, 4097, 8191, 8192, 8193, 12289):
+        ids = tuple(i * 7 % 11 for i in range(length))
+        rows = [ids[i:] for i in range(0, length + 1, 4096)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit({"n": 11, "m": [1, {"b": 2, "a": None}]}, 11, ids=ids, rows=rows)
+        want = {"n": 11, "m": [1, {"b": 2, "a": None}], "ids": ids, "rows": rows}
+        assert out.getvalue() == canonical(want), length
+
+
+def test_emit_without_ids_builds_no_table():
+    """A declared order alone allocates nothing per vertex."""
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._emit({"n": 10**6, "report": {"ok": False}}, 10**6, cycles=[], labels=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue() == canonical(
+        {"n": 10**6, "report": {"ok": False}, "cycles": [], "labels": []}
+    )
+    assert peak < 100_000
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that stops early (``| head -c 10``) gets no traceback, from
+    ``python -m diamforge`` or from the installed script's entry point."""
+    script = "import sys; from diamforge.__main__ import run; sys.exit(run())"
+    for entry, fmt in ((["-m", "diamforge"], "text"), (["-m", "diamforge"], "json"),
+                       (["-c", script], "json")):
+        proc = subprocess.Popen(
+            [sys.executable, *entry, "construct", "--n", "1000", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, fmt
+        assert err == b"", err.decode()

@@ -8,14 +8,12 @@ digest only for a deliberate output change, and say so in CHANGES.md.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
 
-from diamforge.cli import main
+from conftest import run_main
 
 CORPUS = {
     "construct": [
@@ -51,6 +49,7 @@ DIGESTS = {
     "search": "64c66f14b7c1fd01b0df0e21f782e7a4477c156a270393962a56c8bdd6e8b8fa",
     "search_budget": "45729d7ca221c29d5ec85e0d90d7c156b752cf03575bf443201e1f097784e7b0",
     "verify": "7497c7d69ea692dbfc83c4f4590f2815da3bfa0cff65b47b11e3d4fe0c3b691e",
+    "decompose_input": "001fe3ebc7adc8e839259d1d02ff9018adb0b381dbec8ccf8111cd1da95ab68b",
 }
 
 # verify's inputs, by name; ``construct`` outputs for n=3..40 are added in
@@ -68,11 +67,37 @@ VERIFY_INPUTS = {
 VERIFY_TEXTS = {"not_json": "{", "not_an_object": "[0, 1, 2]"}
 
 
-def run_main(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    return rc, out.getvalue()
+def arithmetic(n: int, x0: int, s: int) -> list[int]:
+    return [(x0 + i * s) % n for i in range(n)]
+
+
+P29 = [arithmetic(29, 0, pow(2, k, 29)) for k in range(0, 14, 2)]
+
+# decompose --input's inputs, by name; the outputs of ``decompose --p 29``,
+# ``--p 401`` and ``--builtin 105`` are added in the test.
+DECOMPOSE_INPUTS = {
+    "p29_shifted_reversed": {
+        "n": 29,
+        "cycles": [c[i:] + c[:i] if i % 2 else c[::-1] for i, c in enumerate(P29)],
+    },
+    "missing_edges": {"n": 29, "cycles": P29[:-1]},
+    "doubled_edges": {"n": 13, "cycles": [arithmetic(13, 0, s) for s in (1, 2, 5)]},
+    "extra_cycle": {"n": 29, "cycles": P29 + P29[:1]},
+    "non_arithmetic": {"n": 9, "cycles": [[0, 2, 1, 3, 4, 5, 6, 8, 7], [0, 4, 8, 3, 7, 2, 6, 1, 5]]},
+    "composite_unit_steps": {"n": 21, "cycles": [arithmetic(21, 0, s) for s in (1, 4, 5, 8, 10)]},
+    "zero_cycles": {"n": 13, "cycles": []},
+    "zero_cycles_n40": {"n": 40, "cycles": []},
+    "below_five": {"n": 4, "cycles": [[0, 1, 2, 3]]},
+    "duplicate_vertex": {"n": 5, "cycles": [[0, 1, 1, 2, 3]]},
+    "negative_vertex": {"n": 5, "cycles": [[-1, 0, 1, 2, 3]]},
+    "vertex_out_of_range": {"n": 5, "cycles": [[1, 2, 3, 4, 5]]},
+    "wrong_order": {"n": 7, "cycles": [[0, 1, 2, 3, 4]]},
+    "float_vertex": {"n": 5, "cycles": [[0, 1, 2.0, 3, 4]]},
+    "bool_n": {"n": True, "cycles": []},
+    "string_cycle": {"n": 5, "cycles": ["01234"]},
+    "cycles_not_a_list": {"n": 5, "cycles": 5},
+    "missing_cycles": {"n": 5},
+}
 
 
 def corpus_digest(invocations: list[list[str]], keys: list[str] | None = None) -> str:
@@ -107,3 +132,22 @@ def test_verify_output_digest(tmp_path):
             invocations.append(["verify", "--input", str(path), *flags])
             keys.append(" ".join(["verify", name, *flags]))
     assert corpus_digest(invocations, keys) == DIGESTS["verify"]
+
+
+def test_decompose_input_output_digest(tmp_path):
+    """decompose --input on built families fed back, circulant families
+    with edges missing or doubled, no cycles at all and malformed input;
+    keyed by input name, not by the temporary path."""
+    texts = {}
+    for source in (["--p", "29"], ["--p", "401"], ["--builtin", "105"]):
+        out = json.loads(run_main(["decompose", *source])[1])
+        texts["_".join(source).strip("-")] = json.dumps({"n": out["n"], "cycles": out["cycles"]})
+    texts |= {name: json.dumps(obj) for name, obj in DECOMPOSE_INPUTS.items()}
+    texts |= VERIFY_TEXTS
+    invocations, keys = [], []
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        invocations.append(["decompose", "--input", str(path)])
+        keys.append(f"decompose {name}")
+    assert corpus_digest(invocations, keys) == DIGESTS["decompose_input"]

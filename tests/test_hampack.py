@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from sympy import isprime, n_order, primerange
@@ -51,6 +52,34 @@ def test_cycle_rejects_non_permutation():
         CycleSquare((1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         CycleSquare((0, 1))
+    bad = [
+        (0, 1, 2, 3, 3),  # duplicate, 4 missing
+        (0, 0, 0, 0, 0),
+        (0, 1, 2, 3, 5),  # out of range
+        (0, 1, 2, 3, -1),  # negative
+        (-1, -2, -3, -4, -5),
+        (0, 1, 2, 3, 4, 5, 6, 7, 9),
+    ]
+    # Each order n both before and after a valid cycle of that order.
+    for order in bad + bad[::-1]:
+        CycleSquare(tuple(range(len(order))))
+        with pytest.raises(ValueError, match="^ordering is not a permutation of 0..n-1$"):
+            CycleSquare(order)
+    for order in ((4, 3, 2, 1, 0), [2, 0, 1], range(9)):
+        assert CycleSquare(order).order == tuple(order)
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.randrange(3, 9)
+        order = rng.sample(range(n), n)
+        if rng.random() < 0.7:
+            order[rng.randrange(n)] = rng.randrange(-2, n + 2)
+        try:
+            CycleSquare(order)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (sorted(order) == list(range(n))), order
 
 
 def test_decomposition_checks_sizes():

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import reference_verify_partition
+from conftest import reference_prime_orders, reference_verify_partition
 from diamforge.hampack import (
     SEQUENCES_105,
     CycleSquare,
@@ -70,6 +70,11 @@ def test_eligible_primes_below_300():
 def test_eligible_primes_from_300_to_1100():
     for p in (p for p in ELIGIBLE if p >= 300):
         assert assert_agrees(decompose_prime(p)).ok, p
+
+
+def test_composed_orderings_match_their_strides():
+    for p in ELIGIBLE:
+        assert [list(c.order) for c in decompose_prime(p).cycles] == reference_prime_orders(p), p
 
 
 def test_builtin_105():

@@ -36,7 +36,6 @@ from .genseq import (
 )
 
 __all__ = [
-    "AttachmentPlan",
     "SmallTableEntry",
     "rotation",
     "zigzag",
@@ -51,33 +50,6 @@ __all__ = [
 # construct's largest order.  Its walk has about n**2 / 4 triangles and the
 # verb peaks near 85 bytes per triangle (100 as text): 0.5 GB at n = 5000.
 MAX_N = 5000
-
-
-class AttachmentPlan(Record):
-    """A good linear run of triangles that glues onto a ring cut end.
-
-    The first triangle contains ``anchor_edge``; when the plan is appended
-    after a linear sequence whose last triangle holds the anchor, the result
-    is again a walk.
-    """
-
-    __slots__ = ("anchor_edge", "triangles")
-
-    def __init__(self, anchor_edge: Edge, triangles: tuple[frozenset[int], ...]) -> None:
-        self.anchor_edge, self.triangles = anchor_edge, triangles
-        if not self.triangles:
-            raise ValueError("attachment plan needs at least one triangle")
-        if not set(self.anchor_edge) <= self.triangles[0]:
-            raise ValueError("first plan triangle must contain the anchor edge")
-        for i in range(len(self.triangles) - 1):
-            if len(self.triangles[i] & self.triangles[i + 1]) != 2:
-                raise ValueError(f"plan triangles {i} and {i + 1} do not share an edge")
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
-    def seq(self) -> TriangleSeq:
-        return TriangleSeq(self.triangles)
 
 
 class SmallTableEntry(Record):
@@ -95,29 +67,27 @@ class SmallTableEntry(Record):
         return self.n == other.n
 
 
-def rotation(center: int, path: list[int]) -> AttachmentPlan:
+def rotation(center: int, path: list[int]) -> tuple[frozenset[int], ...]:
     """Fan of triangles {center, v_i, v_{i+1}} along a vertex path.
 
     Covers every spoke from ``center`` to the path plus the path edges;
-    the dual is a path, so t path vertices give diameter t - 2.
+    the dual is a path, so t path vertices give diameter t - 2.  The first
+    triangle holds the edge {path[0], path[1]}.
     """
     if len(path) < 2:
         raise ValueError("rotation path needs at least two vertices")
     if center in path or len(set(path)) != len(path):
         raise ValueError("rotation path vertices must be distinct and avoid the center")
-    tris = tuple(
-        frozenset({center, path[i], path[i + 1]}) for i in range(len(path) - 1)
-    )
-    return AttachmentPlan(edge(path[0], path[1]), tris)
+    return tuple(frozenset({center, path[i], path[i + 1]}) for i in range(len(path) - 1))
 
 
-def zigzag(u: int, w: int, path: list[int]) -> AttachmentPlan:
+def zigzag(u: int, w: int, path: list[int]) -> tuple[frozenset[int], ...]:
     """Double fan alternating between apexes ``u`` and ``w`` along a path.
 
     Path pairs at positions 1 and 3 mod 4 get both apexes, pairs at 2 mod 4
     only ``w`` and pairs at 0 mod 4 only ``u``, so each apex skips every
     other pair.  t path vertices cover 3t - 1 edges with dual diameter
-    floor(3t/2) - 2.
+    floor(3t/2) - 2.  The first triangle holds the edge {u, path[0]}.
     """
     if len(path) < 2:
         raise ValueError("zig-zag path needs at least two vertices")
@@ -137,7 +107,7 @@ def zigzag(u: int, w: int, path: list[int]) -> AttachmentPlan:
             tris.append(frozenset({lo, hi, u}))
         else:
             tris.append(frozenset({lo, hi, u}))
-    return AttachmentPlan(edge(u, path[0]), tuple(tris))
+    return tuple(tris)
 
 
 def _steps(start: int, stop: int, step: int) -> list[int]:
@@ -150,17 +120,20 @@ def _tri(*vertices: int) -> frozenset[int]:
 
 
 def _audit_plan(
-    name: str, k: int, plan: AttachmentPlan, expected: set[Edge]
-) -> AttachmentPlan:
-    """Check a plan is a good walk covering exactly the expected edge set.
+    name: str, k: int, anchor: Edge, tris: list[frozenset[int]], expected: set[Edge]
+) -> TriangleSeq:
+    """Check the plan ``tris`` once and return it as a sequence.
 
-    The expected set excludes the anchor edge, which the plan shares with
-    the ring it attaches to.
+    Its first triangle must hold ``anchor``, the edge it shares with the
+    ring end it follows, so that appended there it continues the walk.  It
+    must be good and cover exactly ``expected``, which leaves out the anchor.
     """
-    seq = plan.seq()
+    seq = TriangleSeq(tris)
+    if not set(anchor) <= tris[0]:
+        raise AssertionError(f"{name}(k={k}): first triangle does not hold the anchor {anchor}")
     if not is_good(seq):
         raise AssertionError(f"{name}(k={k}): plan is not a good sequence")
-    got = covered_edges(seq) - {plan.anchor_edge}
+    got = covered_edges(seq) - {anchor}
     if got != expected:
         extra = sorted(got - expected)
         missing = sorted(expected - got)
@@ -168,7 +141,7 @@ def _audit_plan(
             f"{name}(k={k}): covered edges differ from target "
             f"(extra={extra}, missing={missing})"
         )
-    return plan
+    return seq
 
 
 def _residue_class(r: int, n: int) -> set[Edge]:
@@ -180,7 +153,7 @@ def _spokes(v: int, others: set[int]) -> set[Edge]:
     return {edge(v, x) for x in others if x != v}
 
 
-def attach_4k4(k: int) -> AttachmentPlan:
+def attach_4k4(k: int) -> TriangleSeq:
     """Plan appending three vertices to a 4k+1 ring missing classes 1 and 2.
 
     Anchored at {0, 4k-2}; the 10k+4 triangles cover the two missing
@@ -198,10 +171,10 @@ def attach_4k4(k: int) -> AttachmentPlan:
         + [4 * k - 6, 4 * k - 7, 4 * k - 5, 4 * k - 3, 4 * k - 4]
         + [c, 4 * k - 2, 4 * k, b]
     )
-    tris += rotation(a, fan_path).triangles
+    tris += rotation(a, fan_path)
     tris.append(_tri(b, 4 * k, 0))
     zig_path = _steps(0, 4 * k - 8, 2) + _steps(4 * k - 7, 1, -2)
-    tris += zigzag(b, c, zig_path).triangles
+    tris += zigzag(b, c, zig_path)
     tris += [
         _tri(1, c, 4 * k),
         _tri(c, 4 * k, 4 * k - 1),
@@ -219,11 +192,10 @@ def attach_4k4(k: int) -> AttachmentPlan:
     expected = _residue_class(1, n1) | _residue_class(2, n1)
     for v in (a, b, c):
         expected |= _spokes(v, ring | {a, b, c})
-    plan = AttachmentPlan(edge(0, 4 * k - 2), tuple(tris))
-    return _audit_plan("attach_4k4", k, plan, expected)
+    return _audit_plan("attach_4k4", k, edge(0, 4 * k - 2), tris, expected)
 
 
-def attach_4k3(k: int) -> AttachmentPlan:
+def attach_4k3(k: int) -> TriangleSeq:
     """Plan appending two vertices to a 4k+1 ring missing classes 1 and 2.
 
     Anchored at {0, 7}; the 8k+3 triangles cover the missing classes, every
@@ -241,7 +213,7 @@ def attach_4k3(k: int) -> AttachmentPlan:
         + _steps(4 * k - 2, 8, -2)
         + [9, 11, b]
     )
-    tris: list[frozenset[int]] = list(rotation(a, fan_a).triangles)
+    tris: list[frozenset[int]] = list(rotation(a, fan_a))
     tris += [
         _tri(b, 11, 10),
         _tri(b, 10, 9),
@@ -263,18 +235,17 @@ def attach_4k3(k: int) -> AttachmentPlan:
         _tri(0, 1, 4 * k),
     ]
     fan_b = [4 * k, 0] + _steps(4 * k - 1, 12, -1)
-    tris += rotation(b, fan_b).triangles
+    tris += rotation(b, fan_b)
     tris.append(_tri(11, 12, 13))
 
     ring = set(range(n1))
     expected = _residue_class(1, n1) | _residue_class(2, n1) | {edge(0, 13)}
     for v in (a, b):
         expected |= _spokes(v, ring | {a, b})
-    plan = AttachmentPlan(edge(0, 7), tuple(tris))
-    return _audit_plan("attach_4k3", k, plan, expected)
+    return _audit_plan("attach_4k3", k, edge(0, 7), tris, expected)
 
 
-def attach_4k6(k: int) -> tuple[AttachmentPlan, AttachmentPlan]:
+def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
     """Pair of plans appending five vertices to a 4k+1 ring missing 1, 2, 4, 8.
 
     Plan A (anchor {6, 17}) covers classes 1 and 2 plus every edge between
@@ -294,7 +265,7 @@ def attach_4k6(k: int) -> tuple[AttachmentPlan, AttachmentPlan]:
         + _steps(18, 4 * k, 2)
         + [1, b, 13]
     )
-    tris_a: list[frozenset[int]] = list(rotation(a, fan_a).triangles)
+    tris_a: list[frozenset[int]] = list(rotation(a, fan_a))
     tris_a += [
         _tri(b, 13, 15),
         _tri(b, 15, 14),
@@ -305,7 +276,7 @@ def attach_4k6(k: int) -> tuple[AttachmentPlan, AttachmentPlan]:
         _tri(16, 17, 18),
     ]
     fan_b = [18, 17] + _steps(19, 4 * k, 1) + [0, 2]
-    tris_a += rotation(b, fan_b).triangles
+    tris_a += rotation(b, fan_b)
     tris_a += [
         _tri(0, 1, 2),
         _tri(1, 2, 3),
@@ -333,9 +304,7 @@ def attach_4k6(k: int) -> tuple[AttachmentPlan, AttachmentPlan]:
     ]
     expected_a = _residue_class(1, n1) | _residue_class(2, n1) | {edge(0, 17)}
     expected_a |= _spokes(a, ring | {b}) | _spokes(b, ring)
-    plan_a = _audit_plan(
-        "attach_4k6/A", k, AttachmentPlan(edge(6, 17), tuple(tris_a)), expected_a
-    )
+    plan_a = _audit_plan("attach_4k6/A", k, edge(6, 17), tris_a, expected_a)
 
     if k % 2 == 0:
         tris_b = _plan_b_even(k, a, b, c, d, e)
@@ -344,9 +313,7 @@ def attach_4k6(k: int) -> tuple[AttachmentPlan, AttachmentPlan]:
     expected_b = _residue_class(4, n1) | _residue_class(8, n1)
     for v in (c, d, e):
         expected_b |= _spokes(v, ring | {a, b, c, d, e})
-    plan_b = _audit_plan(
-        "attach_4k6/B", k, AttachmentPlan(edge(0, 6), tuple(tris_b)), expected_b
-    )
+    plan_b = _audit_plan("attach_4k6/B", k, edge(0, 6), tris_b, expected_b)
     return plan_a, plan_b
 
 
@@ -355,10 +322,10 @@ def _plan_b_even(
 ) -> list[frozenset[int]]:
     tris: list[frozenset[int]] = [_tri(6, 0, c)]
     zig1 = _steps(0, 4 * k, 4) + _steps(3, 4 * k - 1, 4) + [2]
-    tris += zigzag(c, d, zig1).triangles
+    tris += zigzag(c, d, zig1)
     tris += [_tri(2, d, 6), _tri(d, 6, 10)]
     zig2 = _steps(10, 4 * k - 2, 4) + _steps(1, 4 * k - 19, 4)
-    tris += zigzag(d, c, zig2).triangles
+    tris += zigzag(d, c, zig2)
     tris += [_tri(4 * k - 19, c, 4 * k - 11), _tri(c, 4 * k - 11, 4 * k - 3)]
     fan_e = (
         [4 * k - 11, 4 * k - 3]
@@ -372,7 +339,7 @@ def _plan_b_even(
         + _steps(4 * k, 8, -8)
         + [0, 4 * k - 7]
     )
-    tris += rotation(e, fan_e).triangles
+    tris += rotation(e, fan_e)
     tris += [
         _tri(0, 4 * k - 7, 4 * k - 3),
         _tri(4 * k - 3, 4 * k - 7, d),
@@ -393,7 +360,7 @@ def _plan_b_odd(
 ) -> list[frozenset[int]]:
     tris: list[frozenset[int]] = [_tri(6, 0, c), _tri(0, c, 4)]
     zig1 = _steps(4, 4 * k, 4) + _steps(3, 4 * k - 1, 4) + [2, 10]
-    tris += zigzag(c, d, zig1).triangles
+    tris += zigzag(c, d, zig1)
     tris += [
         _tri(10, c, e),
         _tri(c, e, b),
@@ -406,7 +373,7 @@ def _plan_b_odd(
         _tri(14, 10, 18),
     ]
     fan_c = [18, 14] + _steps(22, 4 * k - 2, 4) + _steps(1, 4 * k - 3, 4)
-    tris += rotation(c, fan_c).triangles
+    tris += rotation(c, fan_c)
     tris += [_tri(4 * k - 7, 4 * k - 3, 0), _tri(4 * k - 7, 0, d)]
     zig2 = (
         _steps(4 * k - 7, 5, -8)
@@ -414,7 +381,7 @@ def _plan_b_odd(
         + _steps(22, 4 * k - 6, 8)
         + _steps(1, 4 * k - 3, 8)
     )
-    tris += zigzag(d, e, zig2).triangles
+    tris += zigzag(d, e, zig2)
     fan_e = (
         [4 * k - 3]
         + _steps(4, 4 * k, 8)
@@ -424,7 +391,7 @@ def _plan_b_odd(
         + _steps(4 * k - 4, 8, -8)
         + [0]
     )
-    tris += rotation(e, fan_e).triangles
+    tris += rotation(e, fan_e)
     return tris
 
 
@@ -471,12 +438,12 @@ def _construct_walk(n: int) -> LabelsLayout:
         k = (n - 4) // 4 if r == 0 else (n - 3) // 4
         gs, spec = gs_missing_12(k, end="long" if r == 0 else "seven")
         plan = attach_4k4(k) if r == 0 else attach_4k3(k)
-        return join_walks(cut_circular(expand_pair_of(gs), spec), encode_triples(plan.seq(), n))
+        return join_walks(cut_circular(expand_pair_of(gs), spec), encode_triples(plan, n))
     if r == 2 and n >= 34:
         k = (n - 6) // 4
         gs, spec = gs_missing_1248(k)
         body = cut_circular(expand_pair_of(gs), spec)
-        plan_a, plan_b = (encode_triples(p.seq(), n) for p in attach_4k6(k))
+        plan_a, plan_b = (encode_triples(p, n) for p in attach_4k6(k))
         # Plan A prefixes the body, so build the walk from its other end.
         return join_walks(reverse_walk(join_walks(body, plan_b)), plan_a)
     entry = small_table(n)

@@ -92,7 +92,9 @@ def _load_json(path: str) -> dict | None:
     except OSError as exc:
         print(f"diamforge: cannot read {path}: {exc}", file=sys.stderr)
         return None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+        # past the digit limit; RecursionError covers arrays nested too deep.
         print(f"diamforge: {path} is not valid JSON: {exc}", file=sys.stderr)
         return None
     if not isinstance(data, dict):

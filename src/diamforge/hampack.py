@@ -70,6 +70,8 @@ class Decomposition(Record):
 
     def __init__(self, n: int, cycles: tuple[CycleSquare, ...]) -> None:
         self.n, self.cycles = n, tuple(cycles)
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
         for c in self.cycles:
             if c.n != self.n:
                 raise ValueError(f"cycle on {c.n} vertices in a decomposition of K_{self.n}")

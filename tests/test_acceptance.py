@@ -86,14 +86,14 @@ def test_criterion_03_attachment_plan_budgets():
     started = time.monotonic()
     for k in range(4, 41):
         plan = attach_4k4(k)
-        assert len(covered_edges(plan.seq())) - 1 == 20 * k + 8
+        assert len(covered_edges(plan)) - 1 == 20 * k + 8
     for k in range(5, 41):
         plan = attach_4k3(k)
-        assert len(covered_edges(plan.seq())) - 1 == 16 * k + 6
+        assert len(covered_edges(plan)) - 1 == 16 * k + 6
     for k in range(7, 41):
         plan_a, plan_b = attach_4k6(k)
-        assert len(covered_edges(plan_a.seq())) - 1 == 16 * k + 6
-        assert len(covered_edges(plan_b.seq())) - 1 == 20 * k + 14
+        assert len(covered_edges(plan_a)) - 1 == 16 * k + 6
+        assert len(covered_edges(plan_b)) - 1 == 20 * k + 14
     assert time.monotonic() - started < 10
 
 

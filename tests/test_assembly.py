@@ -6,7 +6,7 @@ import pytest
 
 from conftest import reference_construct
 from diamforge.assembly import (
-    AttachmentPlan,
+    _audit_plan,
     attach_4k3,
     attach_4k4,
     attach_4k6,
@@ -16,6 +16,7 @@ from diamforge.assembly import (
     zigzag,
 )
 from diamforge.core import (
+    TriangleSeq,
     covered_edges,
     dual_diameter,
     expand_pair,
@@ -30,9 +31,9 @@ def tri(*vs):
 
 def test_rotation_fan():
     plan = rotation(9, [0, 1, 2])
-    assert plan.anchor_edge == (0, 1)
-    assert list(plan.triangles) == [tri(9, 0, 1), tri(9, 1, 2)]
-    assert dual_diameter(plan.seq()) == 0 + len(plan) - 1
+    assert {0, 1} <= plan[0]
+    assert plan == (tri(9, 0, 1), tri(9, 1, 2))
+    assert dual_diameter(TriangleSeq(list(plan))) == 0 + len(plan) - 1
 
 
 def test_rotation_rejections():
@@ -46,19 +47,19 @@ def test_rotation_rejections():
 
 def test_zigzag_emission_order():
     plan = zigzag(7, 8, [0, 1, 2, 3, 4, 5])
-    assert plan.anchor_edge == (0, 7)
-    assert [tuple(sorted(t)) for t in plan.triangles] == [
+    assert {0, 7} <= plan[0]
+    assert [tuple(sorted(t)) for t in plan] == [
         (0, 1, 7), (0, 1, 8), (1, 2, 8), (2, 3, 8),
         (2, 3, 7), (3, 4, 7), (4, 5, 7), (4, 5, 8),
     ]
-    t = 6
-    assert len(covered_edges(plan.seq())) == 3 * t - 1
-    assert dual_diameter(plan.seq()) == 3 * t // 2 - 2
+    t, seq = 6, TriangleSeq(list(plan))
+    assert len(covered_edges(seq)) == 3 * t - 1
+    assert dual_diameter(seq) == 3 * t // 2 - 2
 
 
 def test_zigzag_two_vertices():
     plan = zigzag(7, 8, [0, 1])
-    assert list(plan.triangles) == [tri(0, 1, 7), tri(0, 1, 8)]
+    assert plan == (tri(0, 1, 7), tri(0, 1, 8))
 
 
 def test_zigzag_rejections():
@@ -71,22 +72,48 @@ def test_zigzag_rejections():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        AttachmentPlan((0, 5), (tri(0, 1, 2),))
-    with pytest.raises(ValueError):
-        AttachmentPlan((0, 1), (tri(0, 1, 2), tri(3, 4, 5)))
-    with pytest.raises(ValueError):
-        AttachmentPlan((0, 1), ())
+    """_audit_plan returns the plan as a sequence once it is good and covers
+    exactly the expected edges."""
+    tris = [tri(0, 1, 2), tri(1, 2, 3)]
+    expected = {(0, 2), (1, 2), (1, 3), (2, 3)}
+    assert _audit_plan("demo", 1, (0, 1), tris, expected) == TriangleSeq(tris)
+    with pytest.raises(AssertionError, match="not a good sequence"):
+        _audit_plan("demo", 1, (0, 1), [tri(0, 1, 2), tri(3, 4, 5)], expected)
+    with pytest.raises(AssertionError, match="covered edges differ"):
+        _audit_plan("demo", 1, (0, 1), tris, expected - {(1, 3)})
+    with pytest.raises(ValueError, match="empty triangle sequence"):
+        _audit_plan("demo", 1, (0, 1), [], set())
+
+
+def test_audit_plan_requires_the_anchor():
+    """A good plan with the right edge set still fails when its first
+    triangle misses the anchor: is_good does not see the anchor."""
+    tris = [tri(0, 1, 2), tri(1, 2, 3)]
+    expected = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
+    with pytest.raises(AssertionError, match="does not hold the anchor"):
+        _audit_plan("demo", 1, (0, 3), tris, expected)
+
+
+def test_plans_start_at_their_anchor_and_have_their_lengths():
+    for k in range(4, 61):
+        plan = attach_4k4(k)
+        assert {0, 4 * k - 2} <= plan.triangles[0] and len(plan) == 10 * k + 4
+    for k in range(5, 61):
+        plan = attach_4k3(k)
+        assert {0, 7} <= plan.triangles[0] and len(plan) == 8 * k + 3
+    for k in range(7, 61):
+        plan_a, plan_b = attach_4k6(k)
+        assert {6, 17} <= plan_a.triangles[0] and len(plan_a) == 8 * k + 3
+        assert {0, 6} <= plan_b.triangles[0] and len(plan_b) == 10 * k + 7
 
 
 def test_attach_three_vertices():
     plan = attach_4k4(4)
     assert len(plan) == 44
-    assert plan.anchor_edge == (0, 14)
     assert plan.triangles[0] == tri(14, 0, 15)
     assert plan.triangles[-1] == tri(11, 18, 19)
-    assert is_good(plan.seq())
-    assert len(covered_edges(plan.seq())) == 20 * 4 + 8 + 1
+    assert is_good(plan)
+    assert len(covered_edges(plan)) == 20 * 4 + 8 + 1
     with pytest.raises(ValueError):
         attach_4k4(3)
 
@@ -94,8 +121,8 @@ def test_attach_three_vertices():
 def test_attach_two_vertices():
     plan = attach_4k3(5)
     assert len(plan) == 43
-    assert plan.anchor_edge == (0, 7)
-    assert len(covered_edges(plan.seq())) == 16 * 5 + 6 + 1
+    assert {0, 7} <= plan.triangles[0]
+    assert len(covered_edges(plan)) == 16 * 5 + 6 + 1
     with pytest.raises(ValueError):
         attach_4k3(4)
 
@@ -103,10 +130,10 @@ def test_attach_two_vertices():
 def test_attach_five_vertices():
     plan_a, plan_b = attach_4k6(7)
     assert (len(plan_a), len(plan_b)) == (59, 77)
-    assert plan_a.anchor_edge == (6, 17)
-    assert plan_b.anchor_edge == (0, 6)
-    assert len(covered_edges(plan_a.seq())) == 16 * 7 + 6 + 1
-    assert len(covered_edges(plan_b.seq())) == 20 * 7 + 14 + 1
+    assert {6, 17} <= plan_a.triangles[0]
+    assert {0, 6} <= plan_b.triangles[0]
+    assert len(covered_edges(plan_a)) == 16 * 7 + 6 + 1
+    assert len(covered_edges(plan_b)) == 20 * 7 + 14 + 1
     plan_a, plan_b = attach_4k6(8)
     assert (len(plan_a), len(plan_b)) == (8 * 8 + 3, 10 * 8 + 7)
     with pytest.raises(ValueError):

@@ -307,6 +307,39 @@ def test_decompose_input_below_five_vertices(tmp_path):
         )
 
 
+def test_decompose_input_rejects_non_positive_n(tmp_path):
+    path = tmp_path / "empty.json"
+    for n in (0, -3):
+        path.write_text(json.dumps({"n": n, "cycles": []}))
+        res = run("decompose", "--input", str(path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"diamforge: bad decomposition input: n must be positive, got {n}\n"
+    path.write_text(json.dumps({"n": 1, "cycles": []}))
+    res = run("decompose", "--input", str(path))
+    assert res.returncode == 0
+    assert res.stdout == canonical(
+        {"n": 1, "cycles": [], "report": {"ok": True, "missing": [], "doubled": []}}
+    )
+
+
+MALFORMED_JSON = {
+    "not_utf8": b'{"n": 5, "labels": [0, 1, 2], "layout": [], "note": "\xff"}',
+    "nested_100000_deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer_of_5000_digits": b'{"n": ' + b"7" * 5000 + b', "cycles": []}',
+}
+
+
+def test_malformed_input_files_exit_2(tmp_path):
+    path = tmp_path / "malformed.json"
+    for name, data in MALFORMED_JSON.items():
+        path.write_bytes(data)
+        for verb in ("verify", "decompose"):
+            res = run(verb, "--input", str(path))
+            assert res.returncode == 2 and res.stdout == "", (name, verb)
+            assert "Traceback" not in res.stderr, (name, verb)
+            assert res.stderr.startswith(f"diamforge: {path} is not valid JSON: "), (name, verb)
+
+
 def canonical(obj: dict) -> str:
     """The reference for every verb's stdout."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -153,8 +153,10 @@ def test_corrupted_families():
 
 
 def test_small_and_degenerate_families():
-    for n in range(0, 5):
+    for n in range(1, 5):
         assert assert_agrees(Decomposition(n, ())).ok == (n == 1)
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        Decomposition(0, ())
     for n in (3, 4):
         with pytest.raises(ValueError, match="at least five vertices"):
             verify_partition(Decomposition(n, (CycleSquare(tuple(range(n))),)))

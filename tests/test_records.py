@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from diamforge.assembly import AttachmentPlan, SmallTableEntry
+from diamforge.assembly import SmallTableEntry
 from diamforge.core import Certificate, LabelsLayout, TriangleSeq
 from diamforge.genseq import CutSpec, GeneratingSequence, GenSeqReport
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport
@@ -38,8 +38,6 @@ CASES = [
     (CutSpec, ((0, 1), (1, 2), (2, 3)), dict(destroyed_edge=(0, 1), end_edge=(1, 2),
                                               second_end_edge=(2, 3)),
      dict(destroyed_edge=(0, 1), end_edge=(1, 3), second_end_edge=(2, 3))),
-    (AttachmentPlan, ((0, 1), (T012, T123)), dict(anchor_edge=(0, 1), triangles=(T012, T123)),
-     dict(anchor_edge=(1, 2), triangles=(T012, T123))),
     (CycleSquare, ((0, 1, 2, 3, 4),), dict(order=(0, 1, 2, 3, 4)),
      dict(order=(0, 2, 1, 3, 4))),
     (Decomposition, (5, (CycleSquare((0, 1, 2, 3, 4)),)),
@@ -95,9 +93,6 @@ def test_small_table_entry_compares_n_only():
 def test_len():
     assert len(LabelsLayout(5, (0, 1, 2, 3, 4), (0, 1))) == 3
     assert len(TriangleSeq([T012, T123, T234])) == 3
-    plan = AttachmentPlan((0, 1), (T012, T123, T234))
-    assert len(plan) == 3
-    assert list(plan.seq().triangles) == [T012, T123, T234]
 
 
 @pytest.mark.parametrize("build, message", [
@@ -115,13 +110,11 @@ def test_len():
     (lambda: GeneratingSequence(13, [1, 2], frozenset({2})), "turn index 2 out of range for 2 terms"),
     (lambda: CutSpec((0, 1), (1, 0)), "destroyed edge cannot also be an end edge"),
     (lambda: CutSpec((0, 0), (1, 2)), "degenerate edge (0, 0)"),
-    (lambda: AttachmentPlan((0, 1), ()), "attachment plan needs at least one triangle"),
-    (lambda: AttachmentPlan((0, 5), (T012,)), "first plan triangle must contain the anchor edge"),
-    (lambda: AttachmentPlan((0, 1), (T012, T234)), "plan triangles 0 and 1 do not share an edge"),
     (lambda: CycleSquare((0, 1)), "cycle needs at least three vertices"),
     (lambda: CycleSquare((0, 1, 3)), "ordering is not a permutation of 0..n-1"),
     (lambda: Decomposition(7, (CycleSquare(range(5)),)),
      "cycle on 5 vertices in a decomposition of K_7"),
+    (lambda: Decomposition(-3, ()), "n must be positive, got -3"),
 ])
 def test_rejection_messages(build, message):
     with pytest.raises(ValueError) as info:

@@ -53,18 +53,12 @@ MAX_N = 5000
 
 
 class SmallTableEntry(Record):
-    """One transcribed optimal complex for a small vertex count; entries
-    compare by ``n`` alone."""
+    """One transcribed optimal complex for a small vertex count."""
 
     __slots__ = ("n", "pair")
 
     def __init__(self, n: int, pair: LabelsLayout) -> None:
         self.n, self.pair = n, pair
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
 
 
 def rotation(center: int, path: list[int]) -> tuple[frozenset[int], ...]:

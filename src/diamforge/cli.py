@@ -73,15 +73,15 @@ def _cert_dict(cert: Certificate) -> dict:
         "diameter": cert.diameter,
         "optimum": cert.optimum,
         "matches_optimum": cert.matches_optimum,
-        "uncovered_edges": [list(e) for e in cert.uncovered_edges],
+        "uncovered_edges": cert.uncovered_edges,
     }
 
 
 def _pair_dict(pair: LabelsLayout) -> dict:
     return {
         "n": pair.n,
-        "labels": list(pair.labels),
-        "layout": list(pair.layout),
+        "labels": pair.labels,
+        "layout": pair.layout,
     }
 
 
@@ -208,7 +208,7 @@ def _cmd_genseq(args) -> int:
     _emit(
         {
             "n": gs.n,
-            "terms": list(gs.terms),
+            "terms": gs.terms,
             "turns": sorted(gs.turns),
             "missing": sorted(report.missing),
         }
@@ -246,8 +246,8 @@ def _cmd_decompose(args) -> int:
             "n": dec.n,
             "report": {
                 "ok": report.ok,
-                "missing": [list(e) for e in report.missing],
-                "doubled": [list(e) for e in report.doubled],
+                "missing": report.missing,
+                "doubled": report.doubled,
             },
         },
         dec.n,

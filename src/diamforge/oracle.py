@@ -27,8 +27,6 @@ workers were no faster than one.
 
 from __future__ import annotations
 
-import os
-
 from .core import LabelsLayout, Record, certify
 
 __all__ = ["SearchResult", "search_max_diameter", "legal_moves", "DEFAULT_BUDGET"]
@@ -163,7 +161,7 @@ def search_max_diameter(
     Args:
         n: number of available labels, at least 3.
         budget: limit on the total nodes explored, the seed included; None
-            reads DIAMFORGE_BUDGET (default 1e8) and 0 means unlimited.
+            means ``DEFAULT_BUDGET`` (1e8) and 0 means unlimited.
         jobs: validated (at least 1) and otherwise unused.  It stays
             because callers pass it: the CLI forwards ``--jobs``, and
             ``perfbench/run.py`` times an in-process ``jobs=1`` search, so
@@ -175,7 +173,7 @@ def search_max_diameter(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     if budget is None:
-        budget = int(os.environ.get("DIAMFORGE_BUDGET", DEFAULT_BUDGET))
+        budget = DEFAULT_BUDGET
     if budget < 0:
         raise ValueError("budget cannot be negative")
     limit = None if budget == 0 else budget

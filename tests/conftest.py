@@ -1,6 +1,6 @@
 """Shared test helpers: the reference certifier, encoder, ring cut,
-construction and partition checker, random good-walk generation and
-acceptance reporting."""
+construction, partition checker and sequence unroller, random good-walk
+generation and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from diamforge.core import (
 )
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
 from diamforge.genseq import CutSpec, expand_to_circular, gs_full, gs_missing_12, gs_missing_1248
-from diamforge.hampack import Decomposition, PartitionReport, square_edges
+from diamforge.hampack import CycleSquare, Decomposition, PartitionReport, square_edges
 from diamforge.cli import main
 from diamforge.oracle import legal_moves
 
@@ -273,6 +273,34 @@ def reference_prime_orders(p: int) -> list[list[int]]:
             step = a * pow(2, k, p) % p
             orders.append([x % p for x in range(0, step * p, step)])
     return orders
+
+
+def reference_cycles_from_sequences(n: int, seqs: list[list[int]]) -> Decomposition:
+    """Cycles of ``cycles_from_sequences(n, seqs)``, one vertex at a time.
+
+    The slow reference for the unrolled orderings: each start walks the
+    periodic steps with an explicit loop, and a revisit is found by
+    counting the distinct vertices.
+    """
+    cycles = []
+    for seq in seqs:
+        terms = [a % n for a in seq]
+        if not terms or n % len(terms) != 0:
+            raise ValueError(f"sequence length {len(terms)} does not divide {n}")
+        if any(a == 0 for a in terms):
+            raise ValueError(f"sequence {tuple(seq)} has an entry divisible by {n}")
+        for start in range(len(terms)):
+            order = [start]
+            x = start
+            for j in range(n - 1):
+                x = (x + terms[j % len(terms)]) % n
+                order.append(x)
+            if len(set(order)) != n:
+                raise ValueError(
+                    f"sequence {tuple(seq)} revisits a vertex from start {start}"
+                )
+            cycles.append(CycleSquare(tuple(order)))
+    return Decomposition(n, tuple(cycles))
 
 
 def grow_walk(choose, n: int, steps: int) -> tuple[LabelsLayout, list[int], tuple]:

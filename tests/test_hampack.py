@@ -8,6 +8,7 @@ import random
 import pytest
 from sympy import isprime, n_order, primerange
 
+from conftest import reference_cycles_from_sequences
 from diamforge.core import all_edges, edge
 from diamforge.hampack import (
     SEQUENCES_105,
@@ -162,6 +163,41 @@ def test_sequence_rejections():
         cycles_from_sequences(105, [[19, 105, 4]])
     with pytest.raises(ValueError, match="revisits"):
         cycles_from_sequences(105, [[21]])
+
+
+def test_sequences_need_three_vertices():
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"^n must be at least 3, got {n}$"):
+            cycles_from_sequences(n, [[1]])
+
+
+def outcome(build, n, seqs):
+    """The cycle orders that ``build(n, seqs)`` returns, or its error message."""
+    try:
+        return [c.order for c in build(n, seqs).cycles]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_unrolled_sequences_match_the_reference():
+    rng = random.Random(0x5E9)
+    kinds = set()
+    for n in range(3, 61):
+        lengths = [m for m in range(1, n + 1) if n % m == 0]
+        for _ in range(12):
+            # A step set from a few values makes revisits and valid orders both common.
+            pool = rng.sample(range(-n - 1, 2 * n), 3)
+            seqs = [[rng.choice(pool) for _ in range(rng.choice(lengths[:4]))]
+                    for _ in range(rng.randint(1, 2))]
+            got = outcome(cycles_from_sequences, n, seqs)
+            assert got == outcome(reference_cycles_from_sequences, n, seqs), (n, seqs)
+            if isinstance(got, list):
+                kinds.add("orders")
+            else:
+                kinds.update(k for k in ("revisits", "divisible") if k in got)
+    assert kinds == {"orders", "revisits", "divisible"}, kinds
+    seqs = [list(s) for s in SEQUENCES_105]
+    assert outcome(cycles_from_sequences, 105, seqs) == outcome(reference_cycles_from_sequences, 105, seqs)
 
 
 def test_verify_reports_doubled_and_missing():

@@ -166,11 +166,3 @@ def test_argument_validation():
         search_max_diameter(5, jobs=0)
     with pytest.raises(ValueError):
         search_max_diameter(5, budget=-1)
-
-
-def test_budget_env_fallback(monkeypatch):
-    monkeypatch.setenv("DIAMFORGE_BUDGET", "40")
-    res = search_max_diameter(7)
-    assert not res.exhaustive
-    monkeypatch.setenv("DIAMFORGE_BUDGET", "0")
-    assert search_max_diameter(5).exhaustive

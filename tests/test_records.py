@@ -84,10 +84,10 @@ def test_normalisation_at_construction():
     assert Decomposition(5, [CycleSquare(range(5))]).cycles == (CycleSquare(range(5)),)
 
 
-def test_small_table_entry_compares_n_only():
+def test_small_table_entry_compares_its_pair_too():
     other = LabelsLayout(5, (0, 1, 2), ())
-    assert SmallTableEntry(5, PAIR) == SmallTableEntry(5, other)
-    assert SmallTableEntry(5, PAIR) != SmallTableEntry(6, PAIR)
+    assert SmallTableEntry(5, PAIR) != SmallTableEntry(5, other)
+    assert SmallTableEntry(5, PAIR) == SmallTableEntry(5, LabelsLayout(5, (0, 1, 2, 3), (0,)))
 
 
 def test_len():

@@ -66,6 +66,16 @@ class Record:
 
     __slots__ = ()
 
+    @classmethod
+    def _of(cls, *fields):
+        """A record holding ``fields`` in ``__slots__`` order, built without
+        ``__init__`` and so without its checks: only for values that are
+        valid by construction."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(self, name, value)
+        return self
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -211,13 +221,17 @@ def reverse_walk(pair: LabelsLayout) -> LabelsLayout:
         if j < t - 1 and not ys[j]:
             gone[j] = triangle_at(pair, j)[0]
     c = triangle_at(pair, t - 1)[0]
-    return LabelsLayout(pair.n, (xs[-1], xs[-2], c, *gone[::-1]), (0, 0, *ys[:1:-1])[: len(ys)])
+    labels, layout = (xs[-1], xs[-2], c, *gone[::-1]), (0, 0, *ys[:1:-1])[: len(ys)]
+    return LabelsLayout._of(pair.n, labels, layout)
 
 
 def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
     """``head`` followed by ``tail``, turned round unless its first triangle
     meets head's last in an edge, as the next triangle of a good walk does.
-    Only the bits of tail's first three triangles depend on what precedes."""
+    Only the bits of tail's first three triangles depend on what precedes.
+
+    The result has ``tail.n`` vertices, so a label of head outside
+    ``range(tail.n)`` raises ValueError."""
     c, u, v = triangle_at(head, len(head) - 1)
     if len(set(tail.labels[:3]) - {c, u, v}) != 1:
         tail = reverse_walk(tail)
@@ -226,8 +240,11 @@ def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
     for j, w in enumerate((w0, *tail.labels[3:5])):
         bits.append(int(u not in triangle_at(tail, j)))
         c, u, v = (c if bits[-1] else u), v, w
+    if head.n > tail.n and max(head.labels) >= tail.n:
+        x = next(x for x in head.labels if x >= tail.n)
+        raise ValueError(f"label {x} out of range for n={tail.n}")
     labels = head.labels + (w0, *tail.labels[3:])
-    return LabelsLayout(tail.n, labels, head.layout + (*bits, *tail.layout[2:]))
+    return LabelsLayout._of(tail.n, labels, head.layout + (*bits, *tail.layout[2:]))
 
 
 def canonical(pair: LabelsLayout) -> LabelsLayout:
@@ -237,7 +254,7 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
     then end on the first two and decode as a ring; then in the other order."""
     t = len(pair)
     if t == 1:
-        return LabelsLayout(pair.n, sorted(pair.labels), ())
+        return LabelsLayout._of(pair.n, tuple(sorted(pair.labels)), ())
     if sorted(triangle_at(pair, t - 1)) < sorted(pair.labels[:3]):
         pair = reverse_walk(pair)
     xs, kept = pair.labels, triangle_at(pair, 1)[0]
@@ -246,7 +263,7 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
     if t >= 3 and xs[-2:] == (x0, x1) and triangle_at(pair, t - 1)[0] != x2:
         x1, x2 = x2, x1
     bits = (0,) if t == 2 else (0, int(triangle_at(pair, 2)[0] != x2))
-    return LabelsLayout(pair.n, (x0, x1, x2, *xs[3:]), bits + pair.layout[2:])
+    return LabelsLayout._of(pair.n, (x0, x1, x2, *xs[3:]), bits + pair.layout[2:])
 
 
 def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:

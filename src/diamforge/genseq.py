@@ -11,7 +11,7 @@ it cuts the ring open and grafts attachments onto the exposed edges.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, compress, count, cycle, islice
+from itertools import accumulate, combinations
 from math import gcd
 
 from .core import Edge, LabelsLayout, Record, TriangleSeq, edge, edge_multiplicities
@@ -271,17 +271,31 @@ def expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
     turn cannot be expressed on the seed triangle, so the terms are read
     cyclically from the first turn-free index r; rotation does not change
     the complex.  The bits repeat with period m.
+
+    The labels are written in closed form: with P_q the sum of the first q
+    terms and S the sum of all m, x_{jm+q} = P_q + j*S mod n, and since S
+    is a unit mod n the labels q, q + m, q + 2m, ... are a rotation of the
+    table j*S mod n, one slice assignment each.
     """
     report = verify_generating_sequence(gs)
     if not report.valid:
         raise ValueError(f"invalid generating sequence: {report.reason}")
     n, m = gs.n, gs.m
     r = min(set(range(m)) - gs.turns)
-    steps = islice(cycle(gs.terms), r, r + m * n + 1)
+    terms = gs.terms[r:] + gs.terms[:r]
+    s = sum(terms) % n
     vertex = tuple(range(n))  # one int object per vertex, shared by all the labels
-    labels = tuple(map(vertex.__getitem__, map(n.__rmod__, accumulate(steps, initial=0))))
+    perm = [vertex[x % n] for x in range(0, s * n, s)]  # perm[j] = j * s
+    # x_{jm+q} = P_q + j*s with P_q = x_q, so labels q, q + m, ... run
+    # through perm from the index c with c*s = P_q.
+    labels = [0] * (m * n + 2)
+    inverse = pow(s, -1, n)  # s is a unit: the report checked gcd(s, n) = 1
+    for q, p in enumerate(accumulate(terms[:-1], initial=0)):
+        c = p * inverse % n
+        labels[q : m * n : m] = perm[c:] + perm[:c]
+    labels[-2:] = vertex[0], vertex[terms[0]]  # x_{mn} = 0 closes, x_{mn+1} = x_1
     period = tuple(int((r + j + 1) % m in gs.turns) for j in range(m))
-    return LabelsLayout(n, labels, (period * n)[:-1])
+    return LabelsLayout._of(n, tuple(labels), (period * n)[:-1])
 
 
 def expand_pair_of(gs: GeneratingSequence) -> LabelsLayout:
@@ -348,8 +362,9 @@ def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
 
     # A triangle holding an edge has an end of it among its last two labels.
     ends = {*spec.destroyed_edge, *spec.end_edge, *(spec.second_end_edge or ())}
-    near = compress(count(), map(ends.__contains__, ring.labels))
-    tris = {j: set(triangle_at(ring, j)) for k in near for j in (k - 2, k - 1) if 0 <= j <= t}
+    tris = {j: set(triangle_at(ring, j))
+            for x in ends for k in _positions(ring.labels, x)
+            for j in (k - 2, k - 1) if 0 <= j <= t}
 
     def holders(e: Edge) -> list[int]:
         return sorted(j for j, tri in tris.items() if set(e) <= tri)
@@ -373,7 +388,18 @@ def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
         positions.append(held[0])
     if len(positions) == 2 and positions[0] == positions[1] and t > 1:
         raise ValueError("end edges do not sit at opposite ends")
-    s, news, bits = (c + 1) % (t + 1), ring.labels[2:], (0, *ring.layout)
-    labels = (triangle_at(ring, s)[0], *news[c:], *news[:c])
-    linear = LabelsLayout(ring.n, labels, (bits[s:] + bits[:s])[1:-1])
+    s, xs, bits = (c + 1) % (t + 1), ring.labels, (0,) + ring.layout
+    labels = (triangle_at(ring, s)[0], *xs[c + 2 :], *xs[2 : c + 2])
+    linear = LabelsLayout._of(ring.n, labels, (bits[s:] + bits[:s])[1:-1])
     return linear if positions[-1] == t - 1 else reverse_walk(linear)
+
+
+def _positions(xs: tuple[int, ...], x: int):
+    """The indices of ``x`` in ``xs``, found by :meth:`tuple.index` jumps."""
+    i = -1
+    try:
+        while True:
+            i = xs.index(x, i + 1)
+            yield i
+    except ValueError:
+        return

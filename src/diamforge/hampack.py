@@ -147,13 +147,15 @@ def decompose_prime(p: int) -> Decomposition:
             cur = cur * 2 % p
     # x -> 4x permutes Z_p, so the ordering of step 4s is that of step s
     # read at the positions 4i: order_4s[i] = 4is = order_s[4i mod p].
+    # A unit stride and its compositions with x -> 4x are permutations by
+    # construction, so the orderings skip CycleSquare's check.
     times4 = itemgetter(*[x % p for x in range(0, 4 * p, 4)])
     cycles = []
     for a in reps:
-        c = CycleSquare([x % p for x in range(0, a * p, a)])
+        c = CycleSquare._of(tuple([x % p for x in range(0, a * p, a)]))
         cycles.append(c)
         for _ in range(2, t // 2, 2):
-            c = CycleSquare(times4(c.order))
+            c = CycleSquare._of(times4(c.order))
             cycles.append(c)
     return Decomposition(p, tuple(cycles))
 

@@ -8,6 +8,7 @@ import contextlib
 import io
 import re
 from collections import Counter
+from itertools import accumulate, cycle, islice
 
 import pytest
 
@@ -26,7 +27,15 @@ from diamforge.core import (
     is_good,
 )
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
-from diamforge.genseq import CutSpec, expand_to_circular, gs_full, gs_missing_12, gs_missing_1248
+from diamforge.genseq import (
+    CutSpec,
+    GeneratingSequence,
+    expand_to_circular,
+    gs_full,
+    gs_missing_12,
+    gs_missing_1248,
+    verify_generating_sequence,
+)
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport, square_edges
 from diamforge.cli import main
 from diamforge.oracle import legal_moves
@@ -102,6 +111,24 @@ def reference_cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
     if len(sides) == 2 and not any(a != b for a in sides[0] for b in sides[1]):
         raise ValueError("end edges do not sit at opposite ends")
     return result
+
+
+def reference_expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
+    """Ring of ``gs`` unrolled one step at a time.
+
+    The slow reference for :func:`diamforge.genseq.expand_to_circular`: the
+    terms read cyclically from the first turn-free index r, summed with
+    ``accumulate`` and reduced mod n, behind the checking constructor.
+    """
+    report = verify_generating_sequence(gs)
+    if not report.valid:
+        raise ValueError(f"invalid generating sequence: {report.reason}")
+    n, m = gs.n, gs.m
+    r = min(set(range(m)) - gs.turns)
+    steps = islice(cycle(gs.terms), r, r + m * n + 1)
+    labels = tuple(map(n.__rmod__, accumulate(steps, initial=0)))
+    period = tuple(int((r + j + 1) % m in gs.turns) for j in range(m))
+    return LabelsLayout(n, labels, (period * n)[:-1])
 
 
 def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:

@@ -276,6 +276,14 @@ def test_corrupted_walks_fail_goodness():
         assert len(covered_edges(seq)) < 2 * t + 1
 
 
+def test_join_checks_the_head_labels_against_the_tail_order():
+    tail = LabelsLayout(5, (2, 3, 4), ())
+    for head in (LabelsLayout(9, (8, 1, 2, 3), (0,)), LabelsLayout(9, (4, 1, 2, 8, 3), (0, 0))):
+        with pytest.raises(ValueError, match=r"^label 8 out of range for n=5$"):
+            join_walks(head, tail)
+    assert join_walks(LabelsLayout(9, (1, 2, 3), ()), tail) == LabelsLayout(5, (1, 2, 3, 4), (0,))
+
+
 def test_codec_walk_helpers_match_the_reference_encoder():
     """reverse_walk, join_walks and canonical against encoding the triangles."""
     from conftest import random_good_pair, reference_encode_triples

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import reference_cut_circular
+from conftest import reference_cut_circular, reference_expand_to_circular
 from diamforge.assembly import _seed_cut
 from diamforge.core import (
     covered_edges,
@@ -294,6 +294,32 @@ def test_cut_rejects_doubled_destroyed_edge():
     doubled = next(e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 2)
     with pytest.raises(ValueError):
         cut_circular(ring, CutSpec(doubled, (0, 14)))
+
+
+@pytest.mark.slow
+def test_closed_form_ring_matches_the_unrolled_reference():
+    """Every k of each family up to 300: both parities, the literal rows,
+    turns on and off the seed."""
+    families = (
+        (gs_full, 3),
+        (lambda k: gs_missing_12(k)[0], 4),
+        (lambda k: gs_missing_1248(k)[0], 7),
+    )
+    for family, lo in families:
+        for k in range(lo, 301):
+            gs = family(k)
+            assert expand_to_circular(gs) == reference_expand_to_circular(gs), (family, k)
+
+
+def test_closed_form_ring_with_a_turn_at_the_seed_and_a_term_sum_not_one():
+    for gs in (
+        GeneratingSequence(33, [20, 17, 12, 6, 2, 30, 22], frozenset({0})),  # sum 10
+        GeneratingSequence(5, [2], frozenset()),  # one term, sum 2
+    ):
+        assert verify_generating_sequence(gs).valid and sum(gs.terms) % gs.n != 1
+        ring = expand_to_circular(gs)
+        assert ring == reference_expand_to_circular(gs)
+        assert is_good(expand_pair(ring)) and expand_pair(ring).circular
 
 
 def test_expand_requires_valid_sequence():

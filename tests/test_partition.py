@@ -73,8 +73,14 @@ def test_eligible_primes_from_300_to_1100():
 
 
 def test_composed_orderings_match_their_strides():
+    """decompose_prime builds its orderings without CycleSquare's check:
+    each is a tuple permutation that the checking constructor accepts."""
     for p in ELIGIBLE:
-        assert [list(c.order) for c in decompose_prime(p).cycles] == reference_prime_orders(p), p
+        cycles = decompose_prime(p).cycles
+        for c in cycles:
+            assert type(c.order) is tuple and sorted(c.order) == list(range(p)), p
+            assert c == CycleSquare(c.order)
+        assert [list(c.order) for c in cycles] == reference_prime_orders(p), p
 
 
 def test_builtin_105():

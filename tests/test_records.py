@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from diamforge.assembly import SmallTableEntry
+from diamforge import assembly, core, genseq
+from diamforge.assembly import SmallTableEntry, construct_optimal
 from diamforge.core import Certificate, LabelsLayout, TriangleSeq
 from diamforge.genseq import CutSpec, GeneratingSequence, GenSeqReport
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport
@@ -120,3 +121,38 @@ def test_rejection_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value).startswith(message)
+
+
+def test_of_fills_the_slots_in_order_without_checks():
+    assert LabelsLayout._of(5, (0, 1, 2, 3), (0,)) == PAIR
+    assert CycleSquare._of((0, 1, 2, 3, 4)) == CycleSquare(range(5))
+    unchecked = LabelsLayout._of(3, (0, 1, 3), ())  # __init__ would reject label 3
+    assert (unchecked.n, unchecked.labels, unchecked.layout) == (3, (0, 1, 3), ())
+
+
+# The codec helpers that build their results with Record._of.
+UNCHECKED = ("expand_to_circular", "cut_circular", "reverse_walk", "join_walks", "canonical")
+
+
+@pytest.mark.slow
+def test_codec_helpers_return_records_the_checking_constructor_accepts(monkeypatch):
+    """Every construct route, n = 3..203 and 2000..2003: each pair an
+    unchecked helper returns equals its rebuild through ``LabelsLayout``."""
+    called = set()
+
+    def checked(fn):
+        def wrapper(*args, **kwargs):
+            pair = fn(*args, **kwargs)
+            assert type(pair.labels) is tuple and type(pair.layout) is tuple, fn.__name__
+            assert pair == LabelsLayout(pair.n, pair.labels, pair.layout), fn.__name__
+            called.add(fn.__name__)
+            return pair
+        return wrapper
+
+    for module in (core, genseq, assembly):
+        for name in UNCHECKED:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked(getattr(module, name)))
+    for n in [*range(3, 204), *range(2000, 2004)]:
+        construct_optimal(n)
+    assert called == set(UNCHECKED)

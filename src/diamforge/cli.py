@@ -3,6 +3,8 @@
 Every verb prints one JSON object on stdout (keys sorted, compact, newline
 terminated) so output can be piped or diffed byte for byte.  Diagnostics go
 to stderr.  Exit codes: 0 success, 1 verification failure, 2 bad arguments.
+A verb rejects an argument or an input file by raising ValueError, and
+:func:`main` prints its message and exits 2.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 
 from .assembly import construct_optimal, small_table
-from .core import Certificate, LabelsLayout, certify
+from .core import LabelsLayout, certify
 from .genseq import gs_full, gs_missing_12, gs_missing_1248, verify_generating_sequence
 from .hampack import (
     SEQUENCES_105,
@@ -26,9 +28,19 @@ from .oracle import search_max_diameter
 
 __all__ = ["main"]
 
+# genseq refuses a larger --n before any work: its memory grows linearly in
+# n, and a run at the ceiling peaks below 200 MB.
+MAX_GENSEQ_N = 1_000_001
+
+
+def _record(rec) -> dict:
+    """A record's fields by name, in ``__slots__`` order."""
+    return {name: getattr(rec, name) for name in rec.__slots__}
+
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # Records nested in obj print as their fields.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_record)
 
 
 def _emit(obj: dict, n: int = 0, **arrays) -> None:
@@ -65,41 +77,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _cert_dict(cert: Certificate) -> dict:
-    return {
-        "good": cert.good,
-        "circular": cert.circular,
-        "covered_edges": cert.covered_edges,
-        "diameter": cert.diameter,
-        "optimum": cert.optimum,
-        "matches_optimum": cert.matches_optimum,
-        "uncovered_edges": cert.uncovered_edges,
-    }
-
-
-def _pair_dict(pair: LabelsLayout) -> dict:
-    return {
-        "n": pair.n,
-        "labels": pair.labels,
-        "layout": pair.layout,
-    }
-
-
-def _load_json(path: str) -> dict | None:
+def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        print(f"diamforge: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad syntax, bytes that are not UTF-8 and integers
         # past the digit limit; RecursionError covers arrays nested too deep.
-        print(f"diamforge: {path} is not valid JSON: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        print(f"diamforge: {path}: expected a JSON object", file=sys.stderr)
-        return None
+        raise ValueError(f"{path}: expected a JSON object")
     return data
 
 
@@ -113,27 +102,21 @@ def _int(what: str, x) -> int:
 def _int_list(what: str, xs) -> tuple[int, ...]:
     if not isinstance(xs, list):
         raise ValueError(f"{what}: expected a list of integers, got {json.dumps(xs)}")
-    return tuple(_int(what, x) for x in xs)
+    if not set(map(type, xs)) <= {int}:
+        for x in xs:  # name the first offender
+            _int(what, x)
+    return tuple(xs)
 
 
-def _load_pair(path: str) -> LabelsLayout | None:
+def _load_pair(path: str) -> LabelsLayout:
     data = _load_json(path)
-    if data is None:
-        return None
     try:
-        n = data["n"]
-        labels = data["labels"]
-        layout = data["layout"]
+        n, labels, layout = data["n"], data["labels"], data["layout"]
+        return LabelsLayout(_int("n", n), _int_list("labels", labels), _int_list("layout", layout))
     except KeyError as exc:
-        print(f"diamforge: {path}: missing key {exc}", file=sys.stderr)
-        return None
-    try:
-        return LabelsLayout(
-            _int("n", n), _int_list("labels", labels), _int_list("layout", layout)
-        )
-    except (TypeError, ValueError) as exc:
-        print(f"diamforge: {path}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_ids(xs: tuple[int, ...], name, sep: str) -> None:
@@ -151,10 +134,7 @@ def _write_words(head: str, xs: tuple[int, ...]) -> None:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        pair, cert = construct_optimal(args.n)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    pair, cert = construct_optimal(args.n)
     if args.format == "text":
         print(f"n: {args.n}")
         _write_words("labels:", pair.labels)
@@ -165,45 +145,33 @@ def _cmd_construct(args) -> int:
         uncov = ", ".join(f"({u},{v})" for u, v in cert.uncovered_edges) or "none"
         print(f"uncovered edges: {uncov}")
         return 0
-    _emit(
-        {"n": pair.n, "certificate": _cert_dict(cert)},
-        pair.n,
-        labels=pair.labels,
-        layout=pair.layout,
-    )
+    _emit({"n": pair.n, "certificate": cert}, pair.n, labels=pair.labels, layout=pair.layout)
     return 0
 
 
 def _cmd_verify(args) -> int:
     pair = _load_pair(args.input)
-    if pair is None:
-        return 2
     try:
         cert = certify(pair)
     except ValueError as exc:
         return _fail(f"expansion failed: {exc}", 1)
-    _emit(_cert_dict(cert))
-    if not cert.good:
-        return 1
-    if cert.circular and not args.circular_ok:
-        return 1
-    return 0
+    _emit(_record(cert))
+    return 0 if cert.good and (args.circular_ok or not cert.circular) else 1
 
 
 def _cmd_genseq(args) -> int:
     n = args.n
     if n < 5 or n % 4 != 1:
-        return _fail(f"modulus must be 4k+1, got {n}", 2)
+        raise ValueError(f"modulus must be 4k+1, got {n}")
+    if n > MAX_GENSEQ_N:
+        raise ValueError(f"n = {n} exceeds the ceiling {MAX_GENSEQ_N}")
     k = n // 4
-    try:
-        if args.missing == "none":
-            gs = gs_full(k)
-        elif args.missing == "12":
-            gs, _ = gs_missing_12(k)
-        else:
-            gs, _ = gs_missing_1248(k)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    if args.missing == "none":
+        gs = gs_full(k)
+    elif args.missing == "12":
+        gs, _ = gs_missing_12(k)
+    else:
+        gs, _ = gs_missing_1248(k)
     report = verify_generating_sequence(gs)
     _emit(
         {
@@ -219,57 +187,28 @@ def _cmd_genseq(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.p is not None:
-        try:
-            dec = decompose_prime(args.p)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
-    elif args.builtin is not None:
-        if args.builtin != 105:
-            return _fail(f"no built-in decomposition for n={args.builtin}", 2)
-        dec = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
-    else:
+    if args.input is not None:
         data = _load_json(args.input)
-        if data is None:
-            return 2
         try:
             cycles = tuple(CycleSquare(_int_list("cycles", c)) for c in data["cycles"])
             dec = Decomposition(_int("n", data["n"]), cycles)
+            report = verify_partition(dec)  # rejects cycles below five vertices
         except (KeyError, TypeError, ValueError) as exc:
-            return _fail(f"bad decomposition input: {exc}", 2)
-    try:
+            raise ValueError(f"bad decomposition input: {exc}") from None
+    else:
+        if args.p is not None:
+            dec = decompose_prime(args.p)
+        elif args.builtin == 105:
+            dec = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+        else:
+            raise ValueError(f"no built-in decomposition for n={args.builtin}")
         report = verify_partition(dec)
-    except ValueError as exc:  # only input can hold cycles below five vertices
-        return _fail(f"bad decomposition input: {exc}", 2)
-    _emit(
-        {
-            "n": dec.n,
-            "report": {
-                "ok": report.ok,
-                "missing": report.missing,
-                "doubled": report.doubled,
-            },
-        },
-        dec.n,
-        cycles=[c.order for c in dec.cycles],
-    )
+    _emit({"n": dec.n, "report": report}, dec.n, cycles=[c.order for c in dec.cycles])
     return 0 if report.ok else 1
 
 
 def _cmd_search(args) -> int:
-    try:
-        result = search_max_diameter(args.n, budget=args.budget, jobs=args.jobs)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    _emit(
-        {
-            "n": result.n,
-            "best_diameter": result.best_diameter,
-            "witness": _pair_dict(result.witness),
-            "exhaustive": result.exhaustive,
-            "nodes_explored": result.nodes_explored,
-        }
-    )
+    _emit(_record(search_max_diameter(args.n, budget=args.budget, jobs=args.jobs)))
     return 0
 
 
@@ -277,7 +216,7 @@ def _cmd_table(args) -> int:
     entry = small_table(args.n)
     if entry is None:
         return _fail(f"no table entry for n={args.n}", 1)
-    _emit(_pair_dict(entry.pair))
+    _emit(_record(entry.pair))
     return 0
 
 
@@ -339,6 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(str(exc), 2)

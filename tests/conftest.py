@@ -1,11 +1,12 @@
 """Shared test helpers: the reference certifier, encoder, ring cut,
-construction, partition checker and sequence unroller, random good-walk
-generation and acceptance reporting."""
+construction, partition checker, sequence unroller and input type check,
+random good-walk generation and acceptance reporting."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 from collections import Counter
 from itertools import accumulate, cycle, islice
@@ -37,7 +38,7 @@ from diamforge.genseq import (
     verify_generating_sequence,
 )
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport, square_edges
-from diamforge.cli import main
+from diamforge.cli import _int, main
 from diamforge.oracle import legal_moves
 
 
@@ -328,6 +329,17 @@ def reference_cycles_from_sequences(n: int, seqs: list[list[int]]) -> Decomposit
                 )
             cycles.append(CycleSquare(tuple(order)))
     return Decomposition(n, tuple(cycles))
+
+
+def reference_int_list(what: str, xs) -> tuple[int, ...]:
+    """The integer list of a JSON input, each element checked by ``cli._int``.
+
+    The slow reference for ``cli._int_list``, which checks the element types
+    at C speed and loops only to name the first offender.
+    """
+    if not isinstance(xs, list):
+        raise ValueError(f"{what}: expected a list of integers, got {json.dumps(xs)}")
+    return tuple(_int(what, x) for x in xs)
 
 
 def grow_walk(choose, n: int, steps: int) -> tuple[LabelsLayout, list[int], tuple]:

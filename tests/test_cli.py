@@ -5,12 +5,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 
-from conftest import reference_verify_partition, run_main
+import pytest
+
+from conftest import reference_int_list, reference_verify_partition, run_main
 from diamforge import cli
 from diamforge.assembly import MAX_N, construct_optimal
 from diamforge.hampack import (
@@ -340,6 +344,167 @@ def test_malformed_input_files_exit_2(tmp_path):
             assert res.stderr.startswith(f"diamforge: {path} is not valid JSON: "), (name, verb)
 
 
+def run_in_process(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+VERIFY = ("verify", "--input", "{path}")
+DECOMPOSE = ("decompose", "--input", "{path}")
+PAIR = {"n": 6, "labels": [0, 1, 2, 3, 4, 5, 0], "layout": [0, 1, 0, 1]}
+DIRECTORY = object()  # the input path names a directory
+
+
+def _pair_with_label(x, at: int) -> dict:
+    labels = list(PAIR["labels"])
+    labels[at] = x
+    return {**PAIR, "labels": labels}
+
+
+# name: (argv, input file contents, exit code, stderr after "diamforge: ").
+# "{path}" stands for the input file, which None leaves absent.
+ERRORS = {
+    **{
+        f"{verb[0]}_{name}": (verb, data, 2, message)
+        for verb in (VERIFY, DECOMPOSE)
+        for name, data, message in (
+            ("absent_file", None,
+             "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+            ("directory", DIRECTORY, "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+            ("not_json", b"{n: 5", "{path} is not valid JSON: Expecting property name "
+             "enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("not_an_object", [1, 2, 3], "{path}: expected a JSON object"),
+        )
+    },
+    "verify_missing_key": (VERIFY, {"n": 6, "labels": [0, 1, 2]}, 2,
+                           "{path}: missing key 'layout'"),
+    # Every key is fetched before any type is checked.
+    "verify_missing_key_and_bad_n": (VERIFY, {"n": True, "layout": []}, 2,
+                                     "{path}: missing key 'labels'"),
+    **{
+        f"verify_{kind}_label_at_{at}": (VERIFY, _pair_with_label(x, at), 2,
+                                         f"{{path}}: labels: expected an integer, got {shown}")
+        for kind, x, shown in (
+            ("bool", True, "true"),
+            ("float", 1.0, "1.0"),
+            ("string", "1", '"1"'),
+            ("list", [1], "[1]"),
+        )
+        for at in (0, 3, 6)
+    },
+    "verify_float_n": (VERIFY, {**PAIR, "n": 6.0}, 2, "{path}: n: expected an integer, got 6.0"),
+    "verify_layout_not_a_list": (VERIFY, {**PAIR, "layout": "0101"}, 2,
+                                 '{path}: layout: expected a list of integers, got "0101"'),
+    "verify_label_out_of_range": (VERIFY, _pair_with_label(6, 5), 2,
+                                  "{path}: label 6 out of range for n=6"),
+    "verify_bad_bit": (VERIFY, {**PAIR, "layout": [0, 2, 0, 1]}, 2,
+                       "{path}: layout bit 2 is not 0 or 1"),
+    "verify_n_zero": (VERIFY, {**PAIR, "n": 0}, 2, "{path}: n must be positive, got 0"),
+    "verify_degenerate_triangle": (VERIFY, {"n": 5, "labels": [0, 1, 1], "layout": []}, 1,
+                                   "expansion failed: degenerate triangle at index 0"),
+    "decompose_missing_key": (DECOMPOSE, {"n": 5}, 2, "bad decomposition input: 'cycles'"),
+    "decompose_float_n": (DECOMPOSE, {"n": 5.9, "cycles": [[0, 1, 2, 3, 4]]}, 2,
+                          "bad decomposition input: n: expected an integer, got 5.9"),
+    "decompose_n_negative": (DECOMPOSE, {"n": -3, "cycles": []}, 2,
+                             "bad decomposition input: n must be positive, got -3"),
+    "decompose_cycles_not_a_list": (DECOMPOSE, {"n": 5, "cycles": 7}, 2,
+                                    "bad decomposition input: 'int' object is not iterable"),
+    "decompose_cycle_not_a_list": (DECOMPOSE, {"n": 5, "cycles": [3]}, 2,
+                                   "bad decomposition input: cycles: expected a list of "
+                                   "integers, got 3"),
+    "decompose_bool_in_cycle": (DECOMPOSE, {"n": 5, "cycles": [[True, 1, 2, 3, 4]]}, 2,
+                                "bad decomposition input: cycles: expected an integer, got true"),
+    "decompose_not_a_permutation": (DECOMPOSE, {"n": 5, "cycles": [[0, 1, 2, 3, 3]]}, 2,
+                                    "bad decomposition input: ordering is not a permutation "
+                                    "of 0..n-1"),
+    "decompose_two_vertices": (DECOMPOSE, {"n": 2, "cycles": [[0, 1]]}, 2,
+                               "bad decomposition input: cycle needs at least three vertices"),
+    "decompose_four_vertices": (DECOMPOSE, {"n": 4, "cycles": [[0, 1, 2, 3]]}, 2,
+                                "bad decomposition input: cycle square needs at least "
+                                "five vertices"),
+    "decompose_cycle_of_other_order": (DECOMPOSE, {"n": 9, "cycles": [[0, 1, 2, 3, 4]]}, 2,
+                                       "bad decomposition input: cycle on 5 vertices in a "
+                                       "decomposition of K_9"),
+    "genseq_even": (("genseq", "--n", "12"), None, 2, "modulus must be 4k+1, got 12"),
+    "genseq_k_2": (("genseq", "--n", "9"), None, 2, "need k >= 3, got 2"),
+    "genseq_1248_k_3": (("genseq", "--n", "13", "--missing", "1248"), None, 2,
+                        "need k >= 7, got 3"),
+    "genseq_above_ceiling": (("genseq", "--n", "1000005"), None, 2,
+                             "n = 1000005 exceeds the ceiling 1000001"),
+    "decompose_p_2": (("decompose", "--p", "2"), None, 2, "2 is divisible by 2, order undefined"),
+    "decompose_p_3": (("decompose", "--p", "3"), None, 2, "p = 3 is 3 mod 4, need 1"),
+    "decompose_p_8": (("decompose", "--p", "8"), None, 2, "8 is not prime"),
+    "decompose_p_73": (("decompose", "--p", "73"), None, 2, "ord_73(2) = 9 is not divisible by 4"),
+    "decompose_p_100003": (("decompose", "--p", "100003"), None, 2,
+                           "p = 100003 exceeds the ceiling 10**5"),
+    "decompose_builtin_7": (("decompose", "--builtin", "7"), None, 2,
+                            "no built-in decomposition for n=7"),
+    "search_n_2": (("search", "--n", "2"), None, 2, "need at least three labels"),
+    "search_negative_budget": (("search", "--n", "5", "--budget", "-1"), None, 2,
+                               "budget cannot be negative"),
+    "search_jobs_0": (("search", "--n", "5", "--jobs", "0"), None, 2, "jobs must be positive"),
+    "construct_n_2": (("construct", "--n", "2"), None, 2, "need at least three vertices"),
+    "construct_above_ceiling": (("construct", "--n", "5001"), None, 2,
+                                "n = 5001 exceeds the ceiling 5000"),
+    "table_miss": (("table", "--n", "17"), None, 1, "no table entry for n=17"),
+}
+
+
+@pytest.mark.parametrize("argv, data, code, message", ERRORS.values(), ids=list(ERRORS))
+def test_error_messages(tmp_path, argv, data, code, message):
+    """Each rejection prints one line on stderr, nothing on stdout, and exits 2
+    (1 for a failed expansion or a table miss)."""
+    path = str(tmp_path / "input.json")
+    if data is DIRECTORY:
+        os.mkdir(path)
+    elif isinstance(data, bytes):
+        with open(path, "wb") as fh:
+            fh.write(data)
+    elif data is not None:
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    argv = [arg.replace("{path}", path) for arg in argv]
+    want = f"diamforge: {message.replace('{path}', path)}\n"
+    assert run_in_process(*argv) == (code, "", want)
+
+
+def test_genseq_refuses_n_above_the_ceiling():
+    assert cli.MAX_GENSEQ_N % 4 == 1
+    n = cli.MAX_GENSEQ_N + 4  # the next modulus of the form 4k+1
+    started = time.monotonic()
+    assert run_in_process("genseq", "--n", str(n)) == (
+        2, "", f"diamforge: n = {n} exceeds the ceiling {cli.MAX_GENSEQ_N}\n"
+    )
+    assert time.monotonic() - started < 0.5
+
+
+def test_int_list_matches_the_reference():
+    def outcome(check, xs):
+        try:
+            return check("labels", xs)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(16)
+    for length in (1, 2, 3, 10, 1000):
+        for _ in range(3):
+            xs = [rng.randrange(-10**6, 10**6) for _ in range(length)]
+            got = cli._int_list("labels", xs)
+            assert type(got) is tuple and got == reference_int_list("labels", xs) == tuple(xs)
+            for bad in (True, 1.5, "7", None, [1], {"a": 1}):
+                for at in (0, length // 2, length - 1):
+                    ys = xs[:at] + [bad] + xs[at + 1 :]
+                    for zs in (ys, ys + [None]):  # the first offender is named
+                        want = outcome(reference_int_list, zs)
+                        assert type(want) is str and outcome(cli._int_list, zs) == want
+    for xs in (5, "abc", {"a": 1}, None, (1, 2)):
+        want = outcome(reference_int_list, xs)
+        assert type(want) is str and outcome(cli._int_list, xs) == want
+
+
 def canonical(obj: dict) -> str:
     """The reference for every verb's stdout."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -363,7 +528,15 @@ def test_construct_emit_matches_json_dumps():
             "n": n,
             "labels": list(pair.labels),
             "layout": list(pair.layout),
-            "certificate": cli._cert_dict(cert),
+            "certificate": {
+                "good": cert.good,
+                "circular": cert.circular,
+                "covered_edges": cert.covered_edges,
+                "diameter": cert.diameter,
+                "optimum": cert.optimum,
+                "matches_optimum": cert.matches_optimum,
+                "uncovered_edges": cert.uncovered_edges,
+            },
         }
         assert run_main(["construct", "--n", str(n)]) == (0, canonical(want)), n
 

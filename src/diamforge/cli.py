@@ -77,7 +77,9 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, keys: tuple[str, ...], build):
+    """``build(*values)`` of ``keys`` in the JSON object at ``path``, all keys fetched
+    before ``build`` checks any value; each fault raises ValueError naming the path."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -89,7 +91,13 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return data
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+    try:
+        return build(*[data[key] for key in keys])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _int(what: str, x) -> int:
@@ -108,15 +116,16 @@ def _int_list(what: str, xs) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def _load_pair(path: str) -> LabelsLayout:
-    data = _load_json(path)
-    try:
-        n, labels, layout = data["n"], data["labels"], data["layout"]
-        return LabelsLayout(_int("n", n), _int_list("labels", labels), _int_list("layout", layout))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _pair(n, labels, layout) -> LabelsLayout:
+    return LabelsLayout(_int("n", n), _int_list("labels", labels), _int_list("layout", layout))
+
+
+def _checked_decomposition(n, cycles) -> tuple:
+    n = _int("n", n)
+    if not isinstance(cycles, list):
+        raise ValueError(f"cycles: expected a list of cycles, got {json.dumps(cycles)}")
+    dec = Decomposition(n, [CycleSquare(_int_list("cycles", c)) for c in cycles])
+    return dec, verify_partition(dec)  # rejects cycles below five vertices
 
 
 def _write_ids(xs: tuple[int, ...], name, sep: str) -> None:
@@ -150,7 +159,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pair = _load_pair(args.input)
+    pair = _load(args.input, ("n", "labels", "layout"), _pair)
     try:
         cert = certify(pair)
     except ValueError as exc:
@@ -188,18 +197,12 @@ def _cmd_genseq(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.input is not None:
-        data = _load_json(args.input)
-        try:
-            cycles = tuple(CycleSquare(_int_list("cycles", c)) for c in data["cycles"])
-            dec = Decomposition(_int("n", data["n"]), cycles)
-            report = verify_partition(dec)  # rejects cycles below five vertices
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad decomposition input: {exc}") from None
+        dec, report = _load(args.input, ("n", "cycles"), _checked_decomposition)
     else:
         if args.p is not None:
             dec = decompose_prime(args.p)
         elif args.builtin == 105:
-            dec = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+            dec = cycles_from_sequences(105, SEQUENCES_105)
         else:
             raise ValueError(f"no built-in decomposition for n={args.builtin}")
         report = verify_partition(dec)

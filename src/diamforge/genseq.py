@@ -162,15 +162,21 @@ _MISSING1248_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
+def _modulus(k: int, least: int) -> int:
+    """n = 4k+1, refused below ``least``, the smallest modulus of a family."""
+    n = 4 * k + 1
+    if n < least:
+        raise ValueError(f"n = {n} is below {least}, the smallest modulus of this family")
+    return n
+
+
 def gs_full(k: int) -> GeneratingSequence:
     """A length-k generating sequence mod 4k+1 covering every residue.
 
     Used for the n = 4k+1 constructions, where the cut ring already touches
     all of K_n except one spare edge.
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
-    n = 4 * k + 1
+    n = _modulus(k, 13)
     if k in _FULL_ROWS:
         terms, turns = _FULL_ROWS[k]
         return GeneratingSequence(n, list(terms), frozenset(turns))
@@ -195,9 +201,7 @@ def gs_missing_12(k: int, end: str = "long") -> tuple[GeneratingSequence, CutSpe
     assembly), with ``end="seven"`` the edge {0, 7} obtained by destroying
     {0, 13} (used by the n = 4k+3 assembly, only available for k >= 5).
     """
-    if k < 4:
-        raise ValueError(f"need k >= 4, got {k}")
-    n = 4 * k + 1
+    n = _modulus(k, 17)
     if k in _MISSING12_ROWS:
         terms, turns, long_cut = _MISSING12_ROWS[k]
         gs = GeneratingSequence(n, list(terms), frozenset(turns))
@@ -236,9 +240,7 @@ def gs_missing_1248(k: int) -> tuple[GeneratingSequence, CutSpec]:
     triangle of the opened ring and {0, 6} at the last (the n = 4k+6
     assembly grafts one attachment onto each).
     """
-    if k < 7:
-        raise ValueError(f"need k >= 7, got {k}")
-    n = 4 * k + 1
+    n = _modulus(k, 29)
     if k in _MISSING1248_ROWS:
         terms, turns = _MISSING1248_ROWS[k]
         gs = GeneratingSequence(n, list(terms), frozenset(turns))

@@ -160,7 +160,7 @@ def decompose_prime(p: int) -> Decomposition:
     return Decomposition(p, tuple(cycles))
 
 
-def cycles_from_sequences(n: int, seqs: list[list[int]]) -> Decomposition:
+def cycles_from_sequences(n: int, seqs: tuple[tuple[int, ...], ...]) -> Decomposition:
     """Build cycle squares by walking step sequences around Z_n.
 
     A sequence of length L yields L cycles starting at 0..L-1, each formed

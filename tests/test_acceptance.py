@@ -156,7 +156,7 @@ def test_criterion_07_order_divisibility_sweep():
 
 def test_criterion_08_order_105_partition():
     started = time.monotonic()
-    dec = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+    dec = cycles_from_sequences(105, SEQUENCES_105)
     assert len(dec.cycles) == 26
     assert sum(len(square_edges(c)) for c in dec.cycles) == 5460
     assert verify_partition(dec).ok

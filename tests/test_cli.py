@@ -305,10 +305,7 @@ def test_decompose_input_below_five_vertices(tmp_path):
         path.write_text(json.dumps({"n": n, "cycles": [list(range(n))]}))
         res = run("decompose", "--input", str(path))
         assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr == (
-            "diamforge: bad decomposition input: "
-            "cycle square needs at least five vertices\n"
-        )
+        assert res.stderr == f"diamforge: {path}: cycle square needs at least five vertices\n"
 
 
 def test_decompose_input_rejects_non_positive_n(tmp_path):
@@ -317,7 +314,7 @@ def test_decompose_input_rejects_non_positive_n(tmp_path):
         path.write_text(json.dumps({"n": n, "cycles": []}))
         res = run("decompose", "--input", str(path))
         assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr == f"diamforge: bad decomposition input: n must be positive, got {n}\n"
+        assert res.stderr == f"diamforge: {path}: n must be positive, got {n}\n"
     path.write_text(json.dumps({"n": 1, "cycles": []}))
     res = run("decompose", "--input", str(path))
     assert res.returncode == 0
@@ -405,33 +402,49 @@ ERRORS = {
     "verify_n_zero": (VERIFY, {**PAIR, "n": 0}, 2, "{path}: n must be positive, got 0"),
     "verify_degenerate_triangle": (VERIFY, {"n": 5, "labels": [0, 1, 1], "layout": []}, 1,
                                    "expansion failed: degenerate triangle at index 0"),
-    "decompose_missing_key": (DECOMPOSE, {"n": 5}, 2, "bad decomposition input: 'cycles'"),
+    "decompose_missing_key": (DECOMPOSE, {"n": 5}, 2, "{path}: missing key 'cycles'"),
+    # Keys are fetched in the order n, cycles, and n is checked first.
+    "decompose_missing_both_keys": (DECOMPOSE, {}, 2, "{path}: missing key 'n'"),
+    "decompose_bad_n_and_bad_cycles": (DECOMPOSE, {"n": "5", "cycles": 7}, 2,
+                                       '{path}: n: expected an integer, got "5"'),
     "decompose_float_n": (DECOMPOSE, {"n": 5.9, "cycles": [[0, 1, 2, 3, 4]]}, 2,
-                          "bad decomposition input: n: expected an integer, got 5.9"),
+                          "{path}: n: expected an integer, got 5.9"),
+    "decompose_null_n": (DECOMPOSE, {"n": None, "cycles": []}, 2,
+                         "{path}: n: expected an integer, got null"),
+    "decompose_list_n": (DECOMPOSE, {"n": [5], "cycles": []}, 2,
+                         "{path}: n: expected an integer, got [5]"),
     "decompose_n_negative": (DECOMPOSE, {"n": -3, "cycles": []}, 2,
-                             "bad decomposition input: n must be positive, got -3"),
-    "decompose_cycles_not_a_list": (DECOMPOSE, {"n": 5, "cycles": 7}, 2,
-                                    "bad decomposition input: 'int' object is not iterable"),
+                             "{path}: n must be positive, got -3"),
+    **{
+        f"decompose_cycles_{kind}": (DECOMPOSE, {"n": 5, "cycles": cycles}, 2,
+                                     f"{{path}}: cycles: expected a list of cycles, got {shown}")
+        for kind, cycles, shown in (
+            ("not_a_list", 7, "7"),
+            ("object", {"0": [0, 1, 2, 3, 4]}, '{"0": [0, 1, 2, 3, 4]}'),
+            ("string", "01234", '"01234"'),
+            ("null", None, "null"),
+            ("float", 7.5, "7.5"),
+        )
+    },
     "decompose_cycle_not_a_list": (DECOMPOSE, {"n": 5, "cycles": [3]}, 2,
-                                   "bad decomposition input: cycles: expected a list of "
-                                   "integers, got 3"),
+                                   "{path}: cycles: expected a list of integers, got 3"),
     "decompose_bool_in_cycle": (DECOMPOSE, {"n": 5, "cycles": [[True, 1, 2, 3, 4]]}, 2,
-                                "bad decomposition input: cycles: expected an integer, got true"),
+                                "{path}: cycles: expected an integer, got true"),
     "decompose_not_a_permutation": (DECOMPOSE, {"n": 5, "cycles": [[0, 1, 2, 3, 3]]}, 2,
-                                    "bad decomposition input: ordering is not a permutation "
-                                    "of 0..n-1"),
+                                    "{path}: ordering is not a permutation of 0..n-1"),
     "decompose_two_vertices": (DECOMPOSE, {"n": 2, "cycles": [[0, 1]]}, 2,
-                               "bad decomposition input: cycle needs at least three vertices"),
+                               "{path}: cycle needs at least three vertices"),
     "decompose_four_vertices": (DECOMPOSE, {"n": 4, "cycles": [[0, 1, 2, 3]]}, 2,
-                                "bad decomposition input: cycle square needs at least "
-                                "five vertices"),
+                                "{path}: cycle square needs at least five vertices"),
     "decompose_cycle_of_other_order": (DECOMPOSE, {"n": 9, "cycles": [[0, 1, 2, 3, 4]]}, 2,
-                                       "bad decomposition input: cycle on 5 vertices in a "
-                                       "decomposition of K_9"),
+                                       "{path}: cycle on 5 vertices in a decomposition of K_9"),
     "genseq_even": (("genseq", "--n", "12"), None, 2, "modulus must be 4k+1, got 12"),
-    "genseq_k_2": (("genseq", "--n", "9"), None, 2, "need k >= 3, got 2"),
+    "genseq_k_2": (("genseq", "--n", "9"), None, 2,
+                   "n = 9 is below 13, the smallest modulus of this family"),
+    "genseq_12_k_3": (("genseq", "--n", "13", "--missing", "12"), None, 2,
+                      "n = 13 is below 17, the smallest modulus of this family"),
     "genseq_1248_k_3": (("genseq", "--n", "13", "--missing", "1248"), None, 2,
-                        "need k >= 7, got 3"),
+                        "n = 13 is below 29, the smallest modulus of this family"),
     "genseq_above_ceiling": (("genseq", "--n", "1000005"), None, 2,
                              "n = 1000005 exceeds the ceiling 1000001"),
     "decompose_p_2": (("decompose", "--p", "2"), None, 2, "2 is divisible by 2, order undefined"),
@@ -546,7 +559,7 @@ def test_decompose_emit_matches_json_dumps():
         if _is_prime(p) and p % 4 == 1 and ord_mod(2, p) % 4 == 0:
             rc, want = decomposition_object(decompose_prime(p))
             assert run_main(["decompose", "--p", str(p)]) == (rc, canonical(want)), p
-    d = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+    d = cycles_from_sequences(105, SEQUENCES_105)
     rc, want = decomposition_object(d)
     assert run_main(["decompose", "--builtin", "105"]) == (rc, canonical(want))
 

@@ -78,12 +78,11 @@ def test_generic_rows():
 
 
 def test_family_ranges():
-    with pytest.raises(ValueError):
-        gs_full(2)
-    with pytest.raises(ValueError):
-        gs_missing_12(3)
-    with pytest.raises(ValueError):
-        gs_missing_1248(6)
+    # Each family names its smallest modulus 4k+1, not its smallest k.
+    for family, k, least in ((gs_full, 2, 13), (gs_missing_12, 3, 17), (gs_missing_1248, 6, 29)):
+        floor = f"n = {4 * k + 1} is below {least}, the smallest modulus of this family"
+        with pytest.raises(ValueError, match=f"^{floor}$"):
+            family(k)
     with pytest.raises(ValueError):
         gs_missing_12(4, end="seven")
     with pytest.raises(ValueError):

@@ -154,6 +154,7 @@ def test_builtin_105():
     assert d.cycles[2].order == shift2
     assert sum(len(square_edges(c)) for c in d.cycles) == 5460
     assert verify_partition(d).ok
+    assert cycles_from_sequences(105, SEQUENCES_105) == d  # tuples or lists, same cycles
 
 
 def test_sequence_rejections():

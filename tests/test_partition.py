@@ -84,7 +84,7 @@ def test_composed_orderings_match_their_strides():
 
 
 def test_builtin_105():
-    d = cycles_from_sequences(105, [list(s) for s in SEQUENCES_105])
+    d = cycles_from_sequences(105, SEQUENCES_105)
     assert not _tiles_by_classes(d)  # periodic steps: the edge count decides
     assert assert_agrees(d).ok
 
@@ -145,7 +145,7 @@ def test_one_non_arithmetic_cycle_falls_back():
 def test_corrupted_families():
     rng = random.Random(0x5A7E)
     sources = [decompose_prime(p) for p in (5, 13, 17, 29, 37, 101)]
-    sources.append(cycles_from_sequences(105, [list(s) for s in SEQUENCES_105]))
+    sources.append(cycles_from_sequences(105, SEQUENCES_105))
     for d in sources:
         for _ in range(5):
             for kind, cycles in corruptions(rng, d):

@@ -25,7 +25,7 @@ from .core import (
     hs_max_diameter,
     is_good,
 )
-from .core import join_walks, reverse_walk, triangle_at
+from .core import join_walks, reverse_walk
 from .genseq import (
     CutSpec,
     cut_circular,
@@ -448,11 +448,11 @@ def _construct_walk(n: int) -> LabelsLayout:
 
 
 def _seed_cut(ring: LabelsLayout) -> CutSpec:
-    """Cut a full-coverage ring at the singly covered edge of its first triangle.
+    """Cut a :func:`gs_full` ring at its seed, read off its first labels.
 
-    That edge avoids the vertex r shared with both ring neighbours; removing
-    the triangle exposes the edge it shared with its successor.
-    """
-    first, second = set(ring.labels[:3]), set(triangle_at(ring, 1))
-    (r,) = first & second & set(triangle_at(ring, len(ring) - 1))
-    return CutSpec(destroyed_edge=tuple(first - {r}), end_edge=tuple(first & second))
+    That ring starts at r = 0 and any turn sits at index k - 1 >= 2, so its
+    first step never turns and triangle 1 is {x1, x2, x3}; the last triangle
+    ends on x0, x1.  So x1 is the vertex the seed shares with both of its
+    neighbours: the cut destroys {x0, x2} and exposes {x1, x2}."""
+    x0, x1, x2 = ring.labels[:3]
+    return CutSpec(destroyed_edge=(x0, x2), end_edge=(x1, x2))

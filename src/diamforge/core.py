@@ -267,21 +267,20 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
 
 
 def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
-    """Encode a triangle sequence back into (LABELS, LAYOUT) form.
-
-    Linear sequences get the form of :func:`canonical`.  Circular sequences
-    are encoded from ``triangles[0]`` in the given direction, starting from
-    the vertex it does not share with ``triangles[1]`` and then the vertex it
-    shares with the final triangle, so that the labels close the ring.
+    """Encode a linear triangle sequence into the (LABELS, LAYOUT) form
+    :func:`canonical` gives it.
 
     ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to the choice
-    of starting end.
+    of starting end.  Rings come from
+    :func:`diamforge.genseq.expand_to_circular`, not from here.
 
     Raises:
-        ValueError: if some consecutive pair does not share exactly two
-            vertices, or a shared pair is not one of the two attachment
-            edges the codec can express.
+        ValueError: if the sequence is circular, if some consecutive pair
+            does not share exactly two vertices, or if a shared pair is not
+            one of the two attachment edges the codec can express.
     """
+    if seq.circular:
+        raise ValueError("cannot encode: the sequence is circular")
     tris = seq.triangles
     if n is None:
         n = max(max(t) for t in tris) + 1
@@ -294,17 +293,6 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
         raise ValueError("cannot encode: triangles 0 and 1 do not share 2 vertices")
     (x0,) = tris[0] - shared01
     x1, x2 = sorted(shared01)
-    if seq.circular:
-        # Close the ring in codec order: x1 must be the vertex shared with
-        # the final triangle so that the labels end with x0, x1.
-        wrap = tris[0] & tris[-1]
-        if len(wrap) != 2 or x0 not in wrap:
-            raise ValueError("cannot encode: ring does not close on triangle 0")
-        (x1,) = wrap - {x0}
-        if x1 not in shared01:
-            raise ValueError("cannot encode: ring does not close on triangle 0")
-        (x2,) = shared01 - {x1}
-
     labels = [x0, x1, x2]
     layout: list[int] = []
     carried, u, v = x0, x1, x2
@@ -331,12 +319,7 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
         carried, u, v = first, v, w
         prev = tri
 
-    pair = LabelsLayout(n, labels, layout)
-    if not seq.circular:
-        return canonical(pair)
-    if not (labels[-2] == labels[0] and labels[-1] == labels[1]):
-        raise ValueError("cannot encode: circular walk does not close in codec order")
-    return pair
+    return canonical(LabelsLayout(n, labels, layout))
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +342,6 @@ def covered_edges(seq: TriangleSeq) -> set[Edge]:
     return set(edge_multiplicities(seq))
 
 
-def _consecutive_pairs(seq: TriangleSeq) -> list[tuple[int, int]]:
-    idx = range(len(seq.triangles))
-    pairs = [(i, i + 1) for i in idx[:-1]]
-    if seq.circular:
-        pairs.append((len(seq.triangles) - 1, 0))
-    return pairs
-
-
 def is_good(seq: TriangleSeq) -> bool:
     """Whether the sequence is good.
 
@@ -382,8 +357,8 @@ def is_good(seq: TriangleSeq) -> bool:
         return True
 
     shared: set[Edge] = set()
-    for i, j in _consecutive_pairs(seq):
-        inter = tris[i] & tris[j]
+    for prev, tri in zip(tris, tris[1:] + tris[:1] if seq.circular else tris[1:]):
+        inter = prev & tri
         if len(inter) != 2:
             return False
         a, b = sorted(inter)
@@ -448,8 +423,6 @@ def dual_diameter(seq: TriangleSeq) -> int:
     dist, far = _bfs_ecc(adj, 0)
     if any(d < 0 for d in dist):
         raise ValueError("dual graph is disconnected")
-    if t == 1:
-        return 0
 
     edge_count = sum(len(a) for a in adj) // 2
     if edge_count == t - 1:

@@ -1,5 +1,5 @@
-"""Shared test helpers: the reference certifier, encoder, ring cut,
-construction, partition checker, sequence unroller and input type check,
+"""Shared test helpers: the reference certifier, encoder, ring cut, seed
+cut, construction, partition checker, sequence unroller and input type check,
 random good-walk generation and acceptance reporting."""
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from diamforge.core import (
     expand_pair,
     hs_max_diameter,
     is_good,
+    triangle_at,
 )
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
 from diamforge.genseq import (
@@ -133,26 +134,25 @@ def reference_expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
 
 
 def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
-    """Encode a triangle sequence back into (LABELS, LAYOUT) form.
+    """Encode a linear triangle sequence into (LABELS, LAYOUT) form.
 
     The triangle-by-triangle reference for :func:`diamforge.core.encode_triples`
-    and :func:`diamforge.core.canonical`.
-
-    For linear sequences the starting end is chosen deterministically: the
-    end whose triangle is lexicographically smaller (as a sorted triple)
-    becomes the first.  The two shared vertices of the first adjacency are
-    emitted in ascending order, unless the labels would then end on the
-    first two and decode as a ring.  Circular sequences are encoded from
-    ``triangles[0]`` in the given direction.
+    and :func:`diamforge.core.canonical`.  The starting end is chosen
+    deterministically: the end whose triangle is lexicographically smaller
+    (as a sorted triple) becomes the first.  The two shared vertices of the
+    first adjacency are emitted in ascending order, unless the labels would
+    then end on the first two and decode as a ring.
 
     ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to that choice
     of starting end.
 
     Raises:
-        ValueError: if some consecutive pair does not share exactly two
-            vertices, or a shared pair is not one of the two attachment
-            edges the codec can express.
+        ValueError: if the sequence is circular, if some consecutive pair
+            does not share exactly two vertices, or if a shared pair is not
+            one of the two attachment edges the codec can express.
     """
+    if seq.circular:
+        raise ValueError("cannot encode: the sequence is circular")
     tris = seq.triangles
     if n is None:
         n = max(max(t) for t in tris) + 1
@@ -160,34 +160,23 @@ def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLa
     if len(tris) == 1:
         return LabelsLayout(n, sorted(tris[0]), [])
 
-    if not seq.circular and sorted(tris[-1]) < sorted(tris[0]):
+    if sorted(tris[-1]) < sorted(tris[0]):
         tris = list(reversed(tris))
 
     shared01 = tris[0] & tris[1]
     if len(shared01) != 2:
         raise ValueError("cannot encode: triangles 0 and 1 do not share 2 vertices")
     (x0,) = tris[0] - shared01
-    if seq.circular:
-        # Close the ring in codec order: x1 must be the vertex shared with
-        # the final triangle so that the labels end with x0, x1.
-        wrap = tris[0] & tris[-1]
-        if len(wrap) != 2 or x0 not in wrap:
-            raise ValueError("cannot encode: ring does not close on triangle 0")
-        (x1,) = wrap - {x0}
-        if x1 not in shared01:
-            raise ValueError("cannot encode: ring does not close on triangle 0")
-        (x2,) = shared01 - {x1}
-    else:
-        x1, x2 = sorted(shared01)
-        # Labels ending on x0, x1 would decode as a ring; the other order of
-        # the first shared pair encodes the same walk and ends elsewhere.
-        if (
-            len(tris) >= 3
-            and len(tris[-1] & tris[0]) == 2
-            and tris[-2] - tris[-3] == {x0}
-            and tris[-1] - tris[-2] == {x1}
-        ):
-            x1, x2 = x2, x1
+    x1, x2 = sorted(shared01)
+    # Labels ending on x0, x1 would decode as a ring; the other order of
+    # the first shared pair encodes the same walk and ends elsewhere.
+    if (
+        len(tris) >= 3
+        and len(tris[-1] & tris[0]) == 2
+        and tris[-2] - tris[-3] == {x0}
+        and tris[-1] - tris[-2] == {x1}
+    ):
+        x1, x2 = x2, x1
 
     labels = [x0, x1, x2]
     layout: list[int] = []
@@ -214,12 +203,20 @@ def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLa
         first = u if y == 0 else carried
         carried, u, v = first, v, w
         prev = tri
+    return LabelsLayout(n, labels, layout)
 
-    pair = LabelsLayout(n, labels, layout)
-    if seq.circular:
-        if not (labels[-2] == labels[0] and labels[-1] == labels[1]):
-            raise ValueError("cannot encode: circular walk does not close in codec order")
-    return pair
+
+def reference_seed_cut(ring: LabelsLayout) -> CutSpec:
+    """The n = 4k+1 seed cut found by set algebra over three triangles.
+
+    The reference for :func:`diamforge.assembly._seed_cut`, which reads the
+    cut off the ring's first three labels: the destroyed edge is the edge of
+    the seed that avoids the vertex r it shares with both ring neighbours,
+    and the end edge is the one it shares with its successor.
+    """
+    first, second = set(ring.labels[:3]), set(triangle_at(ring, 1))
+    (r,) = first & second & set(triangle_at(ring, len(ring) - 1))
+    return CutSpec(destroyed_edge=tuple(first - {r}), end_edge=tuple(first & second))
 
 
 def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:

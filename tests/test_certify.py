@@ -83,6 +83,27 @@ def test_edge_reusing_walks_take_the_bfs_fallback():
             assert not assert_agrees(pair).good
 
 
+def damaged(pair: LabelsLayout, i: int) -> LabelsLayout:
+    """``pair`` with label i changed to the first other vertex that leaves
+    every triangle non-degenerate."""
+    for x in range(pair.n):
+        cand = LabelsLayout(pair.n, pair.labels[:i] + (x,) + pair.labels[i + 1 :], pair.layout)
+        try:
+            expand_pair(cand)
+        except ValueError:
+            continue
+        if x != pair.labels[i]:
+            return cand
+    raise AssertionError(f"no vertex replaces label {i}")
+
+
+def test_a_damaged_optimal_walk_takes_the_bfs_fallback():
+    pair = construct_optimal(60)[0]
+    assert len(pair) == 884
+    cert = assert_agrees(damaged(pair, len(pair.labels) // 2))
+    assert not cert.good and not cert.matches_optimum
+
+
 @pytest.mark.slow
 def test_every_construction_up_to_200():
     for n in range(3, 201):

@@ -175,11 +175,11 @@ def test_encode_round_trip_linear():
     assert again.triangles in (seq.triangles, list(reversed(seq.triangles)))
 
 
-def test_encode_round_trip_circular():
+def test_encode_refuses_a_ring():
     seq = expand_pair(RING13)
-    pair = encode_triples(seq)
-    assert pair == RING13
-    assert expand_pair(pair).triangles == seq.triangles
+    assert seq.circular and is_good(seq) and len(seq) == 39
+    with pytest.raises(ValueError, match=r"^cannot encode: the sequence is circular$"):
+        encode_triples(seq)
 
 
 def test_encode_keeps_a_linear_walk_linear():

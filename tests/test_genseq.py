@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import reference_cut_circular, reference_expand_to_circular
+from conftest import reference_cut_circular, reference_expand_to_circular, reference_seed_cut
 from diamforge.assembly import _seed_cut
 from diamforge.core import (
     covered_edges,
@@ -202,6 +202,12 @@ def test_cut_exposing_scan_matches_seed_cut():
         seq = expand_pair(ring)
         shared = tuple(seq.triangles[0] & seq.triangles[1])
         assert _seed_cut(ring) == cut_exposing(seq, shared), k
+
+
+def test_seed_cut_reads_the_reference_cut_off_the_labels():
+    for k in range(3, 151):
+        ring = expand_pair_of(gs_full(k))
+        assert _seed_cut(ring) == reference_seed_cut(ring), k
 
 
 def test_cut_exposing_on_full_ring():

@@ -24,7 +24,7 @@ from .hampack import (
     decompose_prime,
     verify_partition,
 )
-from .oracle import search_max_diameter
+from .oracle import DEFAULT_BUDGET, search_max_diameter
 
 __all__ = ["main"]
 
@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive small-n diameter search")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="node limit, 0 = unlimited")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node limit, 0 = unlimited")
     p.add_argument(
         "--jobs",
         type=int,

@@ -90,17 +90,17 @@ class Record:
 
 
 class TriangleSeq(Record):
-    """An ordered triangle sequence, optionally closed into a ring.
+    """An ordered, linear triangle sequence.
 
-    ``circular`` means the last triangle is also adjacent to the first, i.e.
-    the dual graph of a good sequence is a cycle rather than a path.  The
-    class does not enforce goodness; use :func:`is_good`.
+    Rings are codec pairs: :func:`is_ring` recognises them, and
+    :func:`expand_pair` decodes one into its triangles like any other walk.
+    The class does not enforce goodness; use :func:`is_good`.
     """
 
-    __slots__ = ("triangles", "circular")
+    __slots__ = ("triangles",)
 
-    def __init__(self, triangles: list[Triangle], circular: bool = False) -> None:
-        self.triangles, self.circular = triangles, circular
+    def __init__(self, triangles: list[Triangle]) -> None:
+        self.triangles = triangles
         if not self.triangles:
             raise ValueError("empty triangle sequence")
         for i, tri in enumerate(self.triangles):
@@ -173,8 +173,6 @@ def expand_pair(pair: LabelsLayout) -> TriangleSeq:
     and bit y appends ``{u, v, w}`` and moves to ``(u, v, w)`` when y = 0, or
     appends ``{carried, v, w}`` and moves to ``(carried, v, w)`` when y = 1.
 
-    The result is flagged circular when the walk :func:`is_ring`.
-
     Raises:
         ValueError: if any step would create a triangle with a repeated
             vertex (the offending step index is reported).
@@ -192,7 +190,7 @@ def expand_pair(pair: LabelsLayout) -> TriangleSeq:
             raise ValueError(f"degenerate triangle at index {i - 2}")
         triangles.append(frozenset((first, v, w)))
         carried, u, v = first, v, w
-    return TriangleSeq(triangles, circular=is_ring(pair))
+    return TriangleSeq(triangles)
 
 
 def triangle_at(pair: LabelsLayout, j: int) -> tuple[int, int, int]:
@@ -267,20 +265,18 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
 
 
 def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
-    """Encode a linear triangle sequence into the (LABELS, LAYOUT) form
+    """Encode a triangle sequence into the (LABELS, LAYOUT) form
     :func:`canonical` gives it.
 
     ``expand_pair(encode_triples(seq))`` reproduces ``seq`` up to the choice
-    of starting end.  Rings come from
-    :func:`diamforge.genseq.expand_to_circular`, not from here.
+    of starting end.  The result never decodes as a ring, so a ring's
+    triangles come back as the linear walk that drops its wrap adjacency.
 
     Raises:
-        ValueError: if the sequence is circular, if some consecutive pair
-            does not share exactly two vertices, or if a shared pair is not
-            one of the two attachment edges the codec can express.
+        ValueError: if some consecutive pair does not share exactly two
+            vertices, or if a shared pair is not one of the two attachment
+            edges the codec can express.
     """
-    if seq.circular:
-        raise ValueError("cannot encode: the sequence is circular")
     tris = seq.triangles
     if n is None:
         n = max(max(t) for t in tris) + 1
@@ -345,19 +341,20 @@ def covered_edges(seq: TriangleSeq) -> set[Edge]:
 def is_good(seq: TriangleSeq) -> bool:
     """Whether the sequence is good.
 
-    Consecutive triangles (including the wrap-around pair when circular)
-    must share exactly two vertices, and no edge may belong to two
-    non-consecutive triangles or to three triangles.  A single triangle is
-    good.  A walk from ``expand_pair`` (never re-attaching across the edge
-    it just shared) is good iff its t+1 triangles cover 2t+3 distinct edges
-    (2t+2 when circular); {0,1,2},{0,1,3},{0,1,4} covers 7 but is not good.
+    Consecutive triangles must share exactly two vertices, and no edge may
+    belong to two non-consecutive triangles or to three triangles.  A single
+    triangle is good.  A walk from ``expand_pair`` (never re-attaching across
+    the edge it just shared) is good iff its t+1 triangles cover 2t+3
+    distinct edges; {0,1,2},{0,1,3},{0,1,4} covers 7 but is not good.  A
+    ring's first and last triangles share its wrap edge, so its triangles
+    are not good here; :func:`certify` judges rings.
     """
     tris = seq.triangles
     if len(tris) == 1:
         return True
 
     shared: set[Edge] = set()
-    for prev, tri in zip(tris, tris[1:] + tris[:1] if seq.circular else tris[1:]):
+    for prev, tri in zip(tris, tris[1:]):
         inter = prev & tri
         if len(inter) != 2:
             return False
@@ -468,7 +465,7 @@ def certify(pair: LabelsLayout) -> Certificate:
     walk is good exactly when each step adds two fresh edges: t triangles
     cover 2t + 1 distinct edges, or 2t when circular, since the last step of
     a ring always re-covers the wrap edge ``{x_0, x_1}`` of the first
-    triangle (see :func:`is_good`).
+    triangle.
 
     The diameter of a good walk needs no search.  Only consecutive
     triangles share an edge, so the dual graph of a good linear walk of t

@@ -14,8 +14,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 from math import gcd
 
-from .core import Edge, LabelsLayout, Record, TriangleSeq, edge, edge_multiplicities
-from .core import is_ring, reverse_walk, triangle_at
+from .core import Edge, LabelsLayout, Record, edge, is_ring, reverse_walk, triangle_at
 
 __all__ = [
     "GeneratingSequence",
@@ -308,30 +307,29 @@ def expand_pair_of(gs: GeneratingSequence) -> LabelsLayout:
     return ring
 
 
-def cut_exposing(seq: TriangleSeq, end_edge: Edge) -> CutSpec:
+def cut_exposing(ring: LabelsLayout, end_edge: Edge) -> CutSpec:
     """Find the deterministic cut that leaves ``end_edge`` attachable.
 
     Scans the ring from index 0 for the first triangle whose removal leaves
     ``end_edge`` covered exactly once and sitting in a terminal triangle.
     The destroyed edge is the scanned triangle's uniquely covered edge.
+    That triangle holds ``end_edge`` or sits next to a triangle that does,
+    so only those are scanned.
     """
-    if not seq.circular:
+    if not is_ring(ring):
         raise ValueError("sequence is not circular")
     end_edge = edge(*end_edge)
-    mult = edge_multiplicities(seq)
-    tris = seq.triangles
-    t = len(tris)
-    holders = [i for i, tri in enumerate(tris) if end_edge[0] in tri and end_edge[1] in tri]
+    (holders,) = _holders(ring, [end_edge])
     if not holders:
         raise ValueError(f"edge {end_edge} is not covered")
 
-    for c in range(t):
+    t = len(ring)
+    for c in sorted({(h + d) % t for h in holders for d in (-1, 0, 1)}):
         left = [h for h in holders if h != c]
-        if len(left) != 1:
+        if len(left) != 1 or left[0] not in ((c - 1) % t, (c + 1) % t):
             continue
-        if left[0] not in ((c - 1) % t, (c + 1) % t):
-            continue
-        blues = [e for e in combinations(sorted(tris[c]), 2) if mult[e] == 1]
+        sides = list(combinations(sorted(triangle_at(ring, c)), 2))
+        blues = [e for e, held in zip(sides, _holders(ring, sides)) if len(held) == 1]
         if len(blues) != 1 or blues[0] == end_edge:
             continue
         return CutSpec(destroyed_edge=blues[0], end_edge=end_edge)
@@ -361,28 +359,16 @@ def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
     t = len(ring) - 1
-
-    # A triangle holding an edge has an end of it among its last two labels.
-    ends = {*spec.destroyed_edge, *spec.end_edge, *(spec.second_end_edge or ())}
-    tris = {j: set(triangle_at(ring, j))
-            for x in ends for k in _positions(ring.labels, x)
-            for j in (k - 2, k - 1) if 0 <= j <= t}
-
-    def holders(e: Edge) -> list[int]:
-        return sorted(j for j, tri in tris.items() if set(e) <= tri)
-
-    d = edge(*spec.destroyed_edge)
-    cut = holders(d)
+    d = spec.destroyed_edge
+    ends = [e for e in (spec.end_edge, spec.second_end_edge) if e is not None]
+    cut, *end_holders = _holders(ring, [d, *ends])
     if len(cut) != 1:
         raise ValueError(f"destroyed edge {d} is covered {len(cut)} times, need exactly 1")
     (c,) = cut
     positions = []
-    for e in (spec.end_edge, spec.second_end_edge):
-        if e is None:
-            continue
-        e = edge(*e)
+    for e, holders in zip(ends, end_holders):
         # Positions in the walk that starts just after triangle c.
-        held = [(i - c - 1) % (t + 1) for i in holders(e) if i != c]
+        held = [(i - c - 1) % (t + 1) for i in holders if i != c]
         if len(held) != 1:
             raise ValueError(f"end edge {e} is covered {len(held)} times after the cut")
         if held[0] not in (0, t - 1):
@@ -394,6 +380,18 @@ def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
     labels = (triangle_at(ring, s)[0], *xs[c + 2 :], *xs[2 : c + 2])
     linear = LabelsLayout._of(ring.n, labels, (bits[s:] + bits[:s])[1:-1])
     return linear if positions[-1] == t - 1 else reverse_walk(linear)
+
+
+def _holders(ring: LabelsLayout, edges: list[Edge]) -> list[list[int]]:
+    """The sorted indices of the triangles of ``ring`` that hold each edge.
+
+    A triangle holding an edge has an end of it among its last two labels,
+    so only the triangles next to the positions of those ends are read."""
+    last = len(ring) - 1
+    tris = {j: set(triangle_at(ring, j))
+            for x in {x for e in edges for x in e} for k in _positions(ring.labels, x)
+            for j in (k - 2, k - 1) if 0 <= j <= last}
+    return [sorted(j for j, tri in tris.items() if set(e) <= tri) for e in edges]
 
 
 def _positions(xs: tuple[int, ...], x: int):

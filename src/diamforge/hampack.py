@@ -10,7 +10,6 @@ sequence-driven construction used for the known order-105 data.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import accumulate, cycle, islice
 from math import isqrt
 from operator import itemgetter, sub
@@ -40,12 +39,6 @@ SEQUENCES_105: tuple[tuple[int, ...], ...] = (
 )
 
 
-@lru_cache(maxsize=1)
-def _vertices(n: int) -> frozenset[int]:
-    """The vertex set 0..n-1, kept for the last n asked for."""
-    return frozenset(range(n))
-
-
 class CycleSquare(Record):
     """A cyclic ordering of all n vertices."""
 
@@ -56,7 +49,7 @@ class CycleSquare(Record):
         n = len(self.order)
         if n < 3:
             raise ValueError("cycle needs at least three vertices")
-        if set(self.order) != _vertices(n):
+        if set(self.order) != set(range(n)):
             raise ValueError("ordering is not a permutation of 0..n-1")
 
     @property

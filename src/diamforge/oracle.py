@@ -146,7 +146,7 @@ def _dfs(n: int, limit: int | None, prune: bool, best: list) -> bool:
 
 def search_max_diameter(
     n: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
     prune: bool = True,
 ) -> SearchResult:
@@ -160,8 +160,8 @@ def search_max_diameter(
 
     Args:
         n: number of available labels, at least 3.
-        budget: limit on the total nodes explored, the seed included; None
-            means ``DEFAULT_BUDGET`` (1e8) and 0 means unlimited.
+        budget: limit on the total nodes explored, the seed included;
+            0 means unlimited.
         jobs: validated (at least 1) and otherwise unused.  It stays
             because callers pass it: the CLI forwards ``--jobs``, and
             ``perfbench/run.py`` times an in-process ``jobs=1`` search, so
@@ -172,8 +172,6 @@ def search_max_diameter(
         raise ValueError("need at least three labels")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if budget is None:
-        budget = DEFAULT_BUDGET
     if budget < 0:
         raise ValueError("budget cannot be negative")
     limit = None if budget == 0 else budget

@@ -1,6 +1,6 @@
-"""Shared test helpers: the reference certifier, encoder, ring cut, seed
-cut, construction, partition checker, sequence unroller and input type check,
-random good-walk generation and acceptance reporting."""
+"""Shared test helpers: the reference certifier, encoder, ring cut, cut
+finder, seed cut, construction, partition checker, sequence unroller and input
+type check, random good-walk generation and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import io
 import json
 import re
 from collections import Counter
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, combinations, cycle, islice
 
 import pytest
 
@@ -26,6 +26,7 @@ from diamforge.core import (
     expand_pair,
     hs_max_diameter,
     is_good,
+    is_ring,
     triangle_at,
 )
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
@@ -51,25 +52,44 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
-def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
-    """Certificate of ``seq`` against K_n from the frozenset helpers.
+def reference_good(seq: TriangleSeq, circular: bool) -> bool:
+    """Whether ``seq`` is good, read as a ring when ``circular``.
 
-    The slow reference for :func:`diamforge.core.certify`: goodness from
-    :func:`is_good`, the diameter by BFS over the dual graph (None when it
-    is disconnected), and the uncovered edges as a set difference.
+    :func:`is_good` for a linear sequence.  A ring's wrap-around pair counts
+    as consecutive: it must share two vertices, and its shared edge may be
+    covered twice.
     """
-    good = is_good(seq)
+    if not circular:
+        return is_good(seq)
+    tris = seq.triangles
+    shared = [prev & tri for prev, tri in zip(tris, tris[1:] + tris[:1])]
+    if any(len(s) != 2 for s in shared):
+        return False
+    twice = {tuple(sorted(s)) for s in shared}
+    return all(m == 1 or (m == 2 and e in twice) for e, m in edge_multiplicities(seq).items())
+
+
+def reference_certify(pair: LabelsLayout) -> Certificate:
+    """Certificate of ``pair`` against K_n from the frozenset helpers.
+
+    The slow reference for :func:`diamforge.core.certify`: the triangles of
+    :func:`expand_pair`, circular when :func:`is_ring`, goodness from
+    :func:`reference_good`, the diameter by BFS over the dual graph (None
+    when it is disconnected), and the uncovered edges as a set difference.
+    """
+    seq, circular, n = expand_pair(pair), is_ring(pair), pair.n
+    good = reference_good(seq, circular)
     covered = covered_edges(seq)
     try:
         diameter: int | None = dual_diameter(seq)
     except ValueError:
         diameter = None
     optimum = hs_max_diameter(n)
-    matches = good and not seq.circular and diameter == optimum
+    matches = good and not circular and diameter == optimum
     uncovered = sorted(all_edges(n) - covered)
     return Certificate(
         good=good,
-        circular=seq.circular,
+        circular=circular,
         covered_edges=len(covered),
         diameter=diameter,
         optimum=optimum,
@@ -78,16 +98,17 @@ def reference_certify(seq: TriangleSeq, n: int) -> Certificate:
     )
 
 
-def reference_cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
+def reference_cut_circular(ring: LabelsLayout, spec: CutSpec) -> TriangleSeq:
     """Ring cut checked against an edge-multiplicity Counter of the ring.
 
     The slow reference for :func:`diamforge.genseq.cut_circular`, with the
-    same checks and error messages.  The walk is unrolled from the triangle
-    after the destroyed one and never reversed, so it matches the fast cut
-    up to orientation.
+    same checks and error messages, over the ring's expanded triangles.  The
+    walk is unrolled from the triangle after the destroyed one and never
+    reversed, so it matches the fast cut up to orientation.
     """
-    if not seq.circular:
+    if not is_ring(ring):
         raise ValueError("sequence is not circular")
+    seq = expand_pair(ring)
     d = edge(*spec.destroyed_edge)
     mult = edge_multiplicities(seq)
     count = mult.get(d, 0)
@@ -95,7 +116,7 @@ def reference_cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
         raise ValueError(f"destroyed edge {d} is covered {count} times, need exactly 1")
     (c,) = [i for i, tri in enumerate(seq.triangles) if d[0] in tri and d[1] in tri]
     linear = seq.triangles[c + 1 :] + seq.triangles[:c]
-    result = TriangleSeq(linear, circular=False)
+    result = TriangleSeq(linear)
 
     terminals = (result.triangles[0], result.triangles[-1])
     sides = []
@@ -113,6 +134,34 @@ def reference_cut_circular(seq: TriangleSeq, spec: CutSpec) -> TriangleSeq:
     if len(sides) == 2 and not any(a != b for a in sides[0] for b in sides[1]):
         raise ValueError("end edges do not sit at opposite ends")
     return result
+
+
+def reference_cut_exposing(triangles: list, end_edge: Edge) -> CutSpec:
+    """The first cut that leaves ``end_edge`` attachable, by a scan of every
+    triangle of a ring.
+
+    The slow reference for :func:`diamforge.genseq.cut_exposing`, which
+    reads the codec ring and tests only the holders of ``end_edge`` and
+    their neighbours: ``triangles`` are the ring's, in order, and the
+    errors are the same.
+    """
+    end_edge = edge(*end_edge)
+    mult = edge_multiplicities(TriangleSeq(triangles))
+    t = len(triangles)
+    holders = [i for i, tri in enumerate(triangles) if end_edge[0] in tri and end_edge[1] in tri]
+    if not holders:
+        raise ValueError(f"edge {end_edge} is not covered")
+    for c in range(t):
+        left = [h for h in holders if h != c]
+        if len(left) != 1:
+            continue
+        if left[0] not in ((c - 1) % t, (c + 1) % t):
+            continue
+        blues = [e for e in combinations(sorted(triangles[c]), 2) if mult[e] == 1]
+        if len(blues) != 1 or blues[0] == end_edge:
+            continue
+        return CutSpec(destroyed_edge=blues[0], end_edge=end_edge)
+    raise ValueError(f"no cut exposes {end_edge} at an end")
 
 
 def reference_expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
@@ -134,7 +183,7 @@ def reference_expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
 
 
 def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
-    """Encode a linear triangle sequence into (LABELS, LAYOUT) form.
+    """Encode a triangle sequence into (LABELS, LAYOUT) form.
 
     The triangle-by-triangle reference for :func:`diamforge.core.encode_triples`
     and :func:`diamforge.core.canonical`.  The starting end is chosen
@@ -147,12 +196,10 @@ def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLa
     of starting end.
 
     Raises:
-        ValueError: if the sequence is circular, if some consecutive pair
-            does not share exactly two vertices, or if a shared pair is not
-            one of the two attachment edges the codec can express.
+        ValueError: if some consecutive pair does not share exactly two
+            vertices, or if a shared pair is not one of the two attachment
+            edges the codec can express.
     """
-    if seq.circular:
-        raise ValueError("cannot encode: the sequence is circular")
     tris = seq.triangles
     if n is None:
         n = max(max(t) for t in tris) + 1
@@ -229,30 +276,30 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
     """
     r = n % 4
     if r == 1 and n >= 13:
-        ring = expand_pair(expand_to_circular(gs_full((n - 1) // 4)))
-        first, second = ring.triangles[0], ring.triangles[1]
-        (keep,) = first & second & ring.triangles[-1]
-        walk = _oriented_cut(ring, CutSpec(tuple(first - {keep}), tuple(first & second)))
+        ring = expand_to_circular(gs_full((n - 1) // 4))
+        tris = expand_pair(ring).triangles
+        (keep,) = tris[0] & tris[1] & tris[-1]
+        walk = _oriented_cut(ring, CutSpec(tuple(tris[0] - {keep}), tuple(tris[0] & tris[1])))
     elif r == 0 and n >= 20:
         gs, spec = gs_missing_12((n - 4) // 4)
-        walk = _oriented_cut(expand_pair(expand_to_circular(gs)), spec)
+        walk = _oriented_cut(expand_to_circular(gs), spec)
         walk += attach_4k4((n - 4) // 4).triangles
     elif r == 3 and n >= 23:
         gs, spec = gs_missing_12((n - 3) // 4, end="seven")
-        walk = _oriented_cut(expand_pair(expand_to_circular(gs)), spec)
+        walk = _oriented_cut(expand_to_circular(gs), spec)
         walk += attach_4k3((n - 3) // 4).triangles
     elif r == 2 and n >= 34:
         gs, spec = gs_missing_1248((n - 6) // 4)
         plan_a, plan_b = attach_4k6((n - 6) // 4)
-        body = _oriented_cut(expand_pair(expand_to_circular(gs)), spec)
+        body = _oriented_cut(expand_to_circular(gs), spec)
         walk = [*plan_a.triangles[::-1], *body, *plan_b.triangles]
     else:
         walk = expand_pair(small_table(n).pair).triangles
     pair = reference_encode_triples(TriangleSeq(list(walk)), n)
-    return pair, reference_certify(expand_pair(pair), n)
+    return pair, reference_certify(pair)
 
 
-def _oriented_cut(ring: TriangleSeq, spec: CutSpec) -> list:
+def _oriented_cut(ring: LabelsLayout, spec: CutSpec) -> list:
     """The reference cut, turned so that the last end edge sits in the last triangle."""
     walk = reference_cut_circular(ring, spec).triangles
     last = spec.second_end_edge or spec.end_edge
@@ -399,7 +446,7 @@ def corrupted_pair(rng, n: int | None = None, steps: int | None = None) -> Label
     # current triangle never can, so it serves as the fallback.
     for w, bit in bad + [(c, 0)]:
         cand = LabelsLayout(n, pair.labels + (w,), pair.layout + (bit,))
-        if not is_good(expand_pair(cand)):
+        if not reference_good(expand_pair(cand), is_ring(cand)):
             return cand
     raise AssertionError("unreachable: duplicate triangle is never good")
 

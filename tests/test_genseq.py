@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import reference_cut_circular, reference_expand_to_circular, reference_seed_cut
+from conftest import (
+    random_good_pair, reference_cut_circular, reference_cut_exposing, reference_expand_to_circular,
+    reference_seed_cut,
+)
+from diamforge import genseq
 from diamforge.assembly import _seed_cut
 from diamforge.core import (
+    LabelsLayout,
+    certify,
     covered_edges,
     dual_diameter,
     edge_multiplicities,
+    encode_triples,
     expand_pair,
     is_good,
+    is_ring,
 )
 from diamforge.genseq import (
     CutSpec,
@@ -27,6 +37,7 @@ from diamforge.genseq import (
     gs_missing_1248,
     verify_generating_sequence,
 )
+from test_core import RING13
 
 
 def test_sequence_normalization():
@@ -116,9 +127,10 @@ def test_verification_failures():
 
 
 def test_expansion_closes_into_ring():
-    seq = expand_pair(expand_pair_of(gs_full(3)))
-    assert seq.circular and len(seq.triangles) == 39
-    assert is_good(seq)
+    ring = expand_pair_of(gs_full(3))
+    seq = expand_pair(ring)
+    assert is_ring(ring) and len(seq.triangles) == 39
+    assert certify(ring).good and certify(ring).circular
     assert dual_diameter(seq) == 19
     assert len(covered_edges(seq)) == 78
 
@@ -138,8 +150,9 @@ def test_expansion_with_turn_covers_predicted_residues():
 def test_turn_on_seed_is_rotated_away():
     gs, _ = gs_missing_12(8)
     assert 0 in gs.turns
-    seq = expand_pair(expand_pair_of(gs))
-    assert seq.circular and is_good(seq)
+    ring = expand_pair_of(gs)
+    seq = expand_pair(ring)
+    assert certify(ring).good and certify(ring).circular
     missing = {1, 2}
     residues = {canonical_residue(v - u, gs.n) for u, v in covered_edges(seq)}
     assert residues == set(range(1, (gs.n - 1) // 2 + 1)) - missing
@@ -173,8 +186,9 @@ def test_cut_specs_are_deterministic():
 def test_cut_opens_ring():
     gs, spec = gs_missing_12(4)
     pair = expand_pair_of(gs)
-    ring, lin = expand_pair(pair), expand_pair(cut_circular(pair, spec))
-    assert not lin.circular and is_good(lin)
+    cut = cut_circular(pair, spec)
+    ring, lin = expand_pair(pair), expand_pair(cut)
+    assert not is_ring(cut) and is_good(lin)
     assert len(lin.triangles) == len(ring.triangles) - 1
     assert dual_diameter(lin) == len(lin.triangles) - 1
     assert len(covered_edges(lin)) == len(covered_edges(ring)) - 1
@@ -192,8 +206,7 @@ def test_cut_exposes_both_ends_for_1248():
 def test_cut_exposing_scan_matches_returned_spec():
     for k in range(4, 61):
         gs, spec = gs_missing_12(k)
-        ring = expand_pair(expand_pair_of(gs))
-        assert cut_exposing(ring, spec.end_edge) == spec, k
+        assert cut_exposing(expand_pair_of(gs), spec.end_edge) == spec, k
 
 
 def test_cut_exposing_scan_matches_seed_cut():
@@ -201,7 +214,88 @@ def test_cut_exposing_scan_matches_seed_cut():
         ring = expand_pair_of(gs_full(k))
         seq = expand_pair(ring)
         shared = tuple(seq.triangles[0] & seq.triangles[1])
-        assert _seed_cut(ring) == cut_exposing(seq, shared), k
+        assert _seed_cut(ring) == cut_exposing(ring, shared), k
+
+
+def _cut_exposing_outcome(find, ring, end_edge):
+    """The spec ``find`` returns, or the text of the ValueError it raises."""
+    try:
+        return find(ring, end_edge)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cut_exposing_matches_the_frozenset_scan():
+    """Family rings with their assembly end edges, random vertex pairs on
+    nine family rings and on random walks closed into rings, values and
+    error texts alike."""
+    cases = [(expand_pair_of(gs_full(k)), None) for k in range(3, 61)]
+    cases += [(expand_pair_of(gs), spec.end_edge)
+              for gs, spec in map(gs_missing_12, range(4, 61))]
+    rng = random.Random(0xC075)
+    rings = [expand_pair_of(gs) for gs in (
+        gs_full(3), gs_full(4), gs_full(7), gs_missing_12(4)[0], gs_missing_12(5)[0],
+        gs_missing_12(8)[0], gs_missing_1248(7)[0], gs_missing_1248(8)[0],
+        gs_missing_1248(9)[0],
+    )]
+    cases += [(ring, tuple(rng.sample(range(ring.n), 2))) for ring in rings for _ in range(60)]
+    assert len(cases) == 655
+    while len(cases) < 955:
+        base = random_good_pair(rng, rng.randint(4, 9))
+        ring = LabelsLayout(base.n, base.labels + base.labels[:2],
+                            base.layout + (rng.randrange(2), rng.randrange(2)))
+        try:
+            expand_pair(ring)
+        except ValueError:
+            continue
+        if is_ring(ring):
+            cases.append((ring, tuple(rng.sample(range(ring.n), 2))))
+    kinds = set()
+    for ring, end_edge in cases:
+        tris = expand_pair(ring).triangles
+        if end_edge is None:
+            end_edge = tuple(tris[0] & tris[1])
+        got = _cut_exposing_outcome(cut_exposing, ring, end_edge)
+        assert got == _cut_exposing_outcome(reference_cut_exposing, tris, end_edge), end_edge
+        kinds.add("spec" if isinstance(got, CutSpec) else got.split(" ", 1)[0])
+    # A spec, "edge ... is not covered" and "no cut exposes ..." all come up.
+    assert kinds == {"spec", "edge", "no"}
+
+
+def test_cut_exposing_refuses_a_linear_walk():
+    gs, spec = gs_missing_12(4)
+    lin = cut_circular(expand_pair_of(gs), spec)
+    with pytest.raises(ValueError, match=r"^sequence is not circular$"):
+        cut_exposing(lin, spec.end_edge)
+
+
+def test_genseq_holds_no_frozenset_code():
+    names = vars(genseq)
+    assert not {"TriangleSeq", "expand_pair", "edge_multiplicities", "covered_edges"} & set(names)
+
+
+def test_decoded_rings_encode_as_linear_walks():
+    """A ring's triangles encode to a pair that is not a ring and decodes to
+    them, forwards or reversed; canonical's ring-avoiding swap gives
+    58 of those pairs their labels."""
+    rings = [RING13]
+    for k in range(3, 40):
+        rings.append(expand_pair_of(gs_full(k)))
+        if k >= 4:
+            rings.append(expand_pair_of(gs_missing_12(k)[0]))
+        if k >= 7:
+            rings.append(expand_pair_of(gs_missing_1248(k)[0]))
+    forwards = swapped = 0
+    for ring in rings:
+        seq = expand_pair(ring)
+        tris, back = seq.triangles, encode_triples(seq, ring.n)
+        assert back.n == ring.n and not is_ring(back)
+        again = expand_pair(back).triangles
+        assert again in (tris, tris[::-1])
+        forwards += again == tris
+        swapped += back.labels[1] > back.labels[2]
+    assert len(rings) == 107
+    assert (forwards, swapped) == (71, 58)
 
 
 def test_seed_cut_reads_the_reference_cut_off_the_labels():
@@ -211,7 +305,7 @@ def test_seed_cut_reads_the_reference_cut_off_the_labels():
 
 
 def test_cut_exposing_on_full_ring():
-    ring = expand_pair(expand_pair_of(gs_full(3)))
+    ring = expand_pair_of(gs_full(3))
     assert cut_exposing(ring, (0, 1)) == CutSpec((0, 3), (0, 1))
 
 
@@ -237,7 +331,7 @@ def test_cut_matches_reference_and_exposes_its_ends():
     for name, pair, spec in _cut_cases(60):
         ring = expand_pair(pair)
         lin = expand_pair(cut_circular(pair, spec))
-        ref = reference_cut_circular(ring, spec).triangles
+        ref = reference_cut_circular(pair, spec).triangles
         assert lin.triangles in (ref, ref[::-1]), name
         # The walk is the ring minus one triangle, so it covers the ring's
         # edges except those of that triangle which no other triangle holds.
@@ -257,7 +351,7 @@ def _same_rejection(ring, spec):
     with pytest.raises(ValueError) as got:
         cut_circular(ring, spec)
     with pytest.raises(ValueError) as want:
-        reference_cut_circular(expand_pair(ring), spec)
+        reference_cut_circular(ring, spec)
     assert str(got.value) == str(want.value)
     return str(got.value)
 
@@ -324,7 +418,7 @@ def test_closed_form_ring_with_a_turn_at_the_seed_and_a_term_sum_not_one():
         assert verify_generating_sequence(gs).valid and sum(gs.terms) % gs.n != 1
         ring = expand_to_circular(gs)
         assert ring == reference_expand_to_circular(gs)
-        assert is_good(expand_pair(ring)) and expand_pair(ring).circular
+        assert certify(ring).good and certify(ring).circular
 
 
 def test_expand_requires_valid_sequence():

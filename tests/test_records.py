@@ -25,8 +25,7 @@ CERT_KW = dict(good=True, circular=False, covered_edges=3, diameter=1, optimum=7
 
 # (class, positional args, the same as keywords, one field changed as keywords)
 CASES = [
-    (TriangleSeq, ([T012, T123], True), dict(triangles=[T012, T123], circular=True),
-     dict(triangles=[T012, T123], circular=False)),
+    (TriangleSeq, ([T012, T123],), dict(triangles=[T012, T123]), dict(triangles=[T012, T234])),
     (LabelsLayout, (5, (0, 1, 2, 3), (0,)), dict(n=5, labels=(0, 1, 2, 3), layout=(0,)),
      dict(n=5, labels=(0, 1, 2, 3), layout=(1,))),
     (Certificate, (*CERT_ARGS, [(0, 4)]), dict(CERT_KW, uncovered_edges=[(0, 4)]),
@@ -65,12 +64,16 @@ def test_construction_and_field_equality(cls, args, kwargs, changed):
 
 
 def test_defaults():
-    assert TriangleSeq([T012]).circular is False
     assert CutSpec((0, 1), (1, 2)).second_end_edge is None
     first, second = Certificate(*CERT_ARGS), Certificate(**CERT_KW)
     assert first.uncovered_edges == [] == second.uncovered_edges
     first.uncovered_edges.append((0, 1))
     assert second.uncovered_edges == [] == Certificate(*CERT_ARGS).uncovered_edges
+
+
+def test_triangle_seq_holds_only_its_triangles():
+    # Rings are codec pairs that is_ring recognises; a triangle list has no flag.
+    assert TriangleSeq.__slots__ == ("triangles",)
 
 
 def test_normalisation_at_construction():

@@ -73,7 +73,7 @@ def rotation(center: int, path: list[int]) -> tuple[frozenset[int], ...]:
         raise ValueError("rotation path needs at least two vertices")
     if center in path or len(set(path)) != len(path):
         raise ValueError("rotation path vertices must be distinct and avoid the center")
-    return tuple(frozenset({center, path[i], path[i + 1]}) for i in range(len(path) - 1))
+    return tuple(map(frozenset, zip((center,) * len(path), path, path[1:])))
 
 
 def zigzag(u: int, w: int, path: list[int]) -> tuple[frozenset[int], ...]:
@@ -140,12 +140,13 @@ def _audit_plan(
 
 
 def _residue_class(r: int, n: int) -> set[Edge]:
-    """All edges {x, x+r mod n} on the first n vertices."""
-    return {edge(x, (x + r) % n) for x in range(n)}
+    """All edges {x, x+r mod n} on the first n vertices, for 0 < 2r < n."""
+    return set(zip(range(n - r), range(r, n))) | set(zip(range(r), range(n - r, n)))
 
 
-def _spokes(v: int, others: set[int]) -> set[Edge]:
-    return {edge(v, x) for x in others if x != v}
+def _spokes(v: int, m: int) -> set[Edge]:
+    """All edges from v to the other vertices of range(m)."""
+    return set(zip(range(min(v, m)), (v,) * m)) | set(zip((v,) * m, range(v + 1, m)))
 
 
 def attach_4k4(k: int) -> TriangleSeq:
@@ -183,10 +184,9 @@ def attach_4k4(k: int) -> TriangleSeq:
         _tri(4 * k - 5, c, b),
     ]
 
-    ring = set(range(n1))
     expected = _residue_class(1, n1) | _residue_class(2, n1)
     for v in (a, b, c):
-        expected |= _spokes(v, ring | {a, b, c})
+        expected |= _spokes(v, n1 + 3)
     return _audit_plan("attach_4k4", k, edge(0, 4 * k - 2), tris, expected)
 
 
@@ -233,10 +233,9 @@ def attach_4k3(k: int) -> TriangleSeq:
     tris += rotation(b, fan_b)
     tris.append(_tri(11, 12, 13))
 
-    ring = set(range(n1))
     expected = _residue_class(1, n1) | _residue_class(2, n1) | {edge(0, 13)}
     for v in (a, b):
-        expected |= _spokes(v, ring | {a, b})
+        expected |= _spokes(v, n1 + 2)
     return _audit_plan("attach_4k3", k, edge(0, 7), tris, expected)
 
 
@@ -252,7 +251,6 @@ def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
         raise ValueError("five-vertex attachment needs k >= 7")
     n1 = 4 * k + 1
     a, b, c, d, e = n1, n1 + 1, n1 + 2, n1 + 3, n1 + 4
-    ring = set(range(n1))
 
     fan_a = (
         [6, 17, 0]
@@ -298,7 +296,7 @@ def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
         _tri(12, 13, 14),
     ]
     expected_a = _residue_class(1, n1) | _residue_class(2, n1) | {edge(0, 17)}
-    expected_a |= _spokes(a, ring | {b}) | _spokes(b, ring)
+    expected_a |= _spokes(a, n1 + 2) | _spokes(b, n1)
     plan_a = _audit_plan("attach_4k6/A", k, edge(6, 17), tris_a, expected_a)
 
     if k % 2 == 0:
@@ -307,7 +305,7 @@ def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
         tris_b = _plan_b_odd(k, a, b, c, d, e)
     expected_b = _residue_class(4, n1) | _residue_class(8, n1)
     for v in (c, d, e):
-        expected_b |= _spokes(v, ring | {a, b, c, d, e})
+        expected_b |= _spokes(v, n1 + 5)
     plan_b = _audit_plan("attach_4k6/B", k, edge(0, 6), tris_b, expected_b)
     return plan_a, plan_b
 
@@ -439,8 +437,8 @@ def _construct_walk(n: int) -> LabelsLayout:
         gs, spec = gs_missing_1248(k)
         body = cut_circular(expand_pair_of(gs), spec)
         plan_a, plan_b = (encode_triples(p, n) for p in attach_4k6(k))
-        # Plan A prefixes the body, so build the walk from its other end.
-        return join_walks(reverse_walk(join_walks(body, plan_b)), plan_a)
+        # Plan A prefixes the body: turned round, it leads into the body's first triangle.
+        return join_walks(reverse_walk(plan_a), join_walks(body, plan_b))
     entry = small_table(n)
     if entry is None:
         raise ValueError(f"no construction available for n={n}")

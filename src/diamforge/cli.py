@@ -46,11 +46,12 @@ def _dumps(obj) -> str:
 def _emit(obj: dict, n: int = 0, **arrays) -> None:
     """Print ``obj`` and ``arrays`` as one JSON object on one line.
 
-    The line equals ``_dumps({**obj, **arrays}) + "\\n"``.  Each value in
-    ``arrays`` holds vertex ids in range(n): a tuple of ids, or a list of
-    such tuples.  Those ids go through a table ``names[x] = str(x)``, built
-    only when some array is non-empty, and reach stdout one 4096-id chunk or
-    one inner tuple per write instead of as one string.
+    The line equals ``_dumps({**obj, **arrays})`` + a newline, with a bytes
+    value read as its list of ints.  Each other value in ``arrays`` holds
+    vertex ids in range(n): a tuple of ids, or a list of such tuples.  Those
+    ids go through a table ``names[x] = str(x)``, built only when some array
+    is non-empty.  A bytes value holds 0/1 bits.  Both reach stdout as
+    :func:`_write_ids` writes them, or one inner tuple per write.
     """
     write = sys.stdout.write
     name = list(map(str, range(n))).__getitem__ if any(arrays.values()) else None
@@ -60,14 +61,14 @@ def _emit(obj: dict, n: int = 0, **arrays) -> None:
         xs = arrays.get(key)
         if xs is None:
             write(_dumps(obj[key]))
-        elif type(xs) is tuple:
-            write("[")
-            _write_ids(xs, name, ",")
-            write("]")
-        else:
+        elif type(xs) is list:
             write("[")
             for j, row in enumerate(xs):
                 write(("," if j else "") + "[" + ",".join(map(name, row)) + "]")
+            write("]")
+        else:
+            write("[")
+            _write_ids(xs, name, ",")
             write("]")
     write("}\n")
 
@@ -128,14 +129,27 @@ def _checked_decomposition(n, cycles) -> tuple:
     return dec, verify_partition(dec)  # rejects cycles below five vertices
 
 
-def _write_ids(xs: tuple[int, ...], name, sep: str) -> None:
-    """Write ``name(x)`` for each id in ``xs``, ``sep`` between them, 4096 ids per write."""
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _write_ids(xs: tuple[int, ...] | bytes, name, sep: str) -> None:
+    """Write the items of ``xs``, ``sep`` between them, 4096 per write: each
+    id of a tuple as ``name(x)``, and the 0/1 bits of a bytes object as
+    digits, filled at C speed into the even bytes of a ``sep``-filled buffer
+    that keeps its trailing ``sep`` on every chunk but the last."""
     write = sys.stdout.write
+    if type(xs) is bytes:
+        buf = bytearray(sep.encode() * 8192)
+        for i in range(0, len(xs), 4096):
+            chunk = xs[i : i + 4096].translate(_DIGITS)
+            buf[: 2 * len(chunk) : 2] = chunk
+            write(buf[: 2 * len(chunk) - (i + 4096 >= len(xs))].decode())
+        return
     for i in range(0, len(xs), 4096):
         write((sep if i else "") + sep.join(map(name, xs[i : i + 4096])))
 
 
-def _write_words(head: str, xs: tuple[int, ...]) -> None:
+def _write_words(head: str, xs: tuple[int, ...] | bytes) -> None:
     """Write ``head`` and ``xs`` as one line."""
     sys.stdout.write(head + " ")
     _write_ids(xs, str, " ")
@@ -144,17 +158,18 @@ def _write_words(head: str, xs: tuple[int, ...]) -> None:
 
 def _cmd_construct(args) -> int:
     pair, cert = construct_optimal(args.n)
+    layout = bytes(pair.layout)  # bits, which _write_ids writes at C speed
     if args.format == "text":
         print(f"n: {args.n}")
         _write_words("labels:", pair.labels)
-        _write_words("layout:", pair.layout)
+        _write_words("layout:", layout)
         print(f"diameter: {cert.diameter}")
         print(f"optimum: {cert.optimum}")
         print(f"covered edges: {cert.covered_edges}")
         uncov = ", ".join(f"({u},{v})" for u, v in cert.uncovered_edges) or "none"
         print(f"uncovered edges: {uncov}")
         return 0
-    _emit({"n": pair.n, "certificate": cert}, pair.n, labels=pair.labels, layout=pair.layout)
+    _emit({"n": pair.n, "certificate": cert}, pair.n, labels=pair.labels, layout=layout)
     return 0
 
 

@@ -19,7 +19,7 @@ are not good.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import compress, count
+from itertools import chain, combinations, compress, count, repeat
 
 Edge = tuple[int, int]
 Triangle = frozenset[int]
@@ -103,9 +103,9 @@ class TriangleSeq(Record):
         self.triangles = triangles
         if not self.triangles:
             raise ValueError("empty triangle sequence")
-        for i, tri in enumerate(self.triangles):
-            if len(tri) != 3:
-                raise ValueError(f"triangle at index {i} has {len(tri)} vertices")
+        if set(map(len, self.triangles)) != {3}:
+            i = next(i for i, tri in enumerate(self.triangles) if len(tri) != 3)
+            raise ValueError(f"triangle at index {i} has {len(self.triangles[i])} vertices")
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -213,14 +213,17 @@ def reverse_walk(pair: LabelsLayout) -> LabelsLayout:
     accepts.  Each step back adds the vertex its forward step dropped, and
     from the third on carries the bit of the forward step two ahead of it."""
     xs, ys, t = pair.labels, pair.layout, len(pair)
-    gone = list(xs[: t - 1])  # step j drops label j - 1 unless bit j or j - 1 is 1
+    # The last two labels, the last triangle's carried vertex, then back[t + 2 - j]
+    # for step j: the label it drops, j - 1 unless bit j or j - 1 is 1.
+    back, prev = list(reversed(xs)), -1
     for j in compress(count(1), ys):
-        gone[j - 1] = xs[j]
+        if j - 1 != prev:  # triangle j starts a run of 1 bits and carries label j - 1
+            carried = xs[j - 1]
+        back[t + 2 - j], prev = xs[j], j
         if j < t - 1 and not ys[j]:
-            gone[j] = triangle_at(pair, j)[0]
-    c = triangle_at(pair, t - 1)[0]
-    labels, layout = (xs[-1], xs[-2], c, *gone[::-1]), (0, 0, *ys[:1:-1])[: len(ys)]
-    return LabelsLayout._of(pair.n, labels, layout)
+            back[t + 1 - j] = carried
+    back[2] = triangle_at(pair, t - 1)[0]
+    return LabelsLayout._of(pair.n, tuple(back), ((0, 0) + ys[:1:-1])[: len(ys)])
 
 
 def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
@@ -261,7 +264,7 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
     if t >= 3 and xs[-2:] == (x0, x1) and triangle_at(pair, t - 1)[0] != x2:
         x1, x2 = x2, x1
     bits = (0,) if t == 2 else (0, int(triangle_at(pair, 2)[0] != x2))
-    return LabelsLayout._of(pair.n, (x0, x1, x2, *xs[3:]), bits + pair.layout[2:])
+    return LabelsLayout._of(pair.n, (x0, x1, x2) + xs[3:], bits + pair.layout[2:])
 
 
 def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
@@ -324,18 +327,12 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
 
 def edge_multiplicities(seq: TriangleSeq) -> Counter[Edge]:
     """Count how many triangles of the sequence contain each edge."""
-    counts: Counter[Edge] = Counter()
-    for tri in seq.triangles:
-        a, b, c = sorted(tri)
-        counts[(a, b)] += 1
-        counts[(a, c)] += 1
-        counts[(b, c)] += 1
-    return counts
+    return Counter(chain.from_iterable(map(combinations, map(sorted, seq.triangles), repeat(2))))
 
 
 def covered_edges(seq: TriangleSeq) -> set[Edge]:
     """The set of distinct edges used by the sequence."""
-    return set(edge_multiplicities(seq))
+    return set(chain.from_iterable(map(combinations, map(sorted, seq.triangles), repeat(2))))
 
 
 def is_good(seq: TriangleSeq) -> bool:
@@ -347,26 +344,16 @@ def is_good(seq: TriangleSeq) -> bool:
     the edge it just shared) is good iff its t+1 triangles cover 2t+3
     distinct edges; {0,1,2},{0,1,3},{0,1,4} covers 7 but is not good.  A
     ring's first and last triangles share its wrap edge, so its triangles
-    are not good here; :func:`certify` judges rings.
+    are not good here; :func:`certify` judges rings.  When consecutive
+    triangles share two vertices, the 3t edge slots of t triangles number
+    at least the distinct edges plus the distinct shared ones, with
+    equality exactly when the sequence is good.
     """
     tris = seq.triangles
-    if len(tris) == 1:
-        return True
-
-    shared: set[Edge] = set()
-    for prev, tri in zip(tris, tris[1:]):
-        inter = prev & tri
-        if len(inter) != 2:
-            return False
-        a, b = sorted(inter)
-        shared.add((a, b))
-
-    for e, count in edge_multiplicities(seq).items():
-        if count > 2:
-            return False
-        if count == 2 and e not in shared:
-            return False
-    return True
+    shared = list(map(frozenset.intersection, tris, tris[1:]))
+    if set(map(len, shared)) - {2}:
+        return False
+    return 3 * len(tris) == len(covered_edges(seq)) + len(set(shared))
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +469,23 @@ def certify(pair: LabelsLayout) -> Certificate:
             :func:`expand_pair`.
     """
     n, xs, layout, t = pair.n, pair.labels, pair.layout, len(pair)
-    c, u, v = xs[0], xs[1], xs[2]
-    if c == u or c == v or u == v:
+    f, u, v = xs[0], xs[1], xs[2]
+    if f == u or f == v or u == v:
         raise ValueError("degenerate triangle at index 0")
     dense = 4 * (2 * t + 1) >= n * (n - 1) // 2
     seen = bytearray(n * n) if dense else {}
-    for a, b in ((c, u), (c, v), (u, v)):
-        seen[a * n + b if a < b else b * n + a] = 1
-    for i, (w, y) in enumerate(zip(xs[3:], layout), start=1):
-        first = u if y == 0 else c
-        if w == first or w == v or first == v:
-            raise ValueError(f"degenerate triangle at index {i}")
-        seen[first * n + w if first < w else w * n + first] = 1
-        seen[v * n + w if v < w else w * n + v] = 1
-        c, u, v = first, v, w
+    row = list(range(0, n * n, n))  # row[a] = a * n, read faster than computed
+    for a, b in ((f, u), (f, v), (u, v)):
+        seen[row[a] + b if a < b else row[b] + a] = 1
+    # A step keeps f, its first, across 1 bits.  The first degenerate step has
+    # w == f or w == v, a diagonal key: f == v needs an earlier degenerate step.
+    for w, v, u, y in zip(xs[3:], xs[2:], xs[1:], layout):
+        if not y:
+            f = u
+        seen[row[f] + w if f < w else row[w] + f] = 1
+        seen[row[v] + w if v < w else row[w] + v] = 1
+    if seen[:: n + 1].count(1) if dense else any(map(seen.__contains__, range(0, n * n, n + 1))):
+        expand_pair(pair)  # raises, naming the first degenerate step
 
     circular = is_ring(pair)
     covered = seen.count(1) if dense else len(seen)

@@ -377,20 +377,27 @@ def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
     if len(positions) == 2 and positions[0] == positions[1] and t > 1:
         raise ValueError("end edges do not sit at opposite ends")
     s, xs, bits = (c + 1) % (t + 1), ring.labels, (0,) + ring.layout
-    labels = (triangle_at(ring, s)[0], *xs[c + 2 :], *xs[2 : c + 2])
-    linear = LabelsLayout._of(ring.n, labels, (bits[s:] + bits[:s])[1:-1])
+    labels = (triangle_at(ring, s)[0],) + xs[c + 2 :] + xs[2 : c + 2]
+    linear = LabelsLayout._of(ring.n, labels, bits[s + 1 :] + bits[: s - 1] if s else bits[1:-1])
     return linear if positions[-1] == t - 1 else reverse_walk(linear)
 
 
 def _holders(ring: LabelsLayout, edges: list[Edge]) -> list[list[int]]:
     """The sorted indices of the triangles of ``ring`` that hold each edge.
 
-    A triangle holding an edge has an end of it among its last two labels,
-    so only the triangles next to the positions of those ends are read."""
-    last = len(ring) - 1
-    tris = {j: set(triangle_at(ring, j))
-            for x in {x for e in edges for x in e} for k in _positions(ring.labels, x)
-            for j in (k - 2, k - 1) if 0 <= j <= last}
+    Only the positions k of one end of each edge, the one most edges share,
+    are read: triangle j holds labels j + 1 and j + 2, and carries label k
+    from triangle k on while its bits are 1."""
+    last, bits = len(ring) - 1, ring.layout
+    ends = {max(e, key=lambda x: sum(x in f for f in edges)) for e in edges}
+    tris = {}
+    for x in ends:
+        for k in _positions(ring.labels, x):
+            j = k - 2
+            while j <= last and (j <= k or bits[j - 1]):
+                if j >= 0:
+                    tris[j] = set(triangle_at(ring, j))
+                j += 1
     return [sorted(j for j, tri in tris.items() if set(e) <= tri) for e in edges]
 
 

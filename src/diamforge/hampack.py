@@ -26,7 +26,12 @@ __all__ = [
     "decompose_prime",
     "cycles_from_sequences",
     "verify_partition",
+    "MAX_P",
 ]
+
+# decompose_prime's largest p.  Its cycles hold p(p - 1)/4 ids, about 8 bytes each:
+# decompose --p peaks at 47 MB at p = 4001 and 446 MB at 14957, near MAX_N's.
+MAX_P = 15_000
 
 # Known step-sequence data generating a 26-cycle partition of K_105.
 SEQUENCES_105: tuple[tuple[int, ...], ...] = (
@@ -116,11 +121,11 @@ def decompose_prime(p: int) -> Decomposition:
     Needs p prime, p = 1 mod 4 and ord_p(2) divisible by 4.  Each cycle is
     an arithmetic ordering with step a * 2^k for a coset representative a
     and even k below ord/2; halfway through the powers of 2 reach -1, so
-    one coset contributes both signs of every difference.  p > 10**5 is
-    rejected before trial division: its Theta(p^2) partition is out of reach.
+    one coset contributes both signs of every difference.  p > :data:`MAX_P`
+    is rejected before trial division.
     """
-    if p > 10**5:
-        raise ValueError(f"p = {p} exceeds the ceiling 10**5")
+    if p > MAX_P:
+        raise ValueError(f"p = {p} exceeds the ceiling {MAX_P}")
     t = ord_mod(2, p)  # raises for p not prime
     if p % 4 != 1:
         raise ValueError(f"p = {p} is {p % 4} mod 4, need 1")

@@ -1,6 +1,7 @@
-"""Shared test helpers: the reference certifier, encoder, ring cut, cut
-finder, seed cut, construction, partition checker, sequence unroller and input
-type check, random good-walk generation and acceptance reporting."""
+"""Shared test helpers: the reference edge counter, goodness test,
+certifier, encoder, ring cut, cut finder, seed cut, construction, partition
+checker, sequence unroller and input type check, random good-walk generation
+and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -67,6 +68,37 @@ def reference_good(seq: TriangleSeq, circular: bool) -> bool:
         return False
     twice = {tuple(sorted(s)) for s in shared}
     return all(m == 1 or (m == 2 and e in twice) for e, m in edge_multiplicities(seq).items())
+
+
+def reference_edge_multiplicities(seq: TriangleSeq) -> Counter[Edge]:
+    """How many triangles of ``seq`` hold each edge, one triangle at a time.
+
+    The slow reference for :func:`diamforge.core.edge_multiplicities`."""
+    counts: Counter[Edge] = Counter()
+    for tri in seq.triangles:
+        a, b, c = sorted(tri)
+        counts[(a, b)] += 1
+        counts[(a, c)] += 1
+        counts[(b, c)] += 1
+    return counts
+
+
+def reference_is_good(seq: TriangleSeq) -> bool:
+    """Whether ``seq`` is good, by its shared edges and edge counts.
+
+    The slow reference for :func:`diamforge.core.is_good`: consecutive
+    triangles share two vertices, and an edge held twice is one they share."""
+    tris = seq.triangles
+    shared: set[Edge] = set()
+    for prev, tri in zip(tris, tris[1:]):
+        inter = prev & tri
+        if len(inter) != 2:
+            return False
+        shared.add(tuple(sorted(inter)))
+    return all(
+        m == 1 or (m == 2 and e in shared)
+        for e, m in reference_edge_multiplicities(seq).items()
+    )
 
 
 def reference_certify(pair: LabelsLayout) -> Certificate:

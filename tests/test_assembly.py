@@ -216,3 +216,29 @@ def test_construct_odd_even_spare_edges():
 def test_construct_matches_the_frozenset_reference():
     for n in range(3, 151):
         assert construct_optimal(n) == reference_construct(n), n
+
+
+def test_construct_reverses_at_most_one_long_walk(monkeypatch):
+    """Near n = 400 no order turns round more than one walk longer than
+    1,000 triangles.  For n = 4k + 2, plan A is reversed on its own; at even
+    k that is the only reversal, while at odd k canonical still turns the
+    whole walk, because plan B's end is the smaller."""
+    from diamforge import assembly, core, genseq
+
+    reverse, lengths = core.reverse_walk, []
+
+    def spy(pair):
+        lengths.append(len(pair))
+        return reverse(pair)
+
+    for module in (core, genseq, assembly):
+        monkeypatch.setattr(module, "reverse_walk", spy)
+    seen = {}
+    for n in range(400, 408):
+        lengths.clear()
+        construct_optimal(n)
+        seen[n] = list(lengths)
+    assert all(sum(x > 1000 for x in calls) <= 1 for calls in seen.values()), seen
+    assert seen[403] == seen[407] == [], seen
+    assert len(seen[406]) == 1 and seen[406][0] < 1000, seen
+    assert min(seen[402]) < 1000, seen

@@ -126,3 +126,56 @@ def test_dense_and_sparse_edge_tables():
     assert min(dense.values()) > 100
     for n in (40, 41, 42, 43, 60):
         assert assert_agrees(construct_optimal(n)[0]).matches_optimum
+
+
+def degenerate_at(pair: LabelsLayout, steps: list[int]) -> LabelsLayout:
+    """``pair`` with the label of each step in ``steps`` (label indices, 2
+    and up) set to the label before it, which makes that triangle hold a
+    vertex twice."""
+    labels = list(pair.labels)
+    for i in steps:
+        labels[i] = labels[i - 1]
+    return LabelsLayout(pair.n, labels, pair.layout)
+
+
+def test_degenerate_steps_are_named_at_the_first_one():
+    """certify finds degenerate steps after its pass and names the first
+    through expand_pair: one or several bad steps at the start, the middle
+    and the end, on a dense and a sparse edge table."""
+    dense = construct_optimal(40)[0]
+    sparse = random_good_pair(random.Random(0xDE6), 60, 50)
+    for pair, is_dense in ((dense, True), (sparse, False)):
+        t = len(pair)
+        assert (4 * (2 * t + 1) >= pair.n * (pair.n - 1) // 2) == is_dense
+        assert certify(pair).good
+        last = t + 1
+        for steps in ([2], [3], [t // 2], [last], [3, 4], [2, t // 2, last],
+                      [t // 2, t // 2 + 2], [last - 1, last], [t // 3, t // 2, last]):
+            bad = degenerate_at(pair, steps)
+            message = f"degenerate triangle at index {min(steps) - 2}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                expand_pair(bad)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                certify(bad)
+
+
+def test_certify_raises_exactly_when_expand_pair_does():
+    """On arbitrary in-range labels and bits, most of them degenerate
+    somewhere, certify and expand_pair raise together and alike."""
+    rng = random.Random(0xD1A6)
+    raised = 0
+    for _ in range(3000):
+        n = rng.randint(3, 8)
+        steps = rng.randint(0, 12)
+        pair = LabelsLayout(n, [rng.randrange(n) for _ in range(steps + 3)],
+                            [rng.randrange(2) for _ in range(steps)])
+        try:
+            expand_pair(pair)
+        except ValueError as slow:
+            with pytest.raises(ValueError) as fast:
+                certify(pair)
+            assert str(fast.value) == str(slow)
+            raised += 1
+        else:
+            assert_agrees(pair)
+    assert 1000 < raised < 2900

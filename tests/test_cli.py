@@ -452,7 +452,9 @@ ERRORS = {
     "decompose_p_8": (("decompose", "--p", "8"), None, 2, "8 is not prime"),
     "decompose_p_73": (("decompose", "--p", "73"), None, 2, "ord_73(2) = 9 is not divisible by 4"),
     "decompose_p_100003": (("decompose", "--p", "100003"), None, 2,
-                           "p = 100003 exceeds the ceiling 10**5"),
+                           "p = 100003 exceeds the ceiling 15000"),
+    "decompose_p_15013": (("decompose", "--p", "15013"), None, 2,
+                          "p = 15013 exceeds the ceiling 15000"),
     "decompose_builtin_7": (("decompose", "--builtin", "7"), None, 2,
                             "no built-in decomposition for n=7"),
     "search_n_2": (("search", "--n", "2"), None, 2, "need at least three labels"),
@@ -591,6 +593,28 @@ def test_emit_chunk_boundaries():
             cli._emit({"n": 11, "m": [1, {"b": 2, "a": None}]}, 11, ids=ids, rows=rows)
         want = {"n": 11, "m": [1, {"b": 2, "a": None}], "ids": ids, "rows": rows}
         assert out.getvalue() == canonical(want), length
+
+
+def test_bit_writer_matches_json_and_the_id_writer():
+    """Layout bits passed as bytes print as json.dumps prints their list,
+    and as text as the id writer prints their tuple, across 4096-bit chunks."""
+    rng = random.Random(0xB175)
+    for length in (0, 1, 4095, 4096, 4097, 8193):
+        bits = tuple(rng.randrange(2) for _ in range(length))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit({"n": 2}, 2, labels=(1, 0), layout=bytes(bits))
+        assert out.getvalue() == json.dumps(
+            {"n": 2, "labels": [1, 0], "layout": list(bits)}, sort_keys=True, separators=(",", ":")
+        ) + "\n", length
+        text, ids = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli._write_words("layout:", bytes(bits))
+        with contextlib.redirect_stdout(ids):
+            print("layout:", end=" ")
+            cli._write_ids(bits, str, " ")
+            print()
+        assert text.getvalue() == ids.getvalue() == f"layout: {' '.join(map(str, bits))}\n"
 
 
 def test_emit_without_ids_builds_no_table():

@@ -297,3 +297,35 @@ def test_codec_walk_helpers_match_the_reference_encoder():
         joined = join_walks(head, reference_encode_triples(TriangleSeq(tris[i:]), pair.n))
         assert expand_pair(joined).triangles == tris
         assert canonical(joined) == want
+
+
+def test_edge_counts_and_goodness_match_the_per_triangle_references():
+    """edge_multiplicities, covered_edges and is_good against the loops they
+    replace, on random triangle lists, random walks with and without a
+    reused edge, decoded rings and the attachment plans."""
+    from conftest import (
+        corrupted_pair,
+        random_good_pair,
+        reference_edge_multiplicities,
+        reference_is_good,
+    )
+    from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6
+
+    rng = random.Random(0xED6E)
+    seqs = [expand_pair(RING13), expand_pair(STRIP)]
+    for _ in range(600):
+        n = rng.randint(4, 9)
+        tris = [frozenset(rng.sample(range(n), 3)) for _ in range(rng.randint(1, 12))]
+        seqs.append(TriangleSeq(tris))
+        seqs.append(expand_pair(random_good_pair(rng)))
+        seqs.append(expand_pair(corrupted_pair(rng)))
+    for k in range(7, 11):
+        seqs += [attach_4k4(k), attach_4k3(k), *attach_4k6(k)]
+    good = 0
+    for seq in seqs:
+        counts = reference_edge_multiplicities(seq)
+        assert edge_multiplicities(seq) == counts
+        assert covered_edges(seq) == set(counts)
+        assert is_good(seq) == reference_is_good(seq)
+        good += is_good(seq)
+    assert 600 < good < len(seqs) - 600

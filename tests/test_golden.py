@@ -32,6 +32,11 @@ CORPUS = {
     ]
     + [["decompose", "--builtin", "105"]],
     "search": [["search", "--n", str(n)] for n in range(3, 9)],
+    "construct_large": [
+        ["construct", "--n", str(n), "--format", fmt]
+        for n in range(404, 408)
+        for fmt in ("json", "text")
+    ],
     "search_budget": [
         ["search", "--n", "9"],
         ["search", "--n", "10", "--budget", "100000"],
@@ -41,8 +46,19 @@ CORPUS = {
     ],
 }
 
+# Large orders, a few seconds each in process.
+SLOW_CORPUS = {
+    "construct_large_slow": [
+        ["construct", "--n", str(n), "--format", fmt]
+        for n in range(2000, 2004)
+        for fmt in ("json", "text")
+    ],
+}
+
 DIGESTS = {
     "construct": "4301565cb8248bfaa3ec91b11f5ad1df5eb95f0b89e39e8274ebb86df5b3daa8",
+    "construct_large": "fca7805c2ae4124faa43e8e67356222500bb06e867ddec86e49a26dc9bc828bb",
+    "construct_large_slow": "ff5b0f567730d0b74524dc0285ebf56df28727f6425c176c954891616a7c08ef",
     "genseq": "3d7de6eee6176c680b8f194cf9866df34a23236645ac23cd4e5a71dc782a8aab",
     "table": "bc52e9c5afccbf74b4f51383b270a5e6add3fa4d2f2682d765bd76e71ba7396d",
     "decompose": "f7aa0b080d6efd9ac7efc5982b9f40d30aa5c174c51bfbc4c9aaa2435daacdd0",
@@ -112,9 +128,11 @@ def corpus_digest(invocations: list[list[str]], keys: list[str] | None = None) -
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("verb", sorted(CORPUS))
+@pytest.mark.parametrize(
+    "verb", [*sorted(CORPUS), *(pytest.param(v, marks=pytest.mark.slow) for v in SLOW_CORPUS)]
+)
 def test_cli_output_digest(verb):
-    assert corpus_digest(CORPUS[verb]) == DIGESTS[verb]
+    assert corpus_digest({**CORPUS, **SLOW_CORPUS}[verb]) == DIGESTS[verb]
 
 
 def test_verify_output_digest(tmp_path):

@@ -13,18 +13,10 @@ import argparse
 import json
 import sys
 
-from .assembly import construct_optimal, small_table
+# Every verb needs core; each other layer runs its code only when a verb
+# first reaches into it (see the package docstring).
+from . import assembly, genseq, hampack, oracle
 from .core import LabelsLayout, certify
-from .genseq import gs_full, gs_missing_12, gs_missing_1248, verify_generating_sequence
-from .hampack import (
-    SEQUENCES_105,
-    CycleSquare,
-    Decomposition,
-    cycles_from_sequences,
-    decompose_prime,
-    verify_partition,
-)
-from .oracle import DEFAULT_BUDGET, search_max_diameter
 
 __all__ = ["main"]
 
@@ -125,8 +117,8 @@ def _checked_decomposition(n, cycles) -> tuple:
     n = _int("n", n)
     if not isinstance(cycles, list):
         raise ValueError(f"cycles: expected a list of cycles, got {json.dumps(cycles)}")
-    dec = Decomposition(n, [CycleSquare(_int_list("cycles", c)) for c in cycles])
-    return dec, verify_partition(dec)  # rejects cycles below five vertices
+    dec = hampack.Decomposition(n, [hampack.CycleSquare(_int_list("cycles", c)) for c in cycles])
+    return dec, hampack.verify_partition(dec)  # rejects cycles below five vertices
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -157,7 +149,7 @@ def _write_words(head: str, xs: tuple[int, ...] | bytes) -> None:
 
 
 def _cmd_construct(args) -> int:
-    pair, cert = construct_optimal(args.n)
+    pair, cert = assembly.construct_optimal(args.n)
     layout = bytes(pair.layout)  # bits, which _write_ids writes at C speed
     if args.format == "text":
         print(f"n: {args.n}")
@@ -191,12 +183,12 @@ def _cmd_genseq(args) -> int:
         raise ValueError(f"n = {n} exceeds the ceiling {MAX_GENSEQ_N}")
     k = n // 4
     if args.missing == "none":
-        gs = gs_full(k)
+        gs = genseq.gs_full(k)
     elif args.missing == "12":
-        gs, _ = gs_missing_12(k)
+        gs, _ = genseq.gs_missing_12(k)
     else:
-        gs, _ = gs_missing_1248(k)
-    report = verify_generating_sequence(gs)
+        gs, _ = genseq.gs_missing_1248(k)
+    report = genseq.verify_generating_sequence(gs)
     _emit(
         {
             "n": gs.n,
@@ -215,23 +207,24 @@ def _cmd_decompose(args) -> int:
         dec, report = _load(args.input, ("n", "cycles"), _checked_decomposition)
     else:
         if args.p is not None:
-            dec = decompose_prime(args.p)
+            dec = hampack.decompose_prime(args.p)
         elif args.builtin == 105:
-            dec = cycles_from_sequences(105, SEQUENCES_105)
+            dec = hampack.cycles_from_sequences(105, hampack.SEQUENCES_105)
         else:
             raise ValueError(f"no built-in decomposition for n={args.builtin}")
-        report = verify_partition(dec)
+        report = hampack.verify_partition(dec)
     _emit({"n": dec.n, "report": report}, dec.n, cycles=[c.order for c in dec.cycles])
     return 0 if report.ok else 1
 
 
 def _cmd_search(args) -> int:
-    _emit(_record(search_max_diameter(args.n, budget=args.budget, jobs=args.jobs)))
+    budget = oracle.DEFAULT_BUDGET if args.budget is None else args.budget
+    _emit(_record(oracle.search_max_diameter(args.n, budget=budget, jobs=args.jobs)))
     return 0
 
 
 def _cmd_table(args) -> int:
-    entry = small_table(args.n)
+    entry = assembly.small_table(args.n)
     if entry is None:
         return _fail(f"no table entry for n={args.n}", 1)
     _emit(_record(entry.pair))
@@ -279,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive small-n diameter search")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node limit, 0 = unlimited")
+    # None stands for oracle.DEFAULT_BUDGET, read only when search runs.
+    p.add_argument("--budget", type=int, help="node limit, 0 = unlimited")
     p.add_argument(
         "--jobs",
         type=int,

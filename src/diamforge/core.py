@@ -252,7 +252,9 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
     """The form :func:`encode_triples` gives a linear walk: the end with the
     smaller sorted triangle first, then the vertex it drops, then the two it
     shares with the next triangle in ascending order, unless the labels would
-    then end on the first two and decode as a ring; then in the other order."""
+    then end on the first two and decode as a ring; then in the other order.
+    A walk of two or more triangles already in that form comes back as
+    itself, not copied."""
     t = len(pair)
     if t == 1:
         return LabelsLayout._of(pair.n, tuple(sorted(pair.labels)), ())
@@ -264,6 +266,8 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
     if t >= 3 and xs[-2:] == (x0, x1) and triangle_at(pair, t - 1)[0] != x2:
         x1, x2 = x2, x1
     bits = (0,) if t == 2 else (0, int(triangle_at(pair, 2)[0] != x2))
+    if (x0, x1, x2) == xs[:3] and bits == pair.layout[:2]:
+        return pair
     return LabelsLayout._of(pair.n, (x0, x1, x2) + xs[3:], bits + pair.layout[2:])
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import reference_construct
+from conftest import reference_construct, reference_encode_triples
 from diamforge.assembly import (
     _audit_plan,
+    _construct_walk,
     attach_4k3,
     attach_4k4,
     attach_4k6,
@@ -16,13 +17,16 @@ from diamforge.assembly import (
     zigzag,
 )
 from diamforge.core import (
+    LabelsLayout,
     TriangleSeq,
+    canonical,
     covered_edges,
     dual_diameter,
     expand_pair,
     hs_max_diameter,
     is_good,
     is_ring,
+    reverse_walk,
 )
 
 
@@ -242,3 +246,20 @@ def test_construct_reverses_at_most_one_long_walk(monkeypatch):
     assert seen[403] == seen[407] == [], seen
     assert len(seen[406]) == 1 and seen[406][0] < 1000, seen
     assert min(seen[402]) < 1000, seen
+
+
+def test_canonical_returns_a_walk_already_in_its_form():
+    """Over the construct corpus canonical gives the pair rebuilt through the
+    checking constructor, from either orientation of the built walk, and
+    the frozenset reference agrees where it is affordable.  A walk longer
+    than one triangle is copied only when something changes; at n = 401
+    and 403 the walk is built in canonical form and comes back uncopied."""
+    for n in (*range(3, 204), *range(400, 408), *range(2000, 2004)):
+        walk = _construct_walk(n)
+        got = canonical(walk)
+        assert got == LabelsLayout(n, got.labels, got.layout) == canonical(reverse_walk(walk)), n
+        if 150 < n < 2000:  # test_construct_matches_the_frozenset_reference covers n <= 150
+            assert got == reference_encode_triples(expand_pair(walk), n), n
+        assert (got is walk) == (len(walk) > 1 and got == walk), n
+        if n in (401, 403):
+            assert got is walk

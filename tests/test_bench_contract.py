@@ -7,6 +7,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +67,36 @@ def test_construct_feeds_every_span_it_reports(spans, monkeypatch):
     plan_a, plan_b = assembly.attach_4k6(8)
     plans = [assembly.attach_4k4(8), plan_a, plan_b, assembly.attach_4k3(9)]
     assert encoded == [len(p) for p in plans]
+
+
+# Loads spans.py the way perfbench/run.py does, after importing only the CLI.
+PATCH_AFTER_CLI = """
+import importlib.util, sys
+sys.dont_write_bytecode = True
+import diamforge.cli
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = spans
+spec.loader.exec_module(spans)
+
+def functions():
+    return {(layer, name): getattr(sys.modules[f"diamforge.{layer}"], name)
+            for layer, names in spans.LAYER_FUNCTIONS.items() for name in names}
+
+with spans.Tracer().patch():
+    inside = functions()
+after = functions()
+for key, fn in inside.items():
+    assert getattr(fn, "__wrapped__", None) is after[key], ("not wrapped", key)
+    assert not hasattr(after[key], "__wrapped__"), ("not restored", key)
+"""
+
+
+def test_patch_after_a_fresh_cli_import_wraps_every_layer():
+    """In a fresh interpreter, where ``import diamforge.cli`` is all that ran,
+    the patch wraps every listed function and puts each back on exit.  The
+    tests above cannot show a layer missing from ``sys.modules``: conftest
+    has imported every layer before they run."""
+    res = subprocess.run([sys.executable, "-c", PATCH_AFTER_CLI, str(SPANS)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from conftest import reference_int_list, reference_verify_partition, run_main
-from diamforge import cli
+from diamforge import cli, oracle
 from diamforge.assembly import MAX_N, construct_optimal
 from diamforge.hampack import (
     SEQUENCES_105,
@@ -194,6 +194,39 @@ def test_import_leaves_out_sympy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+# Lists the diamforge modules whose code ran, in a fresh interpreter, after
+# import diamforge alone or after a verb.  A layer not yet run sits in
+# sys.modules as a lazy placeholder, a subclass of the module type.
+LAYERS_RUN = """
+import contextlib, io, sys, types
+import diamforge
+if sys.argv[1:]:
+    import diamforge.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        diamforge.cli.main(sys.argv[1:])
+print(*(name.split(".", 1)[1] for name, module in sys.modules.items()
+        if name.startswith("diamforge.") and type(module) is types.ModuleType))
+"""
+
+
+def layers_run(*argv: str) -> set[str]:
+    res = subprocess.run([sys.executable, "-c", LAYERS_RUN, *argv],
+                         capture_output=True, text=True, check=True)
+    return set(res.stdout.split())
+
+
+def test_each_verb_runs_only_its_layers(tmp_path):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"n": 5, "labels": [0, 1, 2, 3, 4], "layout": [0, 0]}))
+    assert layers_run() == set()
+    assert layers_run("search", "--n", "9") == {"core", "cli", "oracle"}
+    assert layers_run("decompose", "--p", "13") == {"core", "cli", "hampack"}
+    assert layers_run("decompose", "--builtin", "105") == {"core", "cli", "hampack"}
+    assert layers_run("verify", "--input", str(path)) == {"core", "cli"}
+    for n in range(400, 404):
+        assert layers_run("construct", "--n", str(n)) == {"core", "cli", "assembly", "genseq"}
+
+
 def test_decompose_builtin():
     res = run("decompose", "--builtin", "105")
     assert res.returncode == 0
@@ -265,6 +298,18 @@ def test_search_budget_and_jobs():
     assert res.returncode == 0
     assert json.loads(res.stdout)["exhaustive"] is False
     assert run("search", "--n", "2").returncode == 2
+
+
+def test_search_budget_defaults_to_the_oracle_budget(monkeypatch):
+    """Without --budget, search reads oracle.DEFAULT_BUDGET when it runs,
+    not when the parser is built."""
+    default = run_main(["search", "--n", "6"])
+    assert default == run_main(["search", "--n", "6", "--budget", "100000000"])
+    assert default[0] == 0
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 5)
+    capped = run_main(["search", "--n", "9"])
+    assert capped == run_main(["search", "--n", "9", "--budget", "5"])
+    assert json.loads(capped[1])["nodes_explored"] == 5
 
 
 def test_search_deeper_than_the_recursion_limit():

@@ -227,16 +227,19 @@ def reverse_walk(pair: LabelsLayout) -> LabelsLayout:
 
 
 def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
-    """``head`` followed by ``tail``, turned round unless its first triangle
-    meets head's last in an edge, as the next triangle of a good walk does.
-    Only the bits of tail's first three triangles depend on what precedes.
+    """``head`` followed by ``tail``, whose first triangle must meet head's
+    last in an edge, as the next triangle of a good walk does.  Only the bits
+    of tail's first three triangles depend on what precedes.
 
     The result has ``tail.n`` vertices, so a label of head outside
-    ``range(tail.n)`` raises ValueError."""
+    ``range(tail.n)`` raises ValueError, as does a tail that does not
+    continue head."""
     c, u, v = triangle_at(head, len(head) - 1)
-    if len(set(tail.labels[:3]) - {c, u, v}) != 1:
-        tail = reverse_walk(tail)
-    (w0,) = set(tail.labels[:3]) - {c, u, v}
+    fresh = set(tail.labels[:3]) - {c, u, v}
+    if len(fresh) != 1:
+        raise ValueError(f"tail's first triangle {sorted(tail.labels[:3])} does not "
+                         f"continue head's last {sorted((c, u, v))}")
+    (w0,) = fresh
     bits = []
     for j, w in enumerate((w0, *tail.labels[3:5])):
         bits.append(int(u not in triangle_at(tail, j)))

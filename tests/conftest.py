@@ -1,7 +1,8 @@
 """Shared test helpers: the reference edge counter, goodness test,
 certifier, encoder, ring cut, cut finder, seed cut, construction, partition
-checker, sequence unroller and input type check, random good-walk generation
-and acceptance reporting."""
+checker, sequence unroller and input type check, the attachment plans'
+target edges, random good-walk generation and acceptance reporting with
+each criterion's runtime and bound."""
 
 from __future__ import annotations
 
@@ -285,6 +286,46 @@ def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLa
     return LabelsLayout(n, labels, layout)
 
 
+def residue_class(r: int, n: int) -> set[Edge]:
+    """All edges {x, x + r mod n} on the first n vertices, for 0 < 2r < n."""
+    return set(zip(range(n - r), range(r, n))) | set(zip(range(r), range(n - r, n)))
+
+
+def spokes(v: int, m: int) -> set[Edge]:
+    """All edges from v to the other vertices of range(m)."""
+    return {edge(v, x) for x in range(m) if x != v}
+
+
+def plan_targets(k: int) -> list[tuple[str, TriangleSeq, Edge, set[Edge]]]:
+    """Each attachment plan valid at k with its anchor and the edges it
+    must cover besides the anchor.
+
+    The ring on range(4k + 1) misses residue classes 1 and 2, and for
+    n = 4k + 6 also 4 and 8.  The plans cover those classes, every edge at
+    the vertices they add, and the cut edge {0, 13} (n = 4k + 3) or
+    {0, 17} (plan A) that the ring cut destroyed.  Plan A covers the edges
+    between its two new vertices and the ring, and plan B every edge at the
+    last three.
+    """
+    n1 = 4 * k + 1
+    classes = residue_class(1, n1) | residue_class(2, n1)
+    targets = []
+    if k >= 4:
+        want = classes.union(*(spokes(v, n1 + 3) for v in range(n1, n1 + 3)))
+        targets.append(("attach_4k4", attach_4k4(k), (0, 4 * k - 2), want))
+    if k >= 5:
+        want = classes.union({(0, 13)}, *(spokes(v, n1 + 2) for v in range(n1, n1 + 2)))
+        targets.append(("attach_4k3", attach_4k3(k), (0, 7), want))
+    if k >= 7:
+        plan_a, plan_b = attach_4k6(k)
+        want_a = classes | {(0, 17)} | spokes(n1, n1 + 2) | spokes(n1 + 1, n1)
+        want_b = residue_class(4, n1).union(
+            residue_class(8, n1), *(spokes(v, n1 + 5) for v in range(n1 + 2, n1 + 5)))
+        targets += [("attach_4k6/A", plan_a, (6, 17), want_a),
+                    ("attach_4k6/B", plan_b, (0, 6), want_b)]
+    return targets
+
+
 def reference_seed_cut(ring: LabelsLayout) -> CutSpec:
     """The n = 4k+1 seed cut found by set algebra over three triangles.
 
@@ -494,5 +535,8 @@ def pytest_runtest_makereport(item, call):
         return
     m = _CRITERION.match(item.name)
     if m:
+        num = int(m.group(1))
         status = "PASS" if rep.passed else "FAIL"
-        print(f"\nCRITERION {int(m.group(1))}: {status}")
+        bound = getattr(item.module, "BOUNDS_S", {}).get(num)
+        limit = "no bound" if bound is None else f"bound {bound} s"
+        print(f"\nCRITERION {num}: {status} ({rep.duration:.2f} s, {limit})")

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per published claim, with wall-clock limits.
 
 Each test prints a CRITERION line via the conftest hook so a run can be
-skimmed for a verdict.  The limits are deliberately loose multiples of the
-observed runtimes; a failure here means a real regression, not noise.
+skimmed for a verdict, with its runtime next to its bound.  The limits are
+deliberately loose multiples of the observed runtimes; a failure here means
+a real regression, not noise.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ from diamforge.oracle import search_max_diameter
 from conftest import random_good_pair
 
 
+# Wall-clock bound in seconds of each criterion that has one, read by its
+# assert and by the CRITERION report in conftest.
+BOUNDS_S = {1: 30, 2: 300, 3: 10, 4: 5, 5: 30, 6: 10, 7: 10, 8: 1, 9: 5}
+
+
 def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "diamforge", *args],
@@ -67,7 +73,7 @@ def test_criterion_01_construction_totality():
     probe = cli("construct", "--n", "47")
     assert probe.returncode == 0
     assert json.loads(probe.stdout)["certificate"]["matches_optimum"]
-    assert time.monotonic() - started < 30
+    assert time.monotonic() - started < BOUNDS_S[1]
 
 
 def test_criterion_02_search_confirms_small_optima():
@@ -79,7 +85,7 @@ def test_criterion_02_search_confirms_small_optima():
     probe = cli("search", "--n", "6")
     out = json.loads(probe.stdout)
     assert probe.returncode == 0 and out["exhaustive"] and out["best_diameter"] == 5
-    assert time.monotonic() - started < 300
+    assert time.monotonic() - started < BOUNDS_S[2]
 
 
 def test_criterion_03_attachment_plan_budgets():
@@ -94,7 +100,7 @@ def test_criterion_03_attachment_plan_budgets():
         plan_a, plan_b = attach_4k6(k)
         assert len(covered_edges(plan_a)) - 1 == 16 * k + 6
         assert len(covered_edges(plan_b)) - 1 == 20 * k + 14
-    assert time.monotonic() - started < 10
+    assert time.monotonic() - started < BOUNDS_S[3]
 
 
 def test_criterion_04_families_have_exact_missing_sets():
@@ -109,7 +115,7 @@ def test_criterion_04_families_have_exact_missing_sets():
     for k in range(7, 61):
         rep = verify_generating_sequence(gs_missing_1248(k)[0])
         assert rep.valid and rep.missing == frozenset({1, 2, 4, 8})
-    assert time.monotonic() - started < 5
+    assert time.monotonic() - started < BOUNDS_S[4]
 
 
 def test_criterion_05_missing_classes_match_ring_coverage():
@@ -124,7 +130,7 @@ def test_criterion_05_missing_classes_match_ring_coverage():
         ring = expand_pair(expand_pair_of(gs))
         classes = {canonical_residue(u - v, n) for u, v in covered_edges(ring)}
         assert classes == set(range(1, (n - 1) // 2 + 1)) - missing
-    assert time.monotonic() - started < 30
+    assert time.monotonic() - started < BOUNDS_S[5]
 
 
 def test_criterion_06_prime_decompositions():
@@ -140,7 +146,7 @@ def test_criterion_06_prime_decompositions():
         assert verify_partition(dec).ok
     probe = cli("decompose", "--p", "13")
     assert probe.returncode == 0 and json.loads(probe.stdout)["report"]["ok"]
-    assert time.monotonic() - started < 10
+    assert time.monotonic() - started < BOUNDS_S[6]
 
 
 def test_criterion_07_order_divisibility_sweep():
@@ -151,7 +157,7 @@ def test_criterion_07_order_divisibility_sweep():
             assert ord_mod(2, p) % 4 == 0
             count += 1
     assert count == 2399
-    assert time.monotonic() - started < 10
+    assert time.monotonic() - started < BOUNDS_S[7]
 
 
 def test_criterion_08_order_105_partition():
@@ -160,7 +166,7 @@ def test_criterion_08_order_105_partition():
     assert len(dec.cycles) == 26
     assert sum(len(square_edges(c)) for c in dec.cycles) == 5460
     assert verify_partition(dec).ok
-    assert time.monotonic() - started < 1
+    assert time.monotonic() - started < BOUNDS_S[8]
 
 
 def test_criterion_09_table_rows_and_general_overlap():
@@ -173,7 +179,7 @@ def test_criterion_09_table_rows_and_general_overlap():
     for n in (13, 17, 20, 21, 23, 24, 25, 27, 28, 29):
         _, cert = construct_optimal(n)
         assert cert.diameter == hs_max_diameter(n)
-    assert time.monotonic() - started < 5
+    assert time.monotonic() - started < BOUNDS_S[9]
 
 
 def test_criterion_10_random_walk_laws():

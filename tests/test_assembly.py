@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import reference_construct, reference_encode_triples
+from conftest import plan_targets, reference_construct, reference_encode_triples
 from diamforge.assembly import (
     _audit_plan,
     _construct_walk,
@@ -22,6 +22,7 @@ from diamforge.core import (
     canonical,
     covered_edges,
     dual_diameter,
+    encode_triples,
     expand_pair,
     hs_max_diameter,
     is_good,
@@ -77,26 +78,41 @@ def test_zigzag_rejections():
 
 
 def test_plan_validation():
-    """_audit_plan returns the plan as a sequence once it is good and covers
-    exactly the expected edges."""
+    """_audit_plan returns the plan as a sequence once it is good."""
     tris = [tri(0, 1, 2), tri(1, 2, 3)]
-    expected = {(0, 2), (1, 2), (1, 3), (2, 3)}
-    assert _audit_plan("demo", 1, (0, 1), tris, expected) == TriangleSeq(tris)
+    assert _audit_plan("demo", 1, (0, 1), tris) == TriangleSeq(tris)
     with pytest.raises(AssertionError, match="not a good sequence"):
-        _audit_plan("demo", 1, (0, 1), [tri(0, 1, 2), tri(3, 4, 5)], expected)
-    with pytest.raises(AssertionError, match="covered edges differ"):
-        _audit_plan("demo", 1, (0, 1), tris, expected - {(1, 3)})
+        _audit_plan("demo", 1, (0, 1), [tri(0, 1, 2), tri(3, 4, 5)])
     with pytest.raises(ValueError, match="empty triangle sequence"):
-        _audit_plan("demo", 1, (0, 1), [], set())
+        _audit_plan("demo", 1, (0, 1), [])
 
 
 def test_audit_plan_requires_the_anchor():
-    """A good plan with the right edge set still fails when its first
-    triangle misses the anchor: is_good does not see the anchor."""
+    """A good plan still fails when its first triangle misses the anchor:
+    is_good does not see the anchor."""
     tris = [tri(0, 1, 2), tri(1, 2, 3)]
-    expected = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
     with pytest.raises(AssertionError, match="does not hold the anchor"):
-        _audit_plan("demo", 1, (0, 3), tris, expected)
+        _audit_plan("demo", 1, (0, 3), tris)
+
+
+def test_plans_cover_exactly_their_target_edges():
+    """Besides its anchor, each plan covers exactly the residue classes the
+    ring misses, the edges at its new vertices and the cut edge it
+    re-covers.  construct checks this only through the walk's certificate."""
+    for k in range(4, 61):
+        for name, plan, anchor, want in plan_targets(k):
+            got = covered_edges(plan) - {anchor}
+            assert got == want, (name, k, sorted(got - want), sorted(want - got))
+
+
+def test_plans_run_from_their_smaller_end():
+    """Each plan's first triangle sorts before its last, so encode_triples
+    keeps it starting at its anchor and join_walks never turns it round."""
+    for k in range(4, 61):
+        for name, plan, _, _ in plan_targets(k):
+            first = plan.triangles[0]
+            assert sorted(first) < sorted(plan.triangles[-1]), (name, k)
+            assert expand_pair(encode_triples(plan)).triangles[0] == first, (name, k)
 
 
 def test_plans_start_at_their_anchor_and_have_their_lengths():

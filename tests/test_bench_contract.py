@@ -7,6 +7,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,40 @@ def test_construct_feeds_every_span_it_reports(spans, monkeypatch):
     plan_a, plan_b = assembly.attach_4k6(8)
     plans = [assembly.attach_4k4(8), plan_a, plan_b, assembly.attach_4k3(9)]
     assert encoded == [len(p) for p in plans]
+
+
+# Every span perfbench/run.py's traced run reads by name from its totals; a
+# name missing there ends the run in KeyError.
+INDEXED = {
+    "core": ("expand_pair", "encode_triples", "is_good", "dual_diameter", "certify"),
+    "genseq": ("gs_full", "gs_missing_12", "gs_missing_1248", "expand_to_circular",
+               "expand_pair_of", "cut_circular"),
+    "assembly": ("attach_4k4", "attach_4k3", "attach_4k6", "construct_optimal"),
+    "hampack": ("decompose_prime", "cycles_from_sequences", "square_edges",
+                "verify_partition", "ord_mod"),
+    "oracle": ("search_max_diameter",),
+    "cli": ("main",),
+}
+
+
+def test_every_span_the_traced_run_indexes_is_recorded(spans, tmp_path):
+    """One call per verb the traced run replays records every span it reads.
+    Only a walk that reuses an edge reaches expand_pair and dual_diameter,
+    so certify's fallback must keep calling them."""
+    reuse = tmp_path / "reuse.json"
+    # {0,1,2}, {1,2,3}, {2,3,0}: the last step re-covers {0, 2}.
+    reuse.write_text(json.dumps({"n": 5, "labels": [0, 1, 2, 3, 0], "layout": [0, 0]}))
+    runs = [(["construct", "--n", str(n)], 0) for n in range(36, 40)]
+    runs += [(["verify", "--input", str(reuse)], 1), (["search", "--n", "6", "--budget", "0"], 0),
+             (["decompose", "--p", "13"], 0), (["decompose", "--builtin", "105"], 0)]
+    tracer = spans.Tracer()
+    with tracer.patch():
+        for argv, rc in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == rc, argv
+    names = {s.name for s in tracer.spans}
+    want = {f"{layer}.{name}" for layer, fns in INDEXED.items() for name in fns}
+    assert want <= names, sorted(want - names)
 
 
 # Loads spans.py the way perfbench/run.py does, after importing only the CLI.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -275,6 +276,22 @@ def test_join_checks_the_head_labels_against_the_tail_order():
     assert join_walks(LabelsLayout(9, (1, 2, 3), ()), tail) == LabelsLayout(5, (1, 2, 3, 4), (0,))
 
 
+def test_join_rejects_a_tail_that_does_not_continue_the_head():
+    """join_walks never turns its tail round: a tail whose first triangle
+    misses head's last, or meets it in one vertex, raises, naming both."""
+    head = LabelsLayout(6, (0, 1, 2, 3), (0,))  # ends on {1, 2, 3}
+    # {4, 5, 0}; {0, 3, 4}; {1, 4, 5}, {1, 3, 5}: the last one turned round continues head.
+    tails = [LabelsLayout(6, (4, 5, 0, 1), (0,)), LabelsLayout(6, (0, 3, 4, 5), (0,)),
+             LabelsLayout(6, (4, 5, 1, 3), (0,))]
+    for tail in tails:
+        first = sorted(tail.labels[:3])
+        want = f"tail's first triangle {first} does not continue head's last [1, 2, 3]"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            join_walks(head, tail)
+    joined = join_walks(head, reverse_walk(tails[-1]))
+    assert expand_pair(joined).triangles[2:] == [frozenset({1, 3, 5}), frozenset({1, 4, 5})]
+
+
 def test_codec_walk_helpers_match_the_reference_encoder():
     """reverse_walk, join_walks and canonical against encoding the triangles."""
     from conftest import random_good_pair, reference_encode_triples
@@ -294,7 +311,10 @@ def test_codec_walk_helpers_match_the_reference_encoder():
         head = reference_encode_triples(TriangleSeq(tris[:i]), pair.n)
         if expand_pair(head).triangles[-1] != tris[i - 1]:
             head = reverse_walk(head)
-        joined = join_walks(head, reference_encode_triples(TriangleSeq(tris[i:]), pair.n))
+        tail = reference_encode_triples(TriangleSeq(tris[i:]), pair.n)
+        if expand_pair(tail).triangles[0] != tris[i]:
+            tail = reverse_walk(tail)
+        joined = join_walks(head, tail)
         assert expand_pair(joined).triangles == tris
         assert canonical(joined) == want
 

@@ -1,0 +1,45 @@
+"""What every layer shares: the record base class and the canonical edge.
+
+A leaf with no imports, so that a layer needing only these, as hampack
+does, runs without core.  :mod:`diamforge.core` re-exports all three.
+"""
+
+Edge = tuple[int, int]
+
+__all__ = ["Edge", "Record", "edge"]
+
+
+def edge(u: int, v: int) -> Edge:
+    """Return the canonical (sorted) form of the edge {u, v}."""
+    if u == v:
+        raise ValueError(f"degenerate edge ({u}, {v})")
+    return (u, v) if u < v else (v, u)
+
+
+class Record:
+    """Base of the package's records: field-wise ``==`` and a readable repr
+    over ``__slots__``.  Records are mutable and not hashable."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, *fields):
+        """A record holding ``fields`` in ``__slots__`` order, built without
+        ``__init__`` and so without its checks: only for values that are
+        valid by construction."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(self, name, value)
+        return self
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"

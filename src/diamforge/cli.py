@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
-# Every verb needs core; each other layer runs its code only when a verb
-# first reaches into it (see the package docstring).
-from . import assembly, genseq, hampack, oracle
-from .core import LabelsLayout, certify
+# Each layer runs its code only when a verb first reaches into it (see the
+# package docstring): decompose runs hampack alone, every other verb core.
+from . import assembly, core, genseq, hampack, oracle
 
 __all__ = ["main"]
 
@@ -46,7 +46,7 @@ def _emit(obj: dict, n: int = 0, **arrays) -> None:
     :func:`_write_ids` writes them, or one inner tuple per write.
     """
     write = sys.stdout.write
-    name = list(map(str, range(n))).__getitem__ if any(arrays.values()) else None
+    names = list(map(str, range(n))) if any(arrays.values()) else None
     write("{")
     for i, key in enumerate(sorted(obj.keys() | arrays.keys())):
         write(("," if i else "") + _dumps(key) + ":")
@@ -56,11 +56,11 @@ def _emit(obj: dict, n: int = 0, **arrays) -> None:
         elif type(xs) is list:
             write("[")
             for j, row in enumerate(xs):
-                write(("," if j else "") + "[" + ",".join(map(name, row)) + "]")
+                write(("," if j else "") + "[" + _joined(",", row, names) + "]")
             write("]")
         else:
             write("[")
-            _write_ids(xs, name, ",")
+            _write_ids(xs, names, ",")
             write("]")
     write("}\n")
 
@@ -109,8 +109,10 @@ def _int_list(what: str, xs) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def _pair(n, labels, layout) -> LabelsLayout:
-    return LabelsLayout(_int("n", n), _int_list("labels", labels), _int_list("layout", layout))
+def _pair(n, labels, layout) -> core.LabelsLayout:
+    return core.LabelsLayout(
+        _int("n", n), _int_list("labels", labels), _int_list("layout", layout)
+    )
 
 
 def _checked_decomposition(n, cycles) -> tuple:
@@ -124,9 +126,16 @@ def _checked_decomposition(n, cycles) -> tuple:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _write_ids(xs: tuple[int, ...] | bytes, name, sep: str) -> None:
+def _joined(sep: str, ids: tuple[int, ...], names: list[str]) -> str:
+    """``sep.join(names[x] for x in ids)``, the names gathered in one C call."""
+    if len(ids) > 1:
+        return sep.join(itemgetter(*ids)(names))
+    return names[ids[0]] if ids else ""  # itemgetter returns one name bare
+
+
+def _write_ids(xs: tuple[int, ...] | bytes, names: list[str], sep: str) -> None:
     """Write the items of ``xs``, ``sep`` between them, 4096 per write: each
-    id of a tuple as ``name(x)``, and the 0/1 bits of a bytes object as
+    id x of a tuple as ``names[x]``, and the 0/1 bits of a bytes object as
     digits, filled at C speed into the even bytes of a ``sep``-filled buffer
     that keeps its trailing ``sep`` on every chunk but the last."""
     write = sys.stdout.write
@@ -138,13 +147,13 @@ def _write_ids(xs: tuple[int, ...] | bytes, name, sep: str) -> None:
             write(buf[: 2 * len(chunk) - (i + 4096 >= len(xs))].decode())
         return
     for i in range(0, len(xs), 4096):
-        write((sep if i else "") + sep.join(map(name, xs[i : i + 4096])))
+        write((sep if i else "") + _joined(sep, xs[i : i + 4096], names))
 
 
-def _write_words(head: str, xs: tuple[int, ...] | bytes) -> None:
-    """Write ``head`` and ``xs`` as one line."""
+def _write_words(head: str, xs: tuple[int, ...] | bytes, n: int = 0) -> None:
+    """Write ``head`` and ``xs``, ids in range(n) or bits, as one line."""
     sys.stdout.write(head + " ")
-    _write_ids(xs, str, " ")
+    _write_ids(xs, list(map(str, range(n))), " ")
     sys.stdout.write("\n")
 
 
@@ -153,7 +162,7 @@ def _cmd_construct(args) -> int:
     layout = bytes(pair.layout)  # bits, which _write_ids writes at C speed
     if args.format == "text":
         print(f"n: {args.n}")
-        _write_words("labels:", pair.labels)
+        _write_words("labels:", pair.labels, pair.n)
         _write_words("layout:", layout)
         print(f"diameter: {cert.diameter}")
         print(f"optimum: {cert.optimum}")
@@ -168,7 +177,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     pair = _load(args.input, ("n", "labels", "layout"), _pair)
     try:
-        cert = certify(pair)
+        cert = core.certify(pair)
     except ValueError as exc:
         return _fail(f"expansion failed: {exc}", 1)
     _emit(_record(cert))

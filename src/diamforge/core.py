@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import chain, combinations, compress, count, repeat
 
-Edge = tuple[int, int]
+from ._base import Edge, Record, edge
+
 Triangle = frozenset[int]
 
 __all__ = [
@@ -48,45 +49,9 @@ __all__ = [
 ]
 
 
-def edge(u: int, v: int) -> Edge:
-    """Return the canonical (sorted) form of the edge {u, v}."""
-    if u == v:
-        raise ValueError(f"degenerate edge ({u}, {v})")
-    return (u, v) if u < v else (v, u)
-
-
 def all_edges(n: int) -> set[Edge]:
     """All edges of the complete graph on vertices 0..n-1."""
     return {(u, v) for u in range(n) for v in range(u + 1, n)}
-
-
-class Record:
-    """Base of the package's records: field-wise ``==`` and a readable repr
-    over ``__slots__``.  Records are mutable and not hashable."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _of(cls, *fields):
-        """A record holding ``fields`` in ``__slots__`` order, built without
-        ``__init__`` and so without its checks: only for values that are
-        valid by construction."""
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            setattr(self, name, value)
-        return self
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({fields})"
 
 
 class TriangleSeq(Record):

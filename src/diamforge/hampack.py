@@ -14,7 +14,7 @@ from itertools import accumulate, cycle, islice
 from math import isqrt
 from operator import itemgetter, sub
 
-from .core import Edge, Record, edge
+from ._base import Edge, Record, edge
 
 __all__ = [
     "CycleSquare",
@@ -115,6 +115,13 @@ def ord_mod(base: int, p: int) -> int:
     return next(d for d in small + [(p - 1) // d for d in small[::-1]] if pow(base, d, p) == 1)
 
 
+def _times4(n: int) -> itemgetter:
+    """The map from an ordering ``o`` of Z_n, n >= 2, to ``o`` read at the
+    positions 4i mod n.  If ``o[j] = x_0 + j*s`` then the result's i-th
+    entry is ``o[4i mod n] = x_0 + 4i*s``: the ordering of step 4s."""
+    return itemgetter(*[x % n for x in range(0, 4 * n, 4)])
+
+
 def decompose_prime(p: int) -> Decomposition:
     """Partition E(K_p) into (p-1)/4 cycle squares via cosets of <2>.
 
@@ -143,11 +150,11 @@ def decompose_prime(p: int) -> Decomposition:
         for _ in range(t):
             seen[cur] = 1
             cur = cur * 2 % p
-    # x -> 4x permutes Z_p, so the ordering of step 4s is that of step s
-    # read at the positions 4i: order_4s[i] = 4is = order_s[4i mod p].
-    # A unit stride and its compositions with x -> 4x are permutations by
-    # construction, so the orderings skip CycleSquare's check.
-    times4 = itemgetter(*[x % p for x in range(0, 4 * p, 4)])
+    # The ordering of step 4s is that of step s read at the positions 4i
+    # mod p (see _times4).  A unit stride and its compositions with x -> 4x
+    # are permutations by construction, so the orderings skip CycleSquare's
+    # check.
+    times4 = _times4(p)
     cycles = []
     for a in reps:
         c = CycleSquare._of(tuple([x % p for x in range(0, a * p, a)]))
@@ -186,16 +193,25 @@ def cycles_from_sequences(n: int, seqs: tuple[tuple[int, ...], ...]) -> Decompos
 
 
 def _tiles_by_classes(d: Decomposition) -> bool:
-    """True when ``d`` is (n-1)/4 arithmetic cycles with distinct classes."""
+    """True when ``d`` is (n-1)/4 arithmetic cycles with distinct classes.
+
+    A cycle equal to :func:`_times4` of the previous one, which has been
+    shown arithmetic of step s, is arithmetic of step 4s by composition:
+    one gather and one tuple compare.  Each other cycle has every step read.
+    """
     n = d.n
     if n % 4 != 1 or n < 5 or len(d.cycles) * 4 != n - 1:
         return False
-    hit = bytearray(n)
+    times4, prev, hit = _times4(n), None, bytearray(n)
     for c in d.cycles:
         o = c.order
-        s = (o[1] - o[0]) % n
-        if not set(map(sub, o[1:], o)) <= {s, s - n}:  # each step is s mod n
-            return False
+        if prev is not None and o == times4(prev):
+            s = 4 * s % n
+        else:
+            s = (o[1] - o[0]) % n
+            if not set(map(sub, o[1:], o)) <= {s, s - n}:  # each step is s mod n
+                return False
+        prev = o
         for k in (s, 2 * s % n):
             k = min(k, n - k)
             if hit[k]:
@@ -221,8 +237,11 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     each holds n edges, and K_n is the disjoint union of its (n-1)/2
     classes.  So when no class min(k, n-k) repeats, the 2 * (n-1)/4 classes
     are all of them and the family tiles E(K_n) exactly once (A. Rosa's
-    difference method).  Any other family, or one whose classes repeat, goes
-    to the edge count below.
+    difference method).  Every step of a cycle is read, except in a cycle
+    that equals the previous one, of step s, read at the positions 4i mod n:
+    that cycle has step 4s by composition, and :func:`decompose_prime` builds
+    each ordering after the first of a coset that way.  Any other family, or
+    one whose classes repeat, goes to the edge count below.
 
     Edges are packed as keys ``lo*n + hi``, which order like ``(lo, hi)``.
     For n >= 5 the n distance-1 and n distance-2 pairs of a cycle are 2n

@@ -1,8 +1,8 @@
 """Shared test helpers: the reference edge counter, goodness test,
 certifier, encoder, ring cut, cut finder, seed cut, construction, partition
-checker, sequence unroller and input type check, the attachment plans'
-target edges, random good-walk generation and acceptance reporting with
-each criterion's runtime and bound."""
+checker and class rule, sequence unroller and input type check, the
+attachment plans' target edges, random good-walk generation and acceptance
+reporting with each criterion's runtime and bound."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import re
 from collections import Counter
 from itertools import accumulate, combinations, cycle, islice
+from operator import sub
 
 import pytest
 
@@ -398,6 +399,29 @@ def reference_verify_partition(d: Decomposition) -> PartitionReport:
         and len(d.cycles) == (d.n - 1) // 4
     )
     return PartitionReport(ok, missing, doubled)
+
+
+def reference_tiles_by_classes(d: Decomposition) -> bool:
+    """Whether ``d`` is (n-1)/4 arithmetic cycles with distinct classes.
+
+    The slow reference for :func:`diamforge.hampack._tiles_by_classes`:
+    every step of every cycle is read, none taken from composition.
+    """
+    n = d.n
+    if n % 4 != 1 or n < 5 or len(d.cycles) * 4 != n - 1:
+        return False
+    hit = bytearray(n)
+    for c in d.cycles:
+        o = c.order
+        s = (o[1] - o[0]) % n
+        if not set(map(sub, o[1:], o)) <= {s, s - n}:  # each step is s mod n
+            return False
+        for k in (s, 2 * s % n):
+            k = min(k, n - k)
+            if hit[k]:
+                return False
+            hit[k] = 1
+    return True
 
 
 def reference_prime_orders(p: int) -> list[list[int]]:

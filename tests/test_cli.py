@@ -219,12 +219,33 @@ def test_each_verb_runs_only_its_layers(tmp_path):
     path = tmp_path / "walk.json"
     path.write_text(json.dumps({"n": 5, "labels": [0, 1, 2, 3, 4], "layout": [0, 0]}))
     assert layers_run() == set()
-    assert layers_run("search", "--n", "9") == {"core", "cli", "oracle"}
-    assert layers_run("decompose", "--p", "13") == {"core", "cli", "hampack"}
-    assert layers_run("decompose", "--builtin", "105") == {"core", "cli", "hampack"}
-    assert layers_run("verify", "--input", str(path)) == {"core", "cli"}
+    # _base, the leaf that holds Record and edge, runs with any layer.
+    assert layers_run("search", "--n", "9") == {"_base", "core", "cli", "oracle"}
+    assert layers_run("decompose", "--p", "13") == {"_base", "cli", "hampack"}
+    assert layers_run("decompose", "--builtin", "105") == {"_base", "cli", "hampack"}
+    assert layers_run("verify", "--input", str(path)) == {"_base", "core", "cli"}
     for n in range(400, 404):
-        assert layers_run("construct", "--n", str(n)) == {"core", "cli", "assembly", "genseq"}
+        assert layers_run("construct", "--n", str(n)) == {
+            "_base", "core", "cli", "assembly", "genseq"
+        }
+
+
+def test_decompose_leaves_core_an_unrun_placeholder():
+    """A fresh interpreter prints the partition of K_13 without running
+    core: diamforge.core stays the lazy module the package bound."""
+    code = (
+        "import contextlib, io, sys, types\n"
+        "import diamforge.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = diamforge.cli.main(['decompose', '--p', '13'])\n"
+        "core = sys.modules['diamforge.core']\n"
+        "assert rc == 0 and '\"ok\":true' in out.getvalue(), (rc, out.getvalue())\n"
+        "assert isinstance(core, types.ModuleType) and type(core) is not types.ModuleType\n"
+        "assert diamforge.core is core\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_decompose_builtin():
@@ -640,6 +661,20 @@ def test_emit_chunk_boundaries():
         assert out.getvalue() == canonical(want), length
 
 
+def test_emit_rows_of_every_short_length():
+    """Rows of 0, 1, 2 and 3 ids and a one-id flat array print as
+    json.dumps prints them: the id gather returns one name bare."""
+    rows = [(), (10,), (3, 12), (0, 7, 11)]
+    for nested in (rows, rows[::-1], [(12,)], [()], []):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit({"n": 13}, 13, cycles=nested, labels=(12,))
+        want = {"n": 13, "cycles": [list(r) for r in nested], "labels": [12]}
+        assert out.getvalue() == json.dumps(
+            want, sort_keys=True, separators=(",", ":")
+        ) + "\n", nested
+
+
 def test_bit_writer_matches_json_and_the_id_writer():
     """Layout bits passed as bytes print as json.dumps prints their list,
     and as text as the id writer prints their tuple, across 4096-bit chunks."""
@@ -657,7 +692,7 @@ def test_bit_writer_matches_json_and_the_id_writer():
             cli._write_words("layout:", bytes(bits))
         with contextlib.redirect_stdout(ids):
             print("layout:", end=" ")
-            cli._write_ids(bits, str, " ")
+            cli._write_ids(bits, ["0", "1"], " ")
             print()
         assert text.getvalue() == ids.getvalue() == f"layout: {' '.join(map(str, bits))}\n"
 

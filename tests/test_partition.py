@@ -1,5 +1,6 @@
 """The partition checker, on its difference-class path and its packed-key
-count, against the edge-tuple reference."""
+count, against the edge-tuple reference; and the class rule, whose coset
+chains are certified by composition, against the rule that reads every step."""
 
 from __future__ import annotations
 
@@ -8,13 +9,18 @@ import random
 
 import pytest
 
-from conftest import reference_prime_orders, reference_verify_partition
+from conftest import (
+    reference_prime_orders,
+    reference_tiles_by_classes,
+    reference_verify_partition,
+)
 from diamforge.hampack import (
     SEQUENCES_105,
     CycleSquare,
     Decomposition,
     _is_prime,
     _tiles_by_classes,
+    _times4,
     cycles_from_sequences,
     decompose_prime,
     ord_mod,
@@ -28,7 +34,9 @@ ELIGIBLE = [
 
 
 def assert_agrees(d: Decomposition):
-    """verify_partition(d) equals the reference report."""
+    """verify_partition(d) equals the reference report, and the class rule
+    decides d as the one that reads every step."""
+    assert _tiles_by_classes(d) is reference_tiles_by_classes(d)
     rep = verify_partition(d)
     assert rep == reference_verify_partition(d)
     return rep
@@ -44,16 +52,21 @@ def class_edges(n: int, k: int) -> list[tuple[int, int]]:
     return sorted((min(x, (x + k) % n), max(x, (x + k) % n)) for x in range(n))
 
 
+def damaged(rng, c: CycleSquare) -> CycleSquare:
+    """``c`` with two of its vertices swapped: no longer arithmetic."""
+    order = list(c.order)
+    a, b = rng.sample(range(len(order)), 2)
+    order[a], order[b] = order[b], order[a]
+    return CycleSquare(order)
+
+
 def corruptions(rng, d: Decomposition):
     """Four damaged copies of ``d``, tagged by the damage done."""
     cycles = list(d.cycles)
     i = rng.randrange(len(cycles))
     yield "duplicated", cycles + [cycles[i]]
     yield "dropped", cycles[:i] + cycles[i + 1:]
-    order = list(cycles[i].order)
-    a, b = rng.sample(range(d.n), 2)
-    order[a], order[b] = order[b], order[a]
-    yield "swapped", cycles[:i] + [CycleSquare(order)] + cycles[i + 1:]
+    yield "swapped", cycles[:i] + [damaged(rng, cycles[i])] + cycles[i + 1:]
     yield "replaced", cycles[:i] + [CycleSquare(rng.sample(range(d.n), d.n))] + cycles[i + 1:]
 
 
@@ -132,10 +145,7 @@ def test_one_non_arithmetic_cycle_falls_back():
     for p in (13, 29, 101):
         cycles = list(decompose_prime(p).cycles)
         i = rng.randrange(len(cycles))
-        order = list(cycles[i].order)
-        a, b = rng.sample(range(p), 2)
-        order[a], order[b] = order[b], order[a]
-        cycles[i] = CycleSquare(order)
+        cycles[i] = damaged(rng, cycles[i])
         d = Decomposition(p, cycles)
         assert not _tiles_by_classes(d)
         rep = assert_agrees(d)
@@ -156,6 +166,64 @@ def test_corrupted_families():
                     assert rep.doubled and not rep.missing
                 if kind == "dropped" and d.n > 5:
                     assert rep.missing and not rep.doubled
+
+
+def chain(head: CycleSquare, length: int) -> list[CycleSquare]:
+    """``head`` followed by its ``length - 1`` successive times4 images."""
+    times4, cycles = _times4(head.n), [head]
+    while len(cycles) < length:
+        cycles.append(CycleSquare(times4(cycles[-1].order)))
+    return cycles
+
+
+def test_times4_images_of_a_non_arithmetic_head_are_rejected():
+    rng = random.Random(0x4EAD)
+    for p in (13, 29, 37, 101, 197):
+        head = damaged(rng, decompose_prime(p).cycles[0])
+        d = Decomposition(p, chain(head, (p - 1) // 4))
+        assert not _tiles_by_classes(d), p
+        assert_agrees(d)  # the edge count decides; at p = 13 it tiles
+
+
+def test_a_damaged_middle_cycle_breaks_the_chain():
+    """A damaged cycle inside a coset chain is rejected, whether the next
+    cycle is its old successor or its own times4 image."""
+    rng = random.Random(0xC4A1)
+    for p in (29, 37, 101, 197):
+        gather, cycles = _times4(p), list(decompose_prime(p).cycles)
+        middles = [i for i in range(1, len(cycles) - 1)
+                   if cycles[i].order == gather(cycles[i - 1].order)
+                   and cycles[i + 1].order == gather(cycles[i].order)]
+        assert middles, p
+        for i in rng.sample(middles, min(3, len(middles))):
+            bad = damaged(rng, cycles[i])
+            for tail in (cycles[i + 1:], chain(bad, len(cycles) - i)[1:]):
+                d = Decomposition(p, cycles[:i] + [bad] + tail)
+                assert not _tiles_by_classes(d), (p, i)
+                assert_agrees(d)
+
+
+def test_shuffled_reversed_and_shifted_coset_chains():
+    """Reordered, reversed and shifted families decide as the reference
+    does; a shift common to a whole chain keeps it a chain."""
+    def shifted(o, x0):
+        return tuple((v + x0) % p for v in o)
+
+    rng = random.Random(0x5C1F)
+    for p in (13, 29, 37, 101, 197, 409):
+        cycles = [c.order for c in decompose_prime(p).cycles]
+        x0 = rng.randrange(1, p)
+        families = {
+            "shuffled": rng.sample(cycles, len(cycles)),
+            "reversed": [o[::-1] for o in cycles],
+            "shifted": [shifted(o, x0) for o in cycles],
+            "mixed": [shifted(o, rng.randrange(p))[:: rng.choice((1, -1))]
+                      for o in rng.sample(cycles, len(cycles))],
+        }
+        for kind, orders in families.items():
+            d = Decomposition(p, [CycleSquare(o) for o in orders])
+            assert _tiles_by_classes(d), (p, kind)
+            assert assert_agrees(d).ok
 
 
 def test_small_and_degenerate_families():

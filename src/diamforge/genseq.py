@@ -72,16 +72,14 @@ class GenSeqReport(Record):
 
 
 class CutSpec(Record):
-    """Which edge to destroy when cutting a ring, and which exposed edge(s)
-    the resulting linear sequence must present at its ends."""
+    """Which edge to destroy when cutting a ring, and which exposed edge the
+    resulting linear sequence must present at its last triangle."""
 
-    __slots__ = ("destroyed_edge", "end_edge", "second_end_edge")
+    __slots__ = ("destroyed_edge", "end_edge")
 
-    def __init__(self, destroyed_edge: Edge, end_edge: Edge,
-                 second_end_edge: Edge | None = None) -> None:
+    def __init__(self, destroyed_edge: Edge, end_edge: Edge) -> None:
         self.destroyed_edge = edge(*destroyed_edge)
         self.end_edge = edge(*end_edge)
-        self.second_end_edge = None if second_end_edge is None else edge(*second_end_edge)
         if self.destroyed_edge == self.end_edge:
             raise ValueError("destroyed edge cannot also be an end edge")
 
@@ -128,12 +126,11 @@ def verify_generating_sequence(gs: GeneratingSequence) -> GenSeqReport:
     for i in gs.turns:
         if (i + 1) % m in gs.turns:
             return GenSeqReport(False, missing, f"turns at {i} and {(i + 1) % m} are adjacent")
-    signed = {v % n for v in gs.terms + blues}
-    signed |= {(-v) % n for v in gs.terms + blues}
-    if len(signed) != 4 * m:
-        return GenSeqReport(
-            False, missing, f"signed values collide: {len(signed)} distinct, expected {4 * m}"
-        )
+    # 4m distinct signed values iff 2m classes and none is 0, whose signs coincide.
+    if 0 in covered or len(covered) != 2 * m:
+        distinct = 2 * len(covered - {0}) + (0 in covered)
+        reason = f"signed values collide: {distinct} distinct, expected {4 * m}"
+        return GenSeqReport(False, missing, reason)
     return GenSeqReport(True, missing, None)
 
 
@@ -235,9 +232,9 @@ def gs_missing_12(k: int, end: str = "long") -> tuple[GeneratingSequence, CutSpe
 def gs_missing_1248(k: int) -> tuple[GeneratingSequence, CutSpec]:
     """A length-(k-2) sequence mod 4k+1 missing exactly residues 1, 2, 4, 8.
 
-    The CutSpec destroys {0, 17}, leaving {6, 17} exposed at the first
-    triangle of the opened ring and {0, 6} at the last (the n = 4k+6
-    assembly grafts one attachment onto each).
+    The CutSpec destroys {0, 17}, leaving {0, 6} exposed at the last
+    triangle of the opened ring and {6, 17} at the first, which the n = 4k+6
+    assembly's join checks (it grafts one attachment onto each end).
     """
     n = _modulus(k, 29)
     if k in _MISSING1248_ROWS:
@@ -255,7 +252,7 @@ def gs_missing_1248(k: int) -> tuple[GeneratingSequence, CutSpec]:
         for j in range(ell - 4):
             terms += [11 + 4 * j, 10 + 4 * j]
         gs = GeneratingSequence(n, terms, frozenset({1}))
-    spec = CutSpec(destroyed_edge=(0, 17), end_edge=(6, 17), second_end_edge=(0, 6))
+    spec = CutSpec(destroyed_edge=(0, 17), end_edge=(0, 6))
     return gs, spec
 
 
@@ -341,45 +338,36 @@ def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
 
     The destroyed edge must be covered by exactly one triangle; that triangle
     is removed and the ring is unrolled from the triangle after it, so the
-    covered edge count drops by exactly one (the destroyed edge).  Each end
-    edge must then be attachable: covered once, in a terminal triangle; when
-    both are given they must sit at opposite ends.
+    covered edge count drops by exactly one (the destroyed edge).  The end
+    edge must then be attachable: covered once, in a terminal triangle, and
+    the walk comes back with it in the last.  The first triangle is not
+    checked; :func:`~diamforge.core.join_walks` checks a plan grafted there.
 
     The step back into triangle 0 adds label 2 under a 0 bit, so the cut
     walk is a rotation of the ring's labels and bits behind a new seed.
 
-    The walk comes back oriented for its attachments: a lone ``end_edge``
-    sits in the last triangle; with two end edges, ``end_edge`` sits in the
-    first triangle and ``second_end_edge`` in the last.
-
     Raises:
-        ValueError: destroyed edge covered != 1 times, or end constraints
-            unsatisfiable.
+        ValueError: destroyed edge covered != 1 times, or end edge not
+            attachable after the cut.
     """
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
     t = len(ring) - 1
-    d = spec.destroyed_edge
-    ends = [e for e in (spec.end_edge, spec.second_end_edge) if e is not None]
-    cut, *end_holders = _holders(ring, [d, *ends])
+    d, e = spec.destroyed_edge, spec.end_edge
+    cut, holders = _holders(ring, [d, e])
     if len(cut) != 1:
         raise ValueError(f"destroyed edge {d} is covered {len(cut)} times, need exactly 1")
     (c,) = cut
-    positions = []
-    for e, holders in zip(ends, end_holders):
-        # Positions in the walk that starts just after triangle c.
-        held = [(i - c - 1) % (t + 1) for i in holders if i != c]
-        if len(held) != 1:
-            raise ValueError(f"end edge {e} is covered {len(held)} times after the cut")
-        if held[0] not in (0, t - 1):
-            raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
-        positions.append(held[0])
-    if len(positions) == 2 and positions[0] == positions[1] and t > 1:
-        raise ValueError("end edges do not sit at opposite ends")
+    # Positions in the walk that starts just after triangle c.
+    held = [(i - c - 1) % (t + 1) for i in holders if i != c]
+    if len(held) != 1:
+        raise ValueError(f"end edge {e} is covered {len(held)} times after the cut")
+    if held[0] not in (0, t - 1):
+        raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
     s, xs, bits = (c + 1) % (t + 1), ring.labels, (0,) + ring.layout
     labels = (triangle_at(ring, s)[0],) + xs[c + 2 :] + xs[2 : c + 2]
     linear = LabelsLayout._of(ring.n, labels, bits[s + 1 :] + bits[: s - 1] if s else bits[1:-1])
-    return linear if positions[-1] == t - 1 else reverse_walk(linear)
+    return linear if held[0] == t - 1 else reverse_walk(linear)
 
 
 def _holders(ring: LabelsLayout, edges: list[Edge]) -> list[list[int]]:

@@ -125,7 +125,9 @@ def _times4(n: int) -> itemgetter:
 def decompose_prime(p: int) -> Decomposition:
     """Partition E(K_p) into (p-1)/4 cycle squares via cosets of <2>.
 
-    Needs p prime, p = 1 mod 4 and ord_p(2) divisible by 4.  Each cycle is
+    Needs p prime and ord_p(2) divisible by 4 (so p = 1 mod 4, as ord_p(2)
+    divides p - 1): exactly the p at which arithmetic cycle squares can
+    partition K_p, since they pair each class s with 2s.  Each cycle is
     an arithmetic ordering with step a * 2^k for a coset representative a
     and even k below ord/2; halfway through the powers of 2 reach -1, so
     one coset contributes both signs of every difference.  p > :data:`MAX_P`
@@ -134,10 +136,9 @@ def decompose_prime(p: int) -> Decomposition:
     if p > MAX_P:
         raise ValueError(f"p = {p} exceeds the ceiling {MAX_P}")
     t = ord_mod(2, p)  # raises for p not prime
-    if p % 4 != 1:
-        raise ValueError(f"p = {p} is {p % 4} mod 4, need 1")
     if t % 4 != 0:
-        raise ValueError(f"ord_{p}(2) = {t} is not divisible by 4")
+        raise ValueError(f"no family of arithmetic cycle squares partitions K_{p}: "
+                         f"ord_{p}(2) = {t} is not divisible by 4")
 
     # Coset representatives of <2> in F_p*, smallest first.
     seen = bytearray(p)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 from collections import Counter
 from itertools import accumulate, combinations, cycle, islice
@@ -22,13 +23,11 @@ from diamforge.core import (
     LabelsLayout,
     TriangleSeq,
     all_edges,
-    covered_edges,
     dual_diameter,
     edge,
     edge_multiplicities,
     expand_pair,
     hs_max_diameter,
-    is_good,
     is_ring,
     triangle_at,
 )
@@ -58,31 +57,32 @@ def run_main(argv: list[str]) -> tuple[int, str]:
 def reference_good(seq: TriangleSeq, circular: bool) -> bool:
     """Whether ``seq`` is good, read as a ring when ``circular``.
 
-    :func:`is_good` for a linear sequence.  A ring's wrap-around pair counts
-    as consecutive: it must share two vertices, and its shared edge may be
-    covered twice.
+    :func:`reference_is_good` for a linear sequence.  A ring's wrap-around
+    pair counts as consecutive: it must share two vertices, and its shared
+    edge may be covered twice.
     """
     if not circular:
-        return is_good(seq)
+        return reference_is_good(seq)
     tris = seq.triangles
     shared = [prev & tri for prev, tri in zip(tris, tris[1:] + tris[:1])]
     if any(len(s) != 2 for s in shared):
         return False
     twice = {tuple(sorted(s)) for s in shared}
-    return all(m == 1 or (m == 2 and e in twice) for e, m in edge_multiplicities(seq).items())
+    return all(
+        m == 1 or (m == 2 and e in twice)
+        for e, m in reference_edge_multiplicities(seq).items()
+    )
 
 
 def reference_edge_multiplicities(seq: TriangleSeq) -> Counter[Edge]:
     """How many triangles of ``seq`` hold each edge, one triangle at a time.
 
     The slow reference for :func:`diamforge.core.edge_multiplicities`."""
-    counts: Counter[Edge] = Counter()
+    sides: list[Edge] = []
     for tri in seq.triangles:
         a, b, c = sorted(tri)
-        counts[(a, b)] += 1
-        counts[(a, c)] += 1
-        counts[(b, c)] += 1
-    return counts
+        sides += (a, b), (a, c), (b, c)
+    return Counter(sides)
 
 
 def reference_is_good(seq: TriangleSeq) -> bool:
@@ -109,11 +109,13 @@ def reference_certify(pair: LabelsLayout) -> Certificate:
     The slow reference for :func:`diamforge.core.certify`: the triangles of
     :func:`expand_pair`, circular when :func:`is_ring`, goodness from
     :func:`reference_good`, the diameter by BFS over the dual graph (None
-    when it is disconnected), and the uncovered edges as a set difference.
+    when it is disconnected), the covered edges as the key set of
+    :func:`reference_edge_multiplicities` and the uncovered edges as a set
+    difference.
     """
     seq, circular, n = expand_pair(pair), is_ring(pair), pair.n
     good = reference_good(seq, circular)
-    covered = covered_edges(seq)
+    covered = set(reference_edge_multiplicities(seq))
     try:
         diameter: int | None = dual_diameter(seq)
     except ValueError:
@@ -152,21 +154,12 @@ def reference_cut_circular(ring: LabelsLayout, spec: CutSpec) -> TriangleSeq:
     linear = seq.triangles[c + 1 :] + seq.triangles[:c]
     result = TriangleSeq(linear)
 
-    terminals = (result.triangles[0], result.triangles[-1])
-    sides = []
-    for e in (spec.end_edge, spec.second_end_edge):
-        if e is None:
-            continue
-        e = edge(*e)
-        count = mult[e] - (set(e) <= seq.triangles[c])
-        if count != 1:
-            raise ValueError(f"end edge {e} is covered {count} times after the cut")
-        side = [i for i, tri in enumerate(terminals) if e[0] in tri and e[1] in tri]
-        if not side:
-            raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
-        sides.append(side)
-    if len(sides) == 2 and not any(a != b for a in sides[0] for b in sides[1]):
-        raise ValueError("end edges do not sit at opposite ends")
+    e = edge(*spec.end_edge)
+    count = mult[e] - (set(e) <= seq.triangles[c])
+    if count != 1:
+        raise ValueError(f"end edge {e} is covered {count} times after the cut")
+    if not any(e[0] in tri and e[1] in tri for tri in (linear[0], linear[-1])):
+        raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
     return result
 
 
@@ -374,10 +367,9 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
 
 
 def _oriented_cut(ring: LabelsLayout, spec: CutSpec) -> list:
-    """The reference cut, turned so that the last end edge sits in the last triangle."""
+    """The reference cut, turned so that the end edge sits in the last triangle."""
     walk = reference_cut_circular(ring, spec).triangles
-    last = spec.second_end_edge or spec.end_edge
-    return walk if set(last) <= walk[-1] else walk[::-1]
+    return walk if set(spec.end_edge) <= walk[-1] else walk[::-1]
 
 
 def reference_verify_partition(d: Decomposition) -> PartitionReport:
@@ -442,6 +434,33 @@ def reference_prime_orders(p: int) -> list[list[int]]:
             step = a * pow(2, k, p) % p
             orders.append([x % p for x in range(0, step * p, step)])
     return orders
+
+
+def reference_arithmetic_steps(n: int) -> list[int] | None:
+    """Steps of (n - 1)/4 arithmetic cycles whose squares partition K_n, or
+    None when there are none.
+
+    The cycle x_i = i*s is Hamilton only when s is a unit, and its square
+    holds the ± classes of s and 2s.  Both are then units, so every class
+    must be one.  A family is then a perfect matching of the classes by
+    the pairs {s, 2s}: along each cycle of x -> 2x on the ± classes it
+    takes every other class, which needs the cycle's length to be even.
+    """
+    half = (n - 1) // 2
+    if n % 4 != 1 or any(math.gcd(s, n) != 1 for s in range(1, half + 1)):
+        return None
+    seen: set[int] = set()
+    steps = []
+    for s in range(1, half + 1):
+        orbit = []
+        while s not in seen:
+            seen.add(s)
+            orbit.append(s)
+            s = min(2 * s % n, n - 2 * s % n)
+        if len(orbit) % 2:
+            return None
+        steps += orbit[::2]
+    return steps
 
 
 def reference_cycles_from_sequences(n: int, seqs: list[list[int]]) -> Decomposition:

@@ -22,6 +22,7 @@ from diamforge.core import (
     canonical,
     covered_edges,
     dual_diameter,
+    edge_multiplicities,
     encode_triples,
     expand_pair,
     hs_max_diameter,
@@ -29,6 +30,7 @@ from diamforge.core import (
     is_ring,
     reverse_walk,
 )
+from diamforge.genseq import CutSpec, cut_circular, expand_pair_of, gs_missing_1248
 
 
 def tri(*vs):
@@ -224,6 +226,31 @@ def test_construct_residue_two():
     assert cert.covered_edges == 561
     assert cert.uncovered_edges == []
     assert len(expand_pair(pair).triangles) == 280
+
+
+def test_a_cut_with_another_first_end_makes_construct_raise(monkeypatch):
+    """The n = 4k+6 cut names only its last end, {0, 6}.  Each ring below
+    has one other cut that leaves {0, 6} attachable there, and its first
+    triangle misses {6, 17}, so the join with plan A refuses it."""
+    from diamforge import assembly
+
+    for k in range(7, 13):
+        gs, spec = gs_missing_1248(k)
+        ring = expand_pair_of(gs)
+        singles = [e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 1]
+        others = []
+        for d in singles:
+            try:
+                cut_circular(ring, CutSpec(d, spec.end_edge))
+            except ValueError:
+                continue
+            if d != spec.destroyed_edge:
+                others.append(d)
+        assert len(others) == 1, (k, others)
+        other = CutSpec(others[0], spec.end_edge)
+        monkeypatch.setattr(assembly, "gs_missing_1248", lambda _k: (gs, other))
+        with pytest.raises(ValueError, match="does not continue head's last"):
+            construct_optimal(4 * k + 6)
 
 
 def test_construct_odd_even_spare_edges():

@@ -514,9 +514,13 @@ ERRORS = {
     "genseq_above_ceiling": (("genseq", "--n", "1000005"), None, 2,
                              "n = 1000005 exceeds the ceiling 1000001"),
     "decompose_p_2": (("decompose", "--p", "2"), None, 2, "2 is divisible by 2, order undefined"),
-    "decompose_p_3": (("decompose", "--p", "3"), None, 2, "p = 3 is 3 mod 4, need 1"),
+    "decompose_p_3": (("decompose", "--p", "3"), None, 2,
+                      "no family of arithmetic cycle squares partitions K_3: "
+                      "ord_3(2) = 2 is not divisible by 4"),
     "decompose_p_8": (("decompose", "--p", "8"), None, 2, "8 is not prime"),
-    "decompose_p_73": (("decompose", "--p", "73"), None, 2, "ord_73(2) = 9 is not divisible by 4"),
+    "decompose_p_73": (("decompose", "--p", "73"), None, 2,
+                       "no family of arithmetic cycle squares partitions K_73: "
+                       "ord_73(2) = 9 is not divisible by 4"),
     "decompose_p_100003": (("decompose", "--p", "100003"), None, 2,
                            "p = 100003 exceeds the ceiling 15000"),
     "decompose_p_15013": (("decompose", "--p", "15013"), None, 2,

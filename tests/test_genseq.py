@@ -124,6 +124,10 @@ def test_verification_failures():
     collide = GeneratingSequence(13, [1, 2, 3], frozenset())
     rep = verify_generating_sequence(collide)
     assert not rep.valid
+    assert rep.reason == "signed values collide: 10 distinct, expected 12"
+    # The blue term 1 + 12 vanishes: 0 is its own negative.
+    rep = verify_generating_sequence(GeneratingSequence(13, [1, 12, 5], frozenset()))
+    assert rep.reason == "signed values collide: 9 distinct, expected 12"
 
 
 def test_expansion_closes_into_ring():
@@ -180,7 +184,7 @@ def test_cut_specs_are_deterministic():
     _, spec = gs_missing_12(9, end="seven")
     assert spec == CutSpec((0, 13), (0, 7))
     _, spec = gs_missing_1248(7)
-    assert spec == CutSpec((0, 17), (6, 17), (0, 6))
+    assert spec == CutSpec((0, 17), (0, 6))
 
 
 def test_cut_opens_ring():
@@ -196,11 +200,12 @@ def test_cut_opens_ring():
 
 
 def test_cut_exposes_both_ends_for_1248():
+    """The spec names the last end; the family puts {6, 17} in the first."""
     for k in (7, 8, 9):
         gs, spec = gs_missing_1248(k)
         lin = expand_pair(cut_circular(expand_pair_of(gs), spec))
-        assert set(spec.end_edge) <= lin.triangles[0]
-        assert set(spec.second_end_edge) <= lin.triangles[-1]
+        assert {6, 17} <= lin.triangles[0]
+        assert set(spec.end_edge) <= lin.triangles[-1]
 
 
 def test_cut_exposing_scan_matches_returned_spec():
@@ -310,25 +315,27 @@ def test_cut_exposing_on_full_ring():
 
 
 def _cut_cases(kmax: int):
-    """Every family ring with its assembly cut, for each valid k <= kmax."""
+    """Every family ring with its assembly cut and the edge its cut walk
+    exposes at its first triangle, if the assembly grafts a plan there,
+    for each valid k <= kmax."""
     for k in range(3, kmax + 1):
         ring = expand_pair_of(gs_full(k))
-        yield f"full k={k}", ring, _seed_cut(ring)
+        yield f"full k={k}", ring, _seed_cut(ring), None
     for k in range(4, kmax + 1):
         gs, spec = gs_missing_12(k)
         ring = expand_pair_of(gs)
-        yield f"missing_12 long k={k}", ring, spec
+        yield f"missing_12 long k={k}", ring, spec, None
         if k >= 5:
-            yield f"missing_12 seven k={k}", ring, gs_missing_12(k, end="seven")[1]
+            yield f"missing_12 seven k={k}", ring, gs_missing_12(k, end="seven")[1], None
     for k in range(7, kmax + 1):
         gs, spec = gs_missing_1248(k)
-        yield f"missing_1248 k={k}", expand_pair_of(gs), spec
+        yield f"missing_1248 k={k}", expand_pair_of(gs), spec, (6, 17)
 
 
 @pytest.mark.slow
 def test_cut_matches_reference_and_exposes_its_ends():
     """A cut removes one edge and leaves each end edge once, at its end."""
-    for name, pair, spec in _cut_cases(60):
+    for name, pair, spec, front in _cut_cases(60):
         ring = expand_pair(pair)
         lin = expand_pair(cut_circular(pair, spec))
         ref = reference_cut_circular(pair, spec).triangles
@@ -340,11 +347,9 @@ def test_cut_matches_reference_and_exposes_its_ends():
         lin_mult = edge_multiplicities(lin)
         a, b, c = sorted(gone)
         assert {(a, b), (a, c), (b, c)} - set(lin_mult) == {spec.destroyed_edge}, name
-        ends = [spec.end_edge] if spec.second_end_edge is None else [
-            spec.second_end_edge, spec.end_edge
-        ]
-        for e, tri in zip(ends, (lin.triangles[-1], lin.triangles[0])):
-            assert lin_mult[e] == 1 and set(e) <= tri, (name, e)
+        for e, tri in ((spec.end_edge, lin.triangles[-1]), (front, lin.triangles[0])):
+            if e is not None:
+                assert lin_mult[e] == 1 and set(e) <= tri, (name, e)
 
 
 def _same_rejection(ring, spec):
@@ -380,9 +385,6 @@ def test_cut_rejections_match_reference():
 
     gs, spec = gs_missing_1248(7)
     ring = expand_pair_of(gs)
-    same_side = CutSpec(spec.destroyed_edge, spec.end_edge, spec.end_edge)
-    assert _same_rejection(ring, same_side) == "end edges do not sit at opposite ends"
-
     lin = cut_circular(ring, spec)
     assert _same_rejection(lin, spec) == "sequence is not circular"
 

@@ -8,7 +8,7 @@ import random
 import pytest
 from sympy import isprime, n_order, primerange
 
-from conftest import reference_cycles_from_sequences
+from conftest import reference_arithmetic_steps, reference_cycles_from_sequences
 from diamforge.core import all_edges, edge
 from diamforge.hampack import (
     SEQUENCES_105,
@@ -109,7 +109,7 @@ def test_number_theory_matches_sympy():
 
 
 def test_prime_preconditions():
-    with pytest.raises(ValueError, match="3 mod 4"):
+    with pytest.raises(ValueError, match=r"^no family .* K_7: ord_7\(2\) = 3 is not divisible by 4"):
         decompose_prime(7)
     with pytest.raises(ValueError, match="not prime"):
         decompose_prime(15)
@@ -117,6 +117,39 @@ def test_prime_preconditions():
         decompose_prime(73)
     with pytest.raises(ValueError, match="ceiling"):
         decompose_prime(100003)
+
+
+@pytest.fixture(scope="module")
+def arithmetic_steps():
+    """reference_arithmetic_steps(n) for every n = 1 mod 4 below 10^4: 514
+    families."""
+    steps = {n: reference_arithmetic_steps(n) for n in range(5, 10_000, 4)}
+    assert sum(s is not None for s in steps.values()) == 514
+    return steps
+
+
+def test_arithmetic_families_exist_exactly_at_primes_where_4_divides_ord_2(arithmetic_steps):
+    """The reference finds a family exactly there, and below 300 the
+    family it finds is a partition."""
+    for n, steps in arithmetic_steps.items():
+        assert (steps is not None) == (isprime(n) and n_order(2, n) % 4 == 0), n
+        if steps is not None and n < 300:
+            cycles = tuple(CycleSquare([i * s % n for i in range(n)]) for s in steps)
+            assert verify_partition(Decomposition(n, cycles)).ok, n
+
+
+def test_decompose_prime_builds_a_family_exactly_where_one_exists(arithmetic_steps):
+    """It raises wherever the reference finds no family, and below 2,000
+    its family passes verify_partition wherever the reference finds one."""
+    built = 0
+    for n, steps in arithmetic_steps.items():
+        if steps is None:
+            with pytest.raises(ValueError):
+                decompose_prime(n)
+        elif n < 2000:
+            assert verify_partition(decompose_prime(n)).ok, n
+            built += 1
+    assert built == 124
 
 
 def test_decompose_five():

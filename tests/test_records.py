@@ -35,9 +35,8 @@ CASES = [
      dict(n=13, terms=[1, 3, 9], turns=frozenset())),
     (GenSeqReport, (True, frozenset({1}), None), dict(valid=True, missing=frozenset({1}), reason=None),
      dict(valid=True, missing=frozenset({1}), reason="x")),
-    (CutSpec, ((0, 1), (1, 2), (2, 3)), dict(destroyed_edge=(0, 1), end_edge=(1, 2),
-                                              second_end_edge=(2, 3)),
-     dict(destroyed_edge=(0, 1), end_edge=(1, 3), second_end_edge=(2, 3))),
+    (CutSpec, ((0, 1), (1, 2)), dict(destroyed_edge=(0, 1), end_edge=(1, 2)),
+     dict(destroyed_edge=(0, 1), end_edge=(1, 3))),
     (CycleSquare, ((0, 1, 2, 3, 4),), dict(order=(0, 1, 2, 3, 4)),
      dict(order=(0, 2, 1, 3, 4))),
     (Decomposition, (5, (CycleSquare((0, 1, 2, 3, 4)),)),
@@ -64,7 +63,6 @@ def test_construction_and_field_equality(cls, args, kwargs, changed):
 
 
 def test_defaults():
-    assert CutSpec((0, 1), (1, 2)).second_end_edge is None
     first, second = Certificate(*CERT_ARGS), Certificate(**CERT_KW)
     assert first.uncovered_edges == [] == second.uncovered_edges
     first.uncovered_edges.append((0, 1))
@@ -76,13 +74,18 @@ def test_triangle_seq_holds_only_its_triangles():
     assert TriangleSeq.__slots__ == ("triangles",)
 
 
+def test_cut_spec_names_one_end():
+    # The walk's first triangle is checked where a plan is joined to it.
+    assert CutSpec.__slots__ == ("destroyed_edge", "end_edge")
+
+
 def test_normalisation_at_construction():
     assert LabelsLayout(5, [0, 1, 2, 3], [1]).labels == (0, 1, 2, 3)
     assert LabelsLayout(5, [0, 1, 2, 3], [1]).layout == (1,)
     gs = GeneratingSequence(13, [-1, 15, 4], [0])
     assert gs.terms == [12, 2, 4] and gs.turns == frozenset({0}) and gs.m == 3
-    spec = CutSpec([3, 1], (4, 2), (6, 5))
-    assert (spec.destroyed_edge, spec.end_edge, spec.second_end_edge) == ((1, 3), (2, 4), (5, 6))
+    spec = CutSpec([3, 1], (4, 2))
+    assert (spec.destroyed_edge, spec.end_edge) == ((1, 3), (2, 4))
     assert CycleSquare([0, 2, 1, 3, 4]).order == (0, 2, 1, 3, 4)
     assert CycleSquare([0, 2, 1, 3, 4]).n == 5
     assert Decomposition(5, [CycleSquare(range(5))]).cycles == (CycleSquare(range(5)),)

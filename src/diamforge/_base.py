@@ -1,12 +1,14 @@
-"""What every layer shares: the record base class and the canonical edge.
+"""What every layer shares: the record base class, the canonical edge and
+the residue class of a difference.
 
 A leaf with no imports, so that a layer needing only these, as hampack
-does, runs without core.  :mod:`diamforge.core` re-exports all three.
+does, runs without core.  :mod:`diamforge.core` re-exports the record and
+edge names, :mod:`diamforge.genseq` the residue class.
 """
 
 Edge = tuple[int, int]
 
-__all__ = ["Edge", "Record", "edge"]
+__all__ = ["Edge", "Record", "canonical_residue", "edge"]
 
 
 def edge(u: int, v: int) -> Edge:
@@ -14,6 +16,12 @@ def edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"degenerate edge ({u}, {v})")
     return (u, v) if u < v else (v, u)
+
+
+def canonical_residue(value: int, n: int) -> int:
+    """Map a difference mod n to its residue class in {1..(n-1)/2}."""
+    r = value % n
+    return min(r, n - r)
 
 
 class Record:

@@ -24,7 +24,6 @@ from .core import (
 )
 from .core import join_walks, reverse_walk
 from .genseq import (
-    CutSpec,
     cut_circular,
     expand_pair_of,
     gs_full,
@@ -393,17 +392,27 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
 def _construct_walk(n: int) -> LabelsLayout:
     r = n % 4
     if r == 1 and n >= 13:
+        # A gs_full ring is read from term 0 and any turn sits at index k - 1 >= 2,
+        # so triangle 1 is {x1, x2, x3} and the last ends on x0, x1: the seed
+        # shares x1 with both neighbours, and destroying {x0, x2} removes it.
         ring = expand_pair_of(gs_full((n - 1) // 4))
-        return cut_circular(ring, _seed_cut(ring))
-    if r in (0, 3) and n >= 20 + r:
-        k = (n - 4) // 4 if r == 0 else (n - 3) // 4
-        gs, spec = gs_missing_12(k, end="long" if r == 0 else "seven")
-        plan = attach_4k4(k) if r == 0 else attach_4k3(k)
-        return join_walks(cut_circular(expand_pair_of(gs), spec), encode_triples(plan, n))
+        return cut_circular(ring, (ring.labels[0], ring.labels[2]))
+    if r == 0 and n >= 20:
+        k = (n - 4) // 4
+        gs, destroyed = gs_missing_12(k)
+        # The cut walk starts on the plan's anchor: the plan, turned round, leads into it.
+        body = cut_circular(expand_pair_of(gs), destroyed)
+        return join_walks(reverse_walk(encode_triples(attach_4k4(k), n)), body)
+    if r == 3 and n >= 23:
+        k = (n - 3) // 4
+        gs, _ = gs_missing_12(k)
+        # Destroying {0, 13}, which the plan covers again, ends the walk on its anchor.
+        body = cut_circular(expand_pair_of(gs), (0, 13))
+        return join_walks(body, encode_triples(attach_4k3(k), n))
     if r == 2 and n >= 34:
         k = (n - 6) // 4
-        gs, spec = gs_missing_1248(k)
-        body = cut_circular(expand_pair_of(gs), spec)
+        gs, destroyed = gs_missing_1248(k)
+        body = cut_circular(expand_pair_of(gs), destroyed)
         plan_a, plan_b = (encode_triples(p, n) for p in attach_4k6(k))
         # Plan A prefixes the body: turned round, it leads into the body's first triangle.
         return join_walks(reverse_walk(plan_a), join_walks(body, plan_b))
@@ -411,14 +420,3 @@ def _construct_walk(n: int) -> LabelsLayout:
     if entry is None:
         raise ValueError(f"no construction available for n={n}")
     return entry.pair
-
-
-def _seed_cut(ring: LabelsLayout) -> CutSpec:
-    """Cut a :func:`gs_full` ring at its seed, read off its first labels.
-
-    That ring starts at r = 0 and any turn sits at index k - 1 >= 2, so its
-    first step never turns and triangle 1 is {x1, x2, x3}; the last triangle
-    ends on x0, x1.  So x1 is the vertex the seed shares with both of its
-    neighbours: the cut destroys {x0, x2} and exposes {x1, x2}."""
-    x0, x1, x2 = ring.labels[:3]
-    return CutSpec(destroyed_edge=(x0, x2), end_edge=(x1, x2))

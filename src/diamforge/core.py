@@ -196,9 +196,9 @@ def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
     last in an edge, as the next triangle of a good walk does.  Only the bits
     of tail's first three triangles depend on what precedes.
 
-    The result has ``tail.n`` vertices, so a label of head outside
-    ``range(tail.n)`` raises ValueError, as does a tail that does not
-    continue head."""
+    The result has ``max(head.n, tail.n)`` vertices, so every label of
+    either walk is in range.  A tail that does not continue head raises
+    ValueError."""
     c, u, v = triangle_at(head, len(head) - 1)
     fresh = set(tail.labels[:3]) - {c, u, v}
     if len(fresh) != 1:
@@ -209,11 +209,8 @@ def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
     for j, w in enumerate((w0, *tail.labels[3:5])):
         bits.append(int(u not in triangle_at(tail, j)))
         c, u, v = (c if bits[-1] else u), v, w
-    if head.n > tail.n and max(head.labels) >= tail.n:
-        x = next(x for x in head.labels if x >= tail.n)
-        raise ValueError(f"label {x} out of range for n={tail.n}")
     labels = head.labels + (w0, *tail.labels[3:])
-    return LabelsLayout._of(tail.n, labels, head.layout + (*bits, *tail.layout[2:]))
+    return LabelsLayout._of(max(head.n, tail.n), labels, head.layout + (*bits, *tail.layout[2:]))
 
 
 def canonical(pair: LabelsLayout) -> LabelsLayout:

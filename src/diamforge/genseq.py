@@ -14,12 +14,12 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 from math import gcd
 
-from .core import Edge, LabelsLayout, Record, edge, is_ring, reverse_walk, triangle_at
+from ._base import canonical_residue
+from .core import Edge, LabelsLayout, Record, edge, is_ring, triangle_at
 
 __all__ = [
     "GeneratingSequence",
     "GenSeqReport",
-    "CutSpec",
     "canonical_residue",
     "blue_terms",
     "verify_generating_sequence",
@@ -69,25 +69,6 @@ class GenSeqReport(Record):
 
     def __init__(self, valid: bool, missing: frozenset[int], reason: str | None) -> None:
         self.valid, self.missing, self.reason = valid, missing, reason
-
-
-class CutSpec(Record):
-    """Which edge to destroy when cutting a ring, and which exposed edge the
-    resulting linear sequence must present at its last triangle."""
-
-    __slots__ = ("destroyed_edge", "end_edge")
-
-    def __init__(self, destroyed_edge: Edge, end_edge: Edge) -> None:
-        self.destroyed_edge = edge(*destroyed_edge)
-        self.end_edge = edge(*end_edge)
-        if self.destroyed_edge == self.end_edge:
-            raise ValueError("destroyed edge cannot also be an end edge")
-
-
-def canonical_residue(value: int, n: int) -> int:
-    """Map a difference mod n to its residue class in {1..(n-1)/2}."""
-    r = value % n
-    return min(r, n - r)
 
 
 def blue_terms(gs: GeneratingSequence) -> list[int]:
@@ -189,52 +170,38 @@ def gs_full(k: int) -> GeneratingSequence:
     return GeneratingSequence(n, terms, frozenset())
 
 
-def gs_missing_12(k: int, end: str = "long") -> tuple[GeneratingSequence, CutSpec]:
+def gs_missing_12(k: int) -> tuple[GeneratingSequence, Edge]:
     """A length-(k-1) sequence mod 4k+1 missing exactly residues 1 and 2.
 
-    The returned CutSpec opens the ring so that an attachable edge is exposed
-    at an end: with ``end="long"`` the edge {0, 4k-2} (used by the n = 4k+4
-    assembly), with ``end="seven"`` the edge {0, 7} obtained by destroying
-    {0, 13} (used by the n = 4k+3 assembly, only available for k >= 5).
+    The returned edge is the one the n = 4k+4 assembly destroys: cut there,
+    the ring opens with {0, 4k-2}, the anchor of its plan, in the first
+    triangle of the walk.
     """
     n = _modulus(k, 17)
     if k in _MISSING12_ROWS:
-        terms, turns, long_cut = _MISSING12_ROWS[k]
-        gs = GeneratingSequence(n, list(terms), frozenset(turns))
-    elif k % 2 == 1:
+        terms, turns, destroyed = _MISSING12_ROWS[k]
+        return GeneratingSequence(n, list(terms), frozenset(turns)), destroyed
+    if k % 2 == 1:
         ell = (k - 1) // 2
         terms = [8, -5, 4 * ell - 1, 4, -16]
         for i in range(1, ell - 2):
             terms += [4 * i + 3, 4 * i + 2]
         terms.append(4 * ell - 5)
-        gs = GeneratingSequence(n, terms, frozenset({2}))
-        long_cut = (5, 2 * k + 5)
-    else:
-        ell = k // 2
-        terms = [4, 4 * ell - 6, 9, -12]
-        for i in range(1, ell - 2):
-            terms += [4 * i + 3, 4 * i + 2]
-        terms.append(4 * ell - 5)
-        gs = GeneratingSequence(n, terms, frozenset({0}))
-        long_cut = (9, 2 * k + 7)
-
-    if end == "long":
-        spec = CutSpec(destroyed_edge=long_cut, end_edge=(0, 4 * k - 2))
-    elif end == "seven":
-        if k < 5:
-            raise ValueError("the {0,13} cut needs k >= 5")
-        spec = CutSpec(destroyed_edge=(0, 13), end_edge=(0, 7))
-    else:
-        raise ValueError(f"unknown end selector {end!r}")
-    return gs, spec
+        return GeneratingSequence(n, terms, frozenset({2})), (5, 2 * k + 5)
+    ell = k // 2
+    terms = [4, 4 * ell - 6, 9, -12]
+    for i in range(1, ell - 2):
+        terms += [4 * i + 3, 4 * i + 2]
+    terms.append(4 * ell - 5)
+    return GeneratingSequence(n, terms, frozenset({0})), (9, 2 * k + 7)
 
 
-def gs_missing_1248(k: int) -> tuple[GeneratingSequence, CutSpec]:
+def gs_missing_1248(k: int) -> tuple[GeneratingSequence, Edge]:
     """A length-(k-2) sequence mod 4k+1 missing exactly residues 1, 2, 4, 8.
 
-    The CutSpec destroys {0, 17}, leaving {0, 6} exposed at the last
-    triangle of the opened ring and {6, 17} at the first, which the n = 4k+6
-    assembly's join checks (it grafts one attachment onto each end).
+    The returned edge is {0, 17}, the one the n = 4k+6 assembly destroys:
+    cut there, the ring opens with {6, 17} in the first triangle of the walk
+    and {0, 6} in the last, which the joins with its two plans check.
     """
     n = _modulus(k, 29)
     if k in _MISSING1248_ROWS:
@@ -252,8 +219,7 @@ def gs_missing_1248(k: int) -> tuple[GeneratingSequence, CutSpec]:
         for j in range(ell - 4):
             terms += [11 + 4 * j, 10 + 4 * j]
         gs = GeneratingSequence(n, terms, frozenset({1}))
-    spec = CutSpec(destroyed_edge=(0, 17), end_edge=(0, 6))
-    return gs, spec
+    return gs, (0, 17)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +270,21 @@ def expand_pair_of(gs: GeneratingSequence) -> LabelsLayout:
     return ring
 
 
-def cut_exposing(ring: LabelsLayout, end_edge: Edge) -> CutSpec:
-    """Find the deterministic cut that leaves ``end_edge`` attachable.
+def cut_exposing(ring: LabelsLayout, exposed: Edge) -> Edge:
+    """Find the deterministic cut that leaves ``exposed`` attachable.
 
     Scans the ring from index 0 for the first triangle whose removal leaves
-    ``end_edge`` covered exactly once and sitting in a terminal triangle.
-    The destroyed edge is the scanned triangle's uniquely covered edge.
-    That triangle holds ``end_edge`` or sits next to a triangle that does,
-    so only those are scanned.
+    ``exposed`` covered exactly once and sitting in a terminal triangle,
+    and returns the edge that cut destroys: the scanned triangle's uniquely
+    covered edge.  That triangle holds ``exposed`` or sits next to a
+    triangle that does, so only those are scanned.
     """
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
-    end_edge = edge(*end_edge)
-    (holders,) = _holders(ring, [end_edge])
+    exposed = edge(*exposed)
+    (holders,) = _holders(ring, [exposed])
     if not holders:
-        raise ValueError(f"edge {end_edge} is not covered")
+        raise ValueError(f"edge {exposed} is not covered")
 
     t = len(ring)
     for c in sorted({(h + d) % t for h in holders for d in (-1, 0, 1)}):
@@ -327,47 +293,39 @@ def cut_exposing(ring: LabelsLayout, end_edge: Edge) -> CutSpec:
             continue
         sides = list(combinations(sorted(triangle_at(ring, c)), 2))
         blues = [e for e, held in zip(sides, _holders(ring, sides)) if len(held) == 1]
-        if len(blues) != 1 or blues[0] == end_edge:
+        if len(blues) != 1 or blues[0] == exposed:
             continue
-        return CutSpec(destroyed_edge=blues[0], end_edge=end_edge)
-    raise ValueError(f"no cut exposes {end_edge} at an end")
+        return blues[0]
+    raise ValueError(f"no cut exposes {exposed} at an end")
 
 
-def cut_circular(ring: LabelsLayout, spec: CutSpec) -> LabelsLayout:
-    """Open a circular walk by removing one triangle.
+def cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> LabelsLayout:
+    """Open a circular walk by removing the one triangle that holds
+    ``destroyed_edge``.
 
-    The destroyed edge must be covered by exactly one triangle; that triangle
-    is removed and the ring is unrolled from the triangle after it, so the
-    covered edge count drops by exactly one (the destroyed edge).  The end
-    edge must then be attachable: covered once, in a terminal triangle, and
-    the walk comes back with it in the last.  The first triangle is not
-    checked; :func:`~diamforge.core.join_walks` checks a plan grafted there.
+    The ring is unrolled from the triangle after it, so the covered edge
+    count drops by exactly one (the destroyed edge).  Neither end is
+    checked or turned round: the assembly joins a plan at an end, and the
+    join and the walk's certificate check the edge it attaches to.
 
     The step back into triangle 0 adds label 2 under a 0 bit, so the cut
     walk is a rotation of the ring's labels and bits behind a new seed.
 
     Raises:
-        ValueError: destroyed edge covered != 1 times, or end edge not
-            attachable after the cut.
+        ValueError: the ring is not circular, or the destroyed edge is
+            covered other than once.
     """
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
-    t = len(ring) - 1
-    d, e = spec.destroyed_edge, spec.end_edge
-    cut, holders = _holders(ring, [d, e])
+    d = edge(*destroyed_edge)
+    (cut,) = _holders(ring, [d])
     if len(cut) != 1:
         raise ValueError(f"destroyed edge {d} is covered {len(cut)} times, need exactly 1")
     (c,) = cut
-    # Positions in the walk that starts just after triangle c.
-    held = [(i - c - 1) % (t + 1) for i in holders if i != c]
-    if len(held) != 1:
-        raise ValueError(f"end edge {e} is covered {len(held)} times after the cut")
-    if held[0] not in (0, t - 1):
-        raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
+    t = len(ring) - 1
     s, xs, bits = (c + 1) % (t + 1), ring.labels, (0,) + ring.layout
     labels = (triangle_at(ring, s)[0],) + xs[c + 2 :] + xs[2 : c + 2]
-    linear = LabelsLayout._of(ring.n, labels, bits[s + 1 :] + bits[: s - 1] if s else bits[1:-1])
-    return linear if held[0] == t - 1 else reverse_walk(linear)
+    return LabelsLayout._of(ring.n, labels, bits[s + 1 :] + bits[: s - 1] if s else bits[1:-1])
 
 
 def _holders(ring: LabelsLayout, edges: list[Edge]) -> list[list[int]]:

@@ -14,7 +14,7 @@ from itertools import accumulate, cycle, islice
 from math import isqrt
 from operator import itemgetter, sub
 
-from ._base import Edge, Record, edge
+from ._base import Edge, Record, canonical_residue, edge
 
 __all__ = [
     "CycleSquare",
@@ -213,8 +213,7 @@ def _tiles_by_classes(d: Decomposition) -> bool:
             if not set(map(sub, o[1:], o)) <= {s, s - n}:  # each step is s mod n
                 return False
         prev = o
-        for k in (s, 2 * s % n):
-            k = min(k, n - k)
+        for k in (canonical_residue(s, n), canonical_residue(2 * s, n)):
             if hit[k]:
                 return False
             hit[k] = 1

@@ -1,8 +1,9 @@
-"""Shared test helpers: the reference edge counter, goodness test,
-certifier, encoder, ring cut, cut finder, seed cut, construction, partition
-checker and class rule, sequence unroller and input type check, the
-attachment plans' target edges, random good-walk generation and acceptance
-reporting with each criterion's runtime and bound."""
+"""Shared test helpers: the PYTHONPATH of child interpreters, the reference
+edge counter, goodness test, certifier, encoder, ring cut, cut finder, seed
+cut, construction, partition checker and class rule, sequence unroller and
+input type check, the attachment plans' anchors and target edges, random
+good-walk generation and acceptance reporting with each criterion's runtime
+and bound."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 from collections import Counter
 from itertools import accumulate, combinations, cycle, islice
 from operator import sub
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +36,6 @@ from diamforge.core import (
 )
 from diamforge.assembly import attach_4k3, attach_4k4, attach_4k6, small_table
 from diamforge.genseq import (
-    CutSpec,
     GeneratingSequence,
     expand_to_circular,
     gs_full,
@@ -44,6 +46,17 @@ from diamforge.genseq import (
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport, square_edges
 from diamforge.cli import _int, main
 from diamforge.oracle import legal_moves
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_pythonpath():
+    """Put ``src`` first on the PYTHONPATH of every interpreter a test
+    starts, as ``pythonpath`` in pyproject.toml does for this one, so that
+    a plain checkout runs the tests without installing the package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 def run_main(argv: list[str]) -> tuple[int, str]:
@@ -134,38 +147,27 @@ def reference_certify(pair: LabelsLayout) -> Certificate:
     )
 
 
-def reference_cut_circular(ring: LabelsLayout, spec: CutSpec) -> TriangleSeq:
+def reference_cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> TriangleSeq:
     """Ring cut checked against an edge-multiplicity Counter of the ring.
 
     The slow reference for :func:`diamforge.genseq.cut_circular`, with the
-    same checks and error messages, over the ring's expanded triangles.  The
-    walk is unrolled from the triangle after the destroyed one and never
-    reversed, so it matches the fast cut up to orientation.
+    same checks and error messages, over the ring's expanded triangles: the
+    walk is unrolled from the triangle after the destroyed one.
     """
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
     seq = expand_pair(ring)
-    d = edge(*spec.destroyed_edge)
-    mult = edge_multiplicities(seq)
-    count = mult.get(d, 0)
+    d = edge(*destroyed_edge)
+    count = edge_multiplicities(seq).get(d, 0)
     if count != 1:
         raise ValueError(f"destroyed edge {d} is covered {count} times, need exactly 1")
     (c,) = [i for i, tri in enumerate(seq.triangles) if d[0] in tri and d[1] in tri]
-    linear = seq.triangles[c + 1 :] + seq.triangles[:c]
-    result = TriangleSeq(linear)
-
-    e = edge(*spec.end_edge)
-    count = mult[e] - (set(e) <= seq.triangles[c])
-    if count != 1:
-        raise ValueError(f"end edge {e} is covered {count} times after the cut")
-    if not any(e[0] in tri and e[1] in tri for tri in (linear[0], linear[-1])):
-        raise ValueError(f"end edge {e} is not in a terminal triangle after the cut")
-    return result
+    return TriangleSeq(seq.triangles[c + 1 :] + seq.triangles[:c])
 
 
-def reference_cut_exposing(triangles: list, end_edge: Edge) -> CutSpec:
-    """The first cut that leaves ``end_edge`` attachable, by a scan of every
-    triangle of a ring.
+def reference_cut_exposing(triangles: list, end_edge: Edge) -> Edge:
+    """The edge destroyed by the first cut that leaves ``end_edge``
+    attachable, by a scan of every triangle of a ring.
 
     The slow reference for :func:`diamforge.genseq.cut_exposing`, which
     reads the codec ring and tests only the holders of ``end_edge`` and
@@ -187,7 +189,7 @@ def reference_cut_exposing(triangles: list, end_edge: Edge) -> CutSpec:
         blues = [e for e in combinations(sorted(triangles[c]), 2) if mult[e] == 1]
         if len(blues) != 1 or blues[0] == end_edge:
             continue
-        return CutSpec(destroyed_edge=blues[0], end_edge=end_edge)
+        return blues[0]
     raise ValueError(f"no cut exposes {end_edge} at an end")
 
 
@@ -290,6 +292,13 @@ def spokes(v: int, m: int) -> set[Edge]:
     return {edge(v, x) for x in range(m) if x != v}
 
 
+def plan_anchors(k: int) -> dict[str, Edge]:
+    """Each attachment plan's anchor at k: the ring edge its first triangle
+    holds, which the cut ring must hold once, in the end the plan joins."""
+    return {"attach_4k4": (0, 4 * k - 2), "attach_4k3": (0, 7),
+            "attach_4k6/A": (6, 17), "attach_4k6/B": (0, 6)}
+
+
 def plan_targets(k: int) -> list[tuple[str, TriangleSeq, Edge, set[Edge]]]:
     """Each attachment plan valid at k with its anchor and the edges it
     must cover besides the anchor.
@@ -301,36 +310,36 @@ def plan_targets(k: int) -> list[tuple[str, TriangleSeq, Edge, set[Edge]]]:
     between its two new vertices and the ring, and plan B every edge at the
     last three.
     """
-    n1 = 4 * k + 1
+    n1, anchor = 4 * k + 1, plan_anchors(k)
     classes = residue_class(1, n1) | residue_class(2, n1)
     targets = []
     if k >= 4:
         want = classes.union(*(spokes(v, n1 + 3) for v in range(n1, n1 + 3)))
-        targets.append(("attach_4k4", attach_4k4(k), (0, 4 * k - 2), want))
+        targets.append(("attach_4k4", attach_4k4(k), anchor["attach_4k4"], want))
     if k >= 5:
         want = classes.union({(0, 13)}, *(spokes(v, n1 + 2) for v in range(n1, n1 + 2)))
-        targets.append(("attach_4k3", attach_4k3(k), (0, 7), want))
+        targets.append(("attach_4k3", attach_4k3(k), anchor["attach_4k3"], want))
     if k >= 7:
         plan_a, plan_b = attach_4k6(k)
         want_a = classes | {(0, 17)} | spokes(n1, n1 + 2) | spokes(n1 + 1, n1)
         want_b = residue_class(4, n1).union(
             residue_class(8, n1), *(spokes(v, n1 + 5) for v in range(n1 + 2, n1 + 5)))
-        targets += [("attach_4k6/A", plan_a, (6, 17), want_a),
-                    ("attach_4k6/B", plan_b, (0, 6), want_b)]
+        targets += [("attach_4k6/A", plan_a, anchor["attach_4k6/A"], want_a),
+                    ("attach_4k6/B", plan_b, anchor["attach_4k6/B"], want_b)]
     return targets
 
 
-def reference_seed_cut(ring: LabelsLayout) -> CutSpec:
-    """The n = 4k+1 seed cut found by set algebra over three triangles.
+def reference_seed_cut(ring: LabelsLayout) -> Edge:
+    """The edge the n = 4k+1 route destroys, found by set algebra over
+    three triangles of a :func:`gs_full` ring.
 
-    The reference for :func:`diamforge.assembly._seed_cut`, which reads the
-    cut off the ring's first three labels: the destroyed edge is the edge of
-    the seed that avoids the vertex r it shares with both ring neighbours,
-    and the end edge is the one it shares with its successor.
+    The reference for that route, which reads the edge {x0, x2} off the
+    ring's first three labels: it is the edge of the seed that avoids the
+    vertex r the seed shares with both ring neighbours.
     """
     first, second = set(ring.labels[:3]), set(triangle_at(ring, 1))
     (r,) = first & second & set(triangle_at(ring, len(ring) - 1))
-    return CutSpec(destroyed_edge=tuple(first - {r}), end_edge=tuple(first & second))
+    return edge(*(first - {r}))
 
 
 def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
@@ -338,27 +347,28 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
 
     The slow reference for :func:`diamforge.assembly.construct_optimal`:
     the ring expanded into triangles, cut by :func:`reference_cut_circular`
-    and turned so that its end edges meet the plans, the plan triangles
-    concatenated, and the walk encoded by :func:`reference_encode_triples`.
+    and turned so that the anchor of the plan that follows it ends the cut
+    walk, the plan triangles concatenated, and the walk encoded by
+    :func:`reference_encode_triples`.
     """
     r = n % 4
+    k = (n - {0: 4, 1: 1, 2: 6, 3: 3}[r]) // 4
+    anchor = plan_anchors(k)
     if r == 1 and n >= 13:
-        ring = expand_to_circular(gs_full((n - 1) // 4))
-        tris = expand_pair(ring).triangles
-        (keep,) = tris[0] & tris[1] & tris[-1]
-        walk = _oriented_cut(ring, CutSpec(tuple(tris[0] - {keep}), tuple(tris[0] & tris[1])))
+        ring = expand_to_circular(gs_full(k))
+        walk = reference_cut_circular(ring, reference_seed_cut(ring)).triangles
     elif r == 0 and n >= 20:
-        gs, spec = gs_missing_12((n - 4) // 4)
-        walk = _oriented_cut(expand_to_circular(gs), spec)
-        walk += attach_4k4((n - 4) // 4).triangles
+        gs, destroyed = gs_missing_12(k)
+        walk = _oriented_cut(expand_to_circular(gs), destroyed, anchor["attach_4k4"])
+        walk += attach_4k4(k).triangles
     elif r == 3 and n >= 23:
-        gs, spec = gs_missing_12((n - 3) // 4, end="seven")
-        walk = _oriented_cut(expand_to_circular(gs), spec)
-        walk += attach_4k3((n - 3) // 4).triangles
+        gs, _ = gs_missing_12(k)
+        walk = _oriented_cut(expand_to_circular(gs), (0, 13), anchor["attach_4k3"])
+        walk += attach_4k3(k).triangles
     elif r == 2 and n >= 34:
-        gs, spec = gs_missing_1248((n - 6) // 4)
-        plan_a, plan_b = attach_4k6((n - 6) // 4)
-        body = _oriented_cut(expand_to_circular(gs), spec)
+        gs, destroyed = gs_missing_1248(k)
+        plan_a, plan_b = attach_4k6(k)
+        body = _oriented_cut(expand_to_circular(gs), destroyed, anchor["attach_4k6/B"])
         walk = [*plan_a.triangles[::-1], *body, *plan_b.triangles]
     else:
         walk = expand_pair(small_table(n).pair).triangles
@@ -366,10 +376,14 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
     return pair, reference_certify(pair)
 
 
-def _oriented_cut(ring: LabelsLayout, spec: CutSpec) -> list:
-    """The reference cut, turned so that the end edge sits in the last triangle."""
-    walk = reference_cut_circular(ring, spec).triangles
-    return walk if set(spec.end_edge) <= walk[-1] else walk[::-1]
+def _oriented_cut(ring: LabelsLayout, destroyed_edge: Edge, end_edge: Edge) -> list:
+    """The reference cut, turned so that ``end_edge``, which it must hold
+    once and in a terminal triangle, sits in the last triangle."""
+    walk = reference_cut_circular(ring, destroyed_edge).triangles
+    held = [i for i, tri in enumerate(walk) if set(end_edge) <= tri]
+    if held not in ([0], [len(walk) - 1]):
+        raise ValueError(f"end edge {end_edge} is held by triangles {held} after the cut")
+    return walk if held[0] else walk[::-1]
 
 
 def reference_verify_partition(d: Decomposition) -> PartitionReport:

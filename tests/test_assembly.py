@@ -30,7 +30,7 @@ from diamforge.core import (
     is_ring,
     reverse_walk,
 )
-from diamforge.genseq import CutSpec, cut_circular, expand_pair_of, gs_missing_1248
+from diamforge.genseq import cut_circular, expand_pair_of, gs_missing_12, gs_missing_1248
 
 
 def tri(*vs):
@@ -229,28 +229,29 @@ def test_construct_residue_two():
 
 
 def test_a_cut_with_another_first_end_makes_construct_raise(monkeypatch):
-    """The n = 4k+6 cut names only its last end, {0, 6}.  Each ring below
-    has one other cut that leaves {0, 6} attachable there, and its first
-    triangle misses {6, 17}, so the join with plan A refuses it."""
+    """Each route names only the edge its cut destroys; the joins and the
+    walk's certificate check the anchors.  Patched to destroy any other
+    edge that the ring holds once, every route that joins a plan raises:
+    n = 4k+4 and 4k+3 for k = 5..8, n = 4k+6 for k = 7..12.  At n = 4k+1
+    no plan is joined, and another cut gives another valid optimal walk,
+    so only the golden digests pin that route's cut."""
     from diamforge import assembly
 
-    for k in range(7, 13):
-        gs, spec = gs_missing_1248(k)
-        ring = expand_pair_of(gs)
-        singles = [e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 1]
-        others = []
-        for d in singles:
-            try:
-                cut_circular(ring, CutSpec(d, spec.end_edge))
-            except ValueError:
+    routes = [(4 * k + 4, *gs_missing_12(k)) for k in range(5, 9)]
+    routes += [(4 * k + 3, gs_missing_12(k)[0], (0, 13)) for k in range(5, 9)]
+    routes += [(4 * k + 6, *gs_missing_1248(k)) for k in range(7, 13)]
+    for n, gs, destroyed in routes:
+        seq = expand_pair(expand_pair_of(gs))
+        singles = [e for e, m in edge_multiplicities(seq).items() if m == 1]
+        assert destroyed in singles and construct_optimal(n)[1].matches_optimum, n
+        for other in singles:
+            if other == destroyed:
                 continue
-            if d != spec.destroyed_edge:
-                others.append(d)
-        assert len(others) == 1, (k, others)
-        other = CutSpec(others[0], spec.end_edge)
-        monkeypatch.setattr(assembly, "gs_missing_1248", lambda _k: (gs, other))
-        with pytest.raises(ValueError, match="does not continue head's last"):
-            construct_optimal(4 * k + 6)
+            monkeypatch.setattr(assembly, "cut_circular",
+                                lambda ring, _, other=other: cut_circular(ring, other))
+            with pytest.raises((ValueError, AssertionError)):
+                construct_optimal(n)
+            monkeypatch.undo()
 
 
 def test_construct_odd_even_spare_edges():
@@ -266,11 +267,13 @@ def test_construct_matches_the_frozenset_reference():
 
 
 def test_construct_reverses_at_most_one_long_walk(monkeypatch):
-    """Near n = 400 no order turns round more than one walk longer than
-    1,000 triangles.  For n = 4k + 2, plan A is reversed on its own; at even
-    k that is the only reversal, while at odd k canonical still turns the
-    whole walk, because plan B's end is the smaller."""
-    from diamforge import assembly, core, genseq
+    """Near n = 400 each route turns round at most one walk longer than its
+    plans.  n = 4k+4 turns its plan round to lead into the cut walk, and
+    canonical then the whole walk; n = 4k+1 leaves the cut walk as it is
+    unrolled, and canonical turns it; n = 4k+2 turns plan A round, and at
+    odd k canonical the whole walk too, because plan B's end is the
+    smaller; n = 4k+3 turns nothing."""
+    from diamforge import assembly, core
 
     reverse, lengths = core.reverse_walk, []
 
@@ -278,25 +281,26 @@ def test_construct_reverses_at_most_one_long_walk(monkeypatch):
         lengths.append(len(pair))
         return reverse(pair)
 
-    for module in (core, genseq, assembly):
+    for module in (core, assembly):
         monkeypatch.setattr(module, "reverse_walk", spy)
     seen = {}
     for n in range(400, 408):
         lengths.clear()
         construct_optimal(n)
         seen[n] = list(lengths)
-    assert all(sum(x > 1000 for x in calls) <= 1 for calls in seen.values()), seen
-    assert seen[403] == seen[407] == [], seen
-    assert len(seen[406]) == 1 and seen[406][0] < 1000, seen
-    assert min(seen[402]) < 1000, seen
+    whole = {n: hs_max_diameter(n) + 1 for n in seen}
+    want = {400: [10 * 99 + 4, whole[400]], 401: [whole[401]], 402: [8 * 99 + 3, whole[402]],
+            403: [], 404: [10 * 100 + 4, whole[404]], 405: [whole[405]], 406: [8 * 100 + 3],
+            407: []}
+    assert seen == want
 
 
 def test_canonical_returns_a_walk_already_in_its_form():
     """Over the construct corpus canonical gives the pair rebuilt through the
     checking constructor, from either orientation of the built walk, and
     the frozenset reference agrees where it is affordable.  A walk longer
-    than one triangle is copied only when something changes; at n = 401
-    and 403 the walk is built in canonical form and comes back uncopied."""
+    than one triangle is copied only when something changes; at n = 403
+    and 407 the walk is built in canonical form and comes back uncopied."""
     for n in (*range(3, 204), *range(400, 408), *range(2000, 2004)):
         walk = _construct_walk(n)
         got = canonical(walk)
@@ -304,5 +308,5 @@ def test_canonical_returns_a_walk_already_in_its_form():
         if 150 < n < 2000:  # test_construct_matches_the_frozenset_reference covers n <= 150
             assert got == reference_encode_triples(expand_pair(walk), n), n
         assert (got is walk) == (len(walk) > 1 and got == walk), n
-        if n in (401, 403):
+        if n in (403, 407):
             assert got is walk

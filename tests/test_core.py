@@ -268,12 +268,14 @@ def test_corrupted_walks_fail_goodness():
         assert len(covered_edges(seq)) < 2 * t + 1
 
 
-def test_join_checks_the_head_labels_against_the_tail_order():
-    tail = LabelsLayout(5, (2, 3, 4), ())
-    for head in (LabelsLayout(9, (8, 1, 2, 3), (0,)), LabelsLayout(9, (4, 1, 2, 8, 3), (0, 0))):
-        with pytest.raises(ValueError, match=r"^label 8 out of range for n=5$"):
-            join_walks(head, tail)
-    assert join_walks(LabelsLayout(9, (1, 2, 3), ()), tail) == LabelsLayout(5, (1, 2, 3, 4), (0,))
+def test_join_takes_the_larger_order():
+    """The joined walk has the larger n of its two walks, whichever comes
+    first, so every label of either is in range."""
+    short, long = LabelsLayout(5, (2, 3, 4), ()), LabelsLayout(9, (8, 1, 2, 3), (0,))
+    want = LabelsLayout(9, (8, 1, 2, 3, 4), (0, 0))
+    assert join_walks(long, short) == want == LabelsLayout(want.n, want.labels, want.layout)
+    assert join_walks(reverse_walk(short), reverse_walk(long)) == reverse_walk(want)
+    assert join_walks(LabelsLayout(9, (1, 2, 3), ()), short) == LabelsLayout(9, (1, 2, 3, 4), (0,))
 
 
 def test_join_rejects_a_tail_that_does_not_continue_the_head():

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
 from conftest import (
-    random_good_pair, reference_cut_circular, reference_cut_exposing, reference_expand_to_circular,
-    reference_seed_cut,
+    plan_anchors, random_good_pair, reference_cut_circular, reference_cut_exposing,
+    reference_expand_to_circular, reference_seed_cut,
 )
 from diamforge import genseq
-from diamforge.assembly import _seed_cut
+from diamforge.assembly import _construct_walk
 from diamforge.core import (
     LabelsLayout,
     certify,
@@ -24,7 +25,6 @@ from diamforge.core import (
     is_ring,
 )
 from diamforge.genseq import (
-    CutSpec,
     GeneratingSequence,
     blue_terms,
     canonical_residue,
@@ -94,10 +94,6 @@ def test_family_ranges():
         floor = f"n = {4 * k + 1} is below {least}, the smallest modulus of this family"
         with pytest.raises(ValueError, match=f"^{floor}$"):
             family(k)
-    with pytest.raises(ValueError):
-        gs_missing_12(4, end="seven")
-    with pytest.raises(ValueError):
-        gs_missing_12(5, end="short")
 
 
 def test_family_verification_sample():
@@ -177,41 +173,39 @@ def test_multiplicity_profile():
 
 
 def test_cut_specs_are_deterministic():
-    _, spec = gs_missing_12(4)
-    assert spec == CutSpec((0, 6), (0, 14))
-    _, spec = gs_missing_12(9)
-    assert spec == CutSpec((5, 23), (0, 34))
-    _, spec = gs_missing_12(9, end="seven")
-    assert spec == CutSpec((0, 13), (0, 7))
-    _, spec = gs_missing_1248(7)
-    assert spec == CutSpec((0, 17), (0, 6))
+    """Each family names the edge its cut destroys."""
+    assert gs_missing_12(4)[1] == (0, 6)
+    assert gs_missing_12(9)[1] == (5, 23)
+    assert gs_missing_12(10)[1] == (9, 27)
+    assert gs_missing_1248(7)[1] == gs_missing_1248(8)[1] == (0, 17)
 
 
 def test_cut_opens_ring():
-    gs, spec = gs_missing_12(4)
+    gs, destroyed = gs_missing_12(4)
     pair = expand_pair_of(gs)
-    cut = cut_circular(pair, spec)
+    cut = cut_circular(pair, destroyed)
     ring, lin = expand_pair(pair), expand_pair(cut)
     assert not is_ring(cut) and is_good(lin)
     assert len(lin.triangles) == len(ring.triangles) - 1
     assert dual_diameter(lin) == len(lin.triangles) - 1
     assert len(covered_edges(lin)) == len(covered_edges(ring)) - 1
-    assert set(spec.end_edge) <= lin.triangles[-1]
+    assert {0, 14} <= lin.triangles[0]
 
 
 def test_cut_exposes_both_ends_for_1248():
-    """The spec names the last end; the family puts {6, 17} in the first."""
+    """Cut at {0, 17}, the family puts {6, 17} in the first triangle and
+    {0, 6} in the last."""
     for k in (7, 8, 9):
-        gs, spec = gs_missing_1248(k)
-        lin = expand_pair(cut_circular(expand_pair_of(gs), spec))
+        gs, destroyed = gs_missing_1248(k)
+        lin = expand_pair(cut_circular(expand_pair_of(gs), destroyed))
         assert {6, 17} <= lin.triangles[0]
-        assert set(spec.end_edge) <= lin.triangles[-1]
+        assert {0, 6} <= lin.triangles[-1]
 
 
 def test_cut_exposing_scan_matches_returned_spec():
     for k in range(4, 61):
-        gs, spec = gs_missing_12(k)
-        assert cut_exposing(expand_pair_of(gs), spec.end_edge) == spec, k
+        gs, destroyed = gs_missing_12(k)
+        assert cut_exposing(expand_pair_of(gs), (0, 4 * k - 2)) == destroyed, k
 
 
 def test_cut_exposing_scan_matches_seed_cut():
@@ -219,11 +213,11 @@ def test_cut_exposing_scan_matches_seed_cut():
         ring = expand_pair_of(gs_full(k))
         seq = expand_pair(ring)
         shared = tuple(seq.triangles[0] & seq.triangles[1])
-        assert _seed_cut(ring) == cut_exposing(ring, shared), k
+        assert cut_exposing(ring, shared) == reference_seed_cut(ring), k
 
 
 def _cut_exposing_outcome(find, ring, end_edge):
-    """The spec ``find`` returns, or the text of the ValueError it raises."""
+    """The edge ``find`` returns, or the text of the ValueError it raises."""
     try:
         return find(ring, end_edge)
     except ValueError as exc:
@@ -235,8 +229,7 @@ def test_cut_exposing_matches_the_frozenset_scan():
     nine family rings and on random walks closed into rings, values and
     error texts alike."""
     cases = [(expand_pair_of(gs_full(k)), None) for k in range(3, 61)]
-    cases += [(expand_pair_of(gs), spec.end_edge)
-              for gs, spec in map(gs_missing_12, range(4, 61))]
+    cases += [(expand_pair_of(gs_missing_12(k)[0]), (0, 4 * k - 2)) for k in range(4, 61)]
     rng = random.Random(0xC075)
     rings = [expand_pair_of(gs) for gs in (
         gs_full(3), gs_full(4), gs_full(7), gs_missing_12(4)[0], gs_missing_12(5)[0],
@@ -262,16 +255,24 @@ def test_cut_exposing_matches_the_frozenset_scan():
             end_edge = tuple(tris[0] & tris[1])
         got = _cut_exposing_outcome(cut_exposing, ring, end_edge)
         assert got == _cut_exposing_outcome(reference_cut_exposing, tris, end_edge), end_edge
-        kinds.add("spec" if isinstance(got, CutSpec) else got.split(" ", 1)[0])
-    # A spec, "edge ... is not covered" and "no cut exposes ..." all come up.
-    assert kinds == {"spec", "edge", "no"}
+        kinds.add("cut" if isinstance(got, tuple) else got.split(" ", 1)[0])
+    # A cut, "edge ... is not covered" and "no cut exposes ..." all come up.
+    assert kinds == {"cut", "edge", "no"}
 
 
 def test_cut_exposing_refuses_a_linear_walk():
-    gs, spec = gs_missing_12(4)
-    lin = cut_circular(expand_pair_of(gs), spec)
+    gs, destroyed = gs_missing_12(4)
+    lin = cut_circular(expand_pair_of(gs), destroyed)
     with pytest.raises(ValueError, match=r"^sequence is not circular$"):
-        cut_exposing(lin, spec.end_edge)
+        cut_exposing(lin, (0, 14))
+
+
+def test_a_cut_names_only_the_edge_it_destroys():
+    """No cut record, end selector or reversal: each route that joins a plan
+    checks the plan's anchor where it joins it."""
+    assert {"CutSpec", "reverse_walk"}.isdisjoint(vars(genseq))
+    assert list(inspect.signature(cut_circular).parameters) == ["ring", "destroyed_edge"]
+    assert list(inspect.signature(gs_missing_12).parameters) == ["k"]
 
 
 def test_genseq_holds_no_frozenset_code():
@@ -304,89 +305,80 @@ def test_decoded_rings_encode_as_linear_walks():
 
 
 def test_seed_cut_reads_the_reference_cut_off_the_labels():
+    """The n = 4k+1 route destroys {x0, x2}, read off the ring's labels:
+    the edge of the seed that avoids the vertex it shares with both of its
+    neighbours."""
     for k in range(3, 151):
         ring = expand_pair_of(gs_full(k))
-        assert _seed_cut(ring) == reference_seed_cut(ring), k
+        assert _construct_walk(4 * k + 1) == cut_circular(ring, reference_seed_cut(ring)), k
 
 
 def test_cut_exposing_on_full_ring():
     ring = expand_pair_of(gs_full(3))
-    assert cut_exposing(ring, (0, 1)) == CutSpec((0, 3), (0, 1))
+    assert cut_exposing(ring, (0, 1)) == (0, 3)
 
 
 def _cut_cases(kmax: int):
-    """Every family ring with its assembly cut and the edge its cut walk
-    exposes at its first triangle, if the assembly grafts a plan there,
-    for each valid k <= kmax."""
+    """Every family ring with the edge each assembly route destroys and
+    the anchors of the plans that route joins, with the end of the cut walk
+    that each must sit in, for each valid k <= kmax."""
     for k in range(3, kmax + 1):
         ring = expand_pair_of(gs_full(k))
-        yield f"full k={k}", ring, _seed_cut(ring), None
+        yield f"full k={k}", ring, reference_seed_cut(ring), {}
     for k in range(4, kmax + 1):
-        gs, spec = gs_missing_12(k)
+        anchor = plan_anchors(k)
+        gs, destroyed = gs_missing_12(k)
         ring = expand_pair_of(gs)
-        yield f"missing_12 long k={k}", ring, spec, None
+        yield f"4k+4 k={k}", ring, destroyed, {anchor["attach_4k4"]: 0}
         if k >= 5:
-            yield f"missing_12 seven k={k}", ring, gs_missing_12(k, end="seven")[1], None
+            yield f"4k+3 k={k}", ring, (0, 13), {anchor["attach_4k3"]: -1}
     for k in range(7, kmax + 1):
-        gs, spec = gs_missing_1248(k)
-        yield f"missing_1248 k={k}", expand_pair_of(gs), spec, (6, 17)
+        anchor = plan_anchors(k)
+        gs, destroyed = gs_missing_1248(k)
+        ends = {anchor["attach_4k6/A"]: 0, anchor["attach_4k6/B"]: -1}
+        yield f"4k+6 k={k}", expand_pair_of(gs), destroyed, ends
 
 
 @pytest.mark.slow
 def test_cut_matches_reference_and_exposes_its_ends():
-    """A cut removes one edge and leaves each end edge once, at its end."""
-    for name, pair, spec, front in _cut_cases(60):
+    """A cut removes one edge, and each family leaves the anchor of every
+    plan its route joins held once, in the end triangle where it joins."""
+    for name, pair, destroyed, ends in _cut_cases(60):
         ring = expand_pair(pair)
-        lin = expand_pair(cut_circular(pair, spec))
-        ref = reference_cut_circular(pair, spec).triangles
-        assert lin.triangles in (ref, ref[::-1]), name
+        lin = expand_pair(cut_circular(pair, destroyed))
+        assert lin == reference_cut_circular(pair, destroyed), name
         # The walk is the ring minus one triangle, so it covers the ring's
         # edges except those of that triangle which no other triangle holds.
         (gone,) = set(ring.triangles) - set(lin.triangles)
         assert len(lin) == len(ring) - 1, name
         lin_mult = edge_multiplicities(lin)
         a, b, c = sorted(gone)
-        assert {(a, b), (a, c), (b, c)} - set(lin_mult) == {spec.destroyed_edge}, name
-        for e, tri in ((spec.end_edge, lin.triangles[-1]), (front, lin.triangles[0])):
-            if e is not None:
-                assert lin_mult[e] == 1 and set(e) <= tri, (name, e)
+        assert {(a, b), (a, c), (b, c)} - set(lin_mult) == {destroyed}, name
+        for e, end in ends.items():
+            assert lin_mult[e] == 1 and set(e) <= lin.triangles[end], (name, e)
 
 
-def _same_rejection(ring, spec):
+def _same_rejection(ring, destroyed):
     with pytest.raises(ValueError) as got:
-        cut_circular(ring, spec)
+        cut_circular(ring, destroyed)
     with pytest.raises(ValueError) as want:
-        reference_cut_circular(ring, spec)
+        reference_cut_circular(ring, destroyed)
     assert str(got.value) == str(want.value)
     return str(got.value)
 
 
 def test_cut_rejections_match_reference():
-    gs, spec = gs_missing_12(9)
+    gs, destroyed = gs_missing_12(9)
     ring = expand_pair_of(gs)
-    seq = expand_pair(ring)
-    tris, mult = seq.triangles, edge_multiplicities(seq)
+    mult = edge_multiplicities(expand_pair(ring))
     doubled = next(e for e, m in mult.items() if m == 2)
-    msg = _same_rejection(ring, CutSpec(doubled, spec.end_edge))
+    msg = _same_rejection(ring, doubled)
     assert msg == f"destroyed edge {doubled} is covered 2 times, need exactly 1"
+    # Residue class 1 is missing from the ring.
+    assert _same_rejection(ring, (1, 0)) == "destroyed edge (0, 1) is covered 0 times, need exactly 1"
 
-    # A singly covered edge of a triangle in the middle of the cut walk.
-    (c,) = [i for i, tri in enumerate(tris) if set(spec.destroyed_edge) <= tri]
-    middle = tris[(c + len(tris) // 2) % len(tris)]
-    inner = next(
-        e for e in ((a, b) for a in sorted(middle) for b in sorted(middle) if a < b)
-        if mult[e] == 1
-    )
-    msg = _same_rejection(ring, CutSpec(spec.destroyed_edge, inner))
-    assert msg == f"end edge {inner} is not in a terminal triangle after the cut"
-
-    msg = _same_rejection(ring, CutSpec(spec.destroyed_edge, doubled))
-    assert msg == f"end edge {doubled} is covered 2 times after the cut"
-
-    gs, spec = gs_missing_1248(7)
-    ring = expand_pair_of(gs)
-    lin = cut_circular(ring, spec)
-    assert _same_rejection(lin, spec) == "sequence is not circular"
+    lin = cut_circular(ring, destroyed)
+    assert _same_rejection(lin, destroyed) == "sequence is not circular"
 
 
 def test_cut_rejects_doubled_destroyed_edge():
@@ -394,7 +386,7 @@ def test_cut_rejects_doubled_destroyed_edge():
     ring = expand_pair_of(gs)
     doubled = next(e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 2)
     with pytest.raises(ValueError):
-        cut_circular(ring, CutSpec(doubled, (0, 14)))
+        cut_circular(ring, doubled)
 
 
 @pytest.mark.slow

@@ -7,8 +7,8 @@ import pytest
 
 from diamforge import assembly, core, genseq
 from diamforge.assembly import SmallTableEntry, construct_optimal
-from diamforge.core import Certificate, LabelsLayout, TriangleSeq
-from diamforge.genseq import CutSpec, GeneratingSequence, GenSeqReport
+from diamforge.core import Certificate, LabelsLayout, TriangleSeq, edge
+from diamforge.genseq import GeneratingSequence, GenSeqReport
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport
 from diamforge.oracle import SearchResult
 
@@ -35,8 +35,6 @@ CASES = [
      dict(n=13, terms=[1, 3, 9], turns=frozenset())),
     (GenSeqReport, (True, frozenset({1}), None), dict(valid=True, missing=frozenset({1}), reason=None),
      dict(valid=True, missing=frozenset({1}), reason="x")),
-    (CutSpec, ((0, 1), (1, 2)), dict(destroyed_edge=(0, 1), end_edge=(1, 2)),
-     dict(destroyed_edge=(0, 1), end_edge=(1, 3))),
     (CycleSquare, ((0, 1, 2, 3, 4),), dict(order=(0, 1, 2, 3, 4)),
      dict(order=(0, 2, 1, 3, 4))),
     (Decomposition, (5, (CycleSquare((0, 1, 2, 3, 4)),)),
@@ -74,18 +72,11 @@ def test_triangle_seq_holds_only_its_triangles():
     assert TriangleSeq.__slots__ == ("triangles",)
 
 
-def test_cut_spec_names_one_end():
-    # The walk's first triangle is checked where a plan is joined to it.
-    assert CutSpec.__slots__ == ("destroyed_edge", "end_edge")
-
-
 def test_normalisation_at_construction():
     assert LabelsLayout(5, [0, 1, 2, 3], [1]).labels == (0, 1, 2, 3)
     assert LabelsLayout(5, [0, 1, 2, 3], [1]).layout == (1,)
     gs = GeneratingSequence(13, [-1, 15, 4], [0])
     assert gs.terms == [12, 2, 4] and gs.turns == frozenset({0}) and gs.m == 3
-    spec = CutSpec([3, 1], (4, 2))
-    assert (spec.destroyed_edge, spec.end_edge) == ((1, 3), (2, 4))
     assert CycleSquare([0, 2, 1, 3, 4]).order == (0, 2, 1, 3, 4)
     assert CycleSquare([0, 2, 1, 3, 4]).n == 5
     assert Decomposition(5, [CycleSquare(range(5))]).cycles == (CycleSquare(range(5)),)
@@ -115,8 +106,7 @@ def test_len():
     (lambda: GeneratingSequence(13, [1, 2, 3, 4], frozenset()), "too many terms: 4 > (n-1)/4 = 3"),
     (lambda: GeneratingSequence(13, [1, 13], frozenset()), "term 1 vanishes mod 13"),
     (lambda: GeneratingSequence(13, [1, 2], frozenset({2})), "turn index 2 out of range for 2 terms"),
-    (lambda: CutSpec((0, 1), (1, 0)), "destroyed edge cannot also be an end edge"),
-    (lambda: CutSpec((0, 0), (1, 2)), "degenerate edge (0, 0)"),
+    (lambda: edge(0, 0), "degenerate edge (0, 0)"),
     (lambda: CycleSquare((0, 1)), "cycle needs at least three vertices"),
     (lambda: CycleSquare((0, 1, 3)), "ordering is not a permutation of 0..n-1"),
     (lambda: Decomposition(7, (CycleSquare(range(5)),)),

@@ -110,20 +110,16 @@ def _tri(*vertices: int) -> frozenset[int]:
     return frozenset(vertices)
 
 
-def _audit_plan(
-    name: str, k: int, anchor: tuple[int, int], tris: list[frozenset[int]]
-) -> TriangleSeq:
-    """Check the plan ``tris`` once and return it as a sequence.
+def _audit_plan(name: str, k: int, tris: list[frozenset[int]]) -> TriangleSeq:
+    """Check that the plan ``tris`` is good and return it as a sequence.
 
-    Its first triangle must hold ``anchor``, the edge it shares with the
-    ring end it follows, so that appended there it continues the walk.  It
-    must be good.  Which edges it covers is left to the walk's certificate:
-    a plan that doubles or misses an edge leaves the walk bad or short of
-    the optimum, and :func:`construct_optimal` raises.
+    Where it attaches is left to :func:`join_walks`, which raises unless its
+    first triangle continues the ring end it follows, and which edges it
+    covers to the walk's certificate: a plan that doubles or misses an edge
+    leaves the walk bad or short of the optimum, and
+    :func:`construct_optimal` raises.
     """
     seq = TriangleSeq(tris)
-    if not set(anchor) <= tris[0]:
-        raise AssertionError(f"{name}(k={k}): first triangle does not hold the anchor {anchor}")
     if not is_good(seq):
         raise AssertionError(f"{name}(k={k}): plan is not a good sequence")
     return seq
@@ -163,7 +159,7 @@ def attach_4k4(k: int) -> TriangleSeq:
         _tri(4 * k - 6, 4 * k - 5, c),
         _tri(4 * k - 5, c, b),
     ]
-    return _audit_plan("attach_4k4", k, (0, 4 * k - 2), tris)
+    return _audit_plan("attach_4k4", k, tris)
 
 
 def attach_4k3(k: int) -> TriangleSeq:
@@ -208,7 +204,7 @@ def attach_4k3(k: int) -> TriangleSeq:
     fan_b = [4 * k, 0] + _steps(4 * k - 1, 12, -1)
     tris += rotation(b, fan_b)
     tris.append(_tri(11, 12, 13))
-    return _audit_plan("attach_4k3", k, (0, 7), tris)
+    return _audit_plan("attach_4k3", k, tris)
 
 
 def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
@@ -267,13 +263,13 @@ def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
         _tri(11, 12, 13),
         _tri(12, 13, 14),
     ]
-    plan_a = _audit_plan("attach_4k6/A", k, (6, 17), tris_a)
+    plan_a = _audit_plan("attach_4k6/A", k, tris_a)
 
     if k % 2 == 0:
         tris_b = _plan_b_even(k, a, b, c, d, e)
     else:
         tris_b = _plan_b_odd(k, a, b, c, d, e)
-    plan_b = _audit_plan("attach_4k6/B", k, (0, 6), tris_b)
+    plan_b = _audit_plan("attach_4k6/B", k, tris_b)
     return plan_a, plan_b
 
 
@@ -389,6 +385,10 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
     return pair, cert
 
 
+# The edge the n = 4k+4 route destroys on the rings of gs_missing_12's literal rows.
+_CUTS_4K4 = {4: (0, 6), 5: (6, 14), 6: (6, 18), 7: (0, 20)}
+
+
 def _construct_walk(n: int) -> LabelsLayout:
     r = n % 4
     if r == 1 and n >= 13:
@@ -399,20 +399,21 @@ def _construct_walk(n: int) -> LabelsLayout:
         return cut_circular(ring, (ring.labels[0], ring.labels[2]))
     if r == 0 and n >= 20:
         k = (n - 4) // 4
-        gs, destroyed = gs_missing_12(k)
-        # The cut walk starts on the plan's anchor: the plan, turned round, leads into it.
-        body = cut_circular(expand_pair_of(gs), destroyed)
+        # Destroying this edge starts the walk on the plan's anchor {0, 4k-2}:
+        # the plan, turned round, leads into it.
+        destroyed = _CUTS_4K4.get(k) or ((5, 2 * k + 5) if k % 2 else (9, 2 * k + 7))
+        body = cut_circular(expand_pair_of(gs_missing_12(k)), destroyed)
         return join_walks(reverse_walk(encode_triples(attach_4k4(k), n)), body)
     if r == 3 and n >= 23:
         k = (n - 3) // 4
-        gs, _ = gs_missing_12(k)
         # Destroying {0, 13}, which the plan covers again, ends the walk on its anchor.
-        body = cut_circular(expand_pair_of(gs), (0, 13))
+        body = cut_circular(expand_pair_of(gs_missing_12(k)), (0, 13))
         return join_walks(body, encode_triples(attach_4k3(k), n))
     if r == 2 and n >= 34:
         k = (n - 6) // 4
-        gs, destroyed = gs_missing_1248(k)
-        body = cut_circular(expand_pair_of(gs), destroyed)
+        # Destroying {0, 17} starts the walk on plan A's anchor {6, 17} and
+        # ends it on plan B's {0, 6}.
+        body = cut_circular(expand_pair_of(gs_missing_1248(k)), (0, 17))
         plan_a, plan_b = (encode_triples(p, n) for p in attach_4k6(k))
         # Plan A prefixes the body: turned round, it leads into the body's first triangle.
         return join_walks(reverse_walk(plan_a), join_walks(body, plan_b))

@@ -190,13 +190,8 @@ def _cmd_genseq(args) -> int:
         raise ValueError(f"modulus must be 4k+1, got {n}")
     if n > MAX_GENSEQ_N:
         raise ValueError(f"n = {n} exceeds the ceiling {MAX_GENSEQ_N}")
-    k = n // 4
-    if args.missing == "none":
-        gs = genseq.gs_full(k)
-    elif args.missing == "12":
-        gs, _ = genseq.gs_missing_12(k)
-    else:
-        gs, _ = genseq.gs_missing_1248(k)
+    family = {"none": genseq.gs_full, "12": genseq.gs_missing_12, "1248": genseq.gs_missing_1248}
+    gs = family[args.missing](n // 4)
     report = genseq.verify_generating_sequence(gs)
     _emit(
         {

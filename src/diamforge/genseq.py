@@ -5,8 +5,7 @@ plus a set of turn indices.  Walking x_{i+1} = x_i + a_{i mod m} and closing
 after m*n steps produces a circular good sequence of m*n triangles whose edge
 residues are exactly the step terms ("black") and their consecutive sums
 ("blue").  A valid sequence covers 2m of the (n-1)/2 residue classes twice or
-once in a controlled pattern, which is what the assembly layer relies on when
-it cuts the ring open and grafts attachments onto the exposed edges.
+once in a controlled pattern.
 """
 
 from __future__ import annotations
@@ -126,11 +125,11 @@ _FULL_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     5: ((1, 2, 7, 6, 4), ()),
 }
 
-_MISSING12_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...], Edge]] = {
-    4: ((3, 4, 8), (), (0, 6)),
-    5: ((4, 7, 6, -9), (), (6, 14)),
-    6: ((4, 10, 7, 6, -9), (), (6, 18)),
-    7: ((11, 8, -12, 7, 6, 3), (), (0, 20)),
+_MISSING12_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    4: ((3, 4, 8), ()),
+    5: ((4, 7, 6, -9), ()),
+    6: ((4, 10, 7, 6, -9), ()),
+    7: ((11, 8, -12, 7, 6, 3), ()),
 }
 
 _MISSING1248_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
@@ -148,78 +147,58 @@ def _modulus(k: int, least: int) -> int:
 
 
 def gs_full(k: int) -> GeneratingSequence:
-    """A length-k generating sequence mod 4k+1 covering every residue.
-
-    Used for the n = 4k+1 constructions, where the cut ring already touches
-    all of K_n except one spare edge.
-    """
+    """A length-k generating sequence mod 4k+1 covering every residue."""
     n = _modulus(k, 13)
     if k in _FULL_ROWS:
         terms, turns = _FULL_ROWS[k]
-        return GeneratingSequence(n, list(terms), frozenset(turns))
-    if k % 2 == 0:
-        ell = k // 2
-        terms = []
-        for i in range(1, ell + 1):
+    elif k % 2 == 0:
+        terms, turns = [], (k - 1,)
+        for i in range(1, k // 2 + 1):
             terms += [4 * i - 1, 4 * i - 2]
-        return GeneratingSequence(n, terms, frozenset({k - 1}))
-    ell = (k - 1) // 2
-    terms = [-4 * ell + 6, 4 * ell + 2, -4, -9, 2, 1, 11]
-    for j in range(ell - 3):
-        terms += [6 + 4 * j, 15 + 4 * j]
-    return GeneratingSequence(n, terms, frozenset())
+    else:
+        ell, turns = (k - 1) // 2, ()
+        terms = [-4 * ell + 6, 4 * ell + 2, -4, -9, 2, 1, 11]
+        for j in range(ell - 3):
+            terms += [6 + 4 * j, 15 + 4 * j]
+    return GeneratingSequence(n, list(terms), frozenset(turns))
 
 
-def gs_missing_12(k: int) -> tuple[GeneratingSequence, Edge]:
-    """A length-(k-1) sequence mod 4k+1 missing exactly residues 1 and 2.
-
-    The returned edge is the one the n = 4k+4 assembly destroys: cut there,
-    the ring opens with {0, 4k-2}, the anchor of its plan, in the first
-    triangle of the walk.
-    """
+def gs_missing_12(k: int) -> GeneratingSequence:
+    """A length-(k-1) sequence mod 4k+1 missing exactly residues 1 and 2."""
     n = _modulus(k, 17)
     if k in _MISSING12_ROWS:
-        terms, turns, destroyed = _MISSING12_ROWS[k]
-        return GeneratingSequence(n, list(terms), frozenset(turns)), destroyed
-    if k % 2 == 1:
-        ell = (k - 1) // 2
+        terms, turns = _MISSING12_ROWS[k]
+    elif k % 2 == 1:
+        ell, turns = (k - 1) // 2, (2,)
         terms = [8, -5, 4 * ell - 1, 4, -16]
         for i in range(1, ell - 2):
             terms += [4 * i + 3, 4 * i + 2]
         terms.append(4 * ell - 5)
-        return GeneratingSequence(n, terms, frozenset({2})), (5, 2 * k + 5)
-    ell = k // 2
-    terms = [4, 4 * ell - 6, 9, -12]
-    for i in range(1, ell - 2):
-        terms += [4 * i + 3, 4 * i + 2]
-    terms.append(4 * ell - 5)
-    return GeneratingSequence(n, terms, frozenset({0})), (9, 2 * k + 7)
+    else:
+        ell, turns = k // 2, (0,)
+        terms = [4, 4 * ell - 6, 9, -12]
+        for i in range(1, ell - 2):
+            terms += [4 * i + 3, 4 * i + 2]
+        terms.append(4 * ell - 5)
+    return GeneratingSequence(n, list(terms), frozenset(turns))
 
 
-def gs_missing_1248(k: int) -> tuple[GeneratingSequence, Edge]:
-    """A length-(k-2) sequence mod 4k+1 missing exactly residues 1, 2, 4, 8.
-
-    The returned edge is {0, 17}, the one the n = 4k+6 assembly destroys:
-    cut there, the ring opens with {6, 17} in the first triangle of the walk
-    and {0, 6} in the last, which the joins with its two plans check.
-    """
+def gs_missing_1248(k: int) -> GeneratingSequence:
+    """A length-(k-2) sequence mod 4k+1 missing exactly residues 1, 2, 4, 8."""
     n = _modulus(k, 29)
     if k in _MISSING1248_ROWS:
         terms, turns = _MISSING1248_ROWS[k]
-        gs = GeneratingSequence(n, list(terms), frozenset(turns))
     elif k % 2 == 1:
-        ell = (k - 1) // 2
+        ell, turns = (k - 1) // 2, (4, 6)
         terms = [7, 5, 4 * ell - 6, 13, -16, -6, 17]
         for i in range(ell - 4):
             terms += [10 + 4 * i, 15 + 4 * i]
-        gs = GeneratingSequence(n, terms, frozenset({4, 6}))
     else:
-        ell = k // 2
+        ell, turns = k // 2, (1,)
         terms = [-4 * ell + 1, 5, -4 * ell + 5, -3, -13, 6]
         for j in range(ell - 4):
             terms += [11 + 4 * j, 10 + 4 * j]
-        gs = GeneratingSequence(n, terms, frozenset({1}))
-    return gs, (0, 17)
+    return GeneratingSequence(n, list(terms), frozenset(turns))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +261,7 @@ def cut_exposing(ring: LabelsLayout, exposed: Edge) -> Edge:
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
     exposed = edge(*exposed)
-    (holders,) = _holders(ring, [exposed])
+    holders = _holders(ring, exposed)
     if not holders:
         raise ValueError(f"edge {exposed} is not covered")
 
@@ -291,8 +270,8 @@ def cut_exposing(ring: LabelsLayout, exposed: Edge) -> Edge:
         left = [h for h in holders if h != c]
         if len(left) != 1 or left[0] not in ((c - 1) % t, (c + 1) % t):
             continue
-        sides = list(combinations(sorted(triangle_at(ring, c)), 2))
-        blues = [e for e, held in zip(sides, _holders(ring, sides)) if len(held) == 1]
+        sides = combinations(sorted(triangle_at(ring, c)), 2)
+        blues = [e for e in sides if len(_holders(ring, e)) == 1]
         if len(blues) != 1 or blues[0] == exposed:
             continue
         return blues[0]
@@ -318,7 +297,7 @@ def cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> LabelsLayout:
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
     d = edge(*destroyed_edge)
-    (cut,) = _holders(ring, [d])
+    cut = _holders(ring, d)
     if len(cut) != 1:
         raise ValueError(f"destroyed edge {d} is covered {len(cut)} times, need exactly 1")
     (c,) = cut
@@ -328,23 +307,22 @@ def cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> LabelsLayout:
     return LabelsLayout._of(ring.n, labels, bits[s + 1 :] + bits[: s - 1] if s else bits[1:-1])
 
 
-def _holders(ring: LabelsLayout, edges: list[Edge]) -> list[list[int]]:
-    """The sorted indices of the triangles of ``ring`` that hold each edge.
+def _holders(ring: LabelsLayout, e: Edge) -> list[int]:
+    """The sorted indices of the triangles of ``ring`` that hold edge ``e``.
 
-    Only the positions k of one end of each edge, the one most edges share,
-    are read: triangle j holds labels j + 1 and j + 2, and carries label k
-    from triangle k on while its bits are 1."""
-    last, bits = len(ring) - 1, ring.layout
-    ends = {max(e, key=lambda x: sum(x in f for f in edges)) for e in edges}
-    tris = {}
-    for x in ends:
-        for k in _positions(ring.labels, x):
-            j = k - 2
-            while j <= last and (j <= k or bits[j - 1]):
-                if j >= 0:
-                    tris[j] = set(triangle_at(ring, j))
-                j += 1
-    return [sorted(j for j, tri in tris.items() if set(e) <= tri) for e in edges]
+    Only the positions k of ``e[0]`` are read: triangle j holds labels j + 1
+    and j + 2, and carries label k from triangle k on while its bits are 1.
+    Not every triangle of that window holds ``e[0]``, so both ends are tested."""
+    last, bits, (x, y) = len(ring) - 1, ring.layout, e
+    held = set()
+    for k in _positions(ring.labels, x):
+        j = max(k - 2, 0)
+        while j <= last and (j <= k or bits[j - 1]):
+            tri = triangle_at(ring, j)
+            if x in tri and y in tri:
+                held.add(j)
+            j += 1
+    return sorted(held)
 
 
 def _positions(xs: tuple[int, ...], x: int):

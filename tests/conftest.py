@@ -1,6 +1,6 @@
 """Shared test helpers: the PYTHONPATH of child interpreters, the reference
 edge counter, goodness test, certifier, encoder, ring cut, cut finder, seed
-cut, construction, partition checker and class rule, sequence unroller and
+cut, construction, each route's cut as construct makes it, partition checker and class rule, sequence unroller and
 input type check, the attachment plans' anchors and target edges, random
 good-walk generation and acceptance reporting with each criterion's runtime
 and bound."""
@@ -349,7 +349,9 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
     the ring expanded into triangles, cut by :func:`reference_cut_circular`
     and turned so that the anchor of the plan that follows it ends the cut
     walk, the plan triangles concatenated, and the walk encoded by
-    :func:`reference_encode_triples`.
+    :func:`reference_encode_triples`.  Each cut is found here, not read from
+    the route's: the one :func:`reference_cut_exposing` finds at the plan's
+    anchor for n = 4k+4, and {0, 13} and {0, 17} for n = 4k+3 and 4k+6.
     """
     r = n % 4
     k = (n - {0: 4, 1: 1, 2: 6, 3: 3}[r]) // 4
@@ -358,22 +360,41 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
         ring = expand_to_circular(gs_full(k))
         walk = reference_cut_circular(ring, reference_seed_cut(ring)).triangles
     elif r == 0 and n >= 20:
-        gs, destroyed = gs_missing_12(k)
-        walk = _oriented_cut(expand_to_circular(gs), destroyed, anchor["attach_4k4"])
+        ring = expand_to_circular(gs_missing_12(k))
+        destroyed = reference_cut_exposing(expand_pair(ring).triangles, anchor["attach_4k4"])
+        walk = _oriented_cut(ring, destroyed, anchor["attach_4k4"])
         walk += attach_4k4(k).triangles
     elif r == 3 and n >= 23:
-        gs, _ = gs_missing_12(k)
-        walk = _oriented_cut(expand_to_circular(gs), (0, 13), anchor["attach_4k3"])
+        ring = expand_to_circular(gs_missing_12(k))
+        walk = _oriented_cut(ring, (0, 13), anchor["attach_4k3"])
         walk += attach_4k3(k).triangles
     elif r == 2 and n >= 34:
-        gs, destroyed = gs_missing_1248(k)
         plan_a, plan_b = attach_4k6(k)
-        body = _oriented_cut(expand_to_circular(gs), destroyed, anchor["attach_4k6/B"])
+        ring = expand_to_circular(gs_missing_1248(k))
+        body = _oriented_cut(ring, (0, 17), anchor["attach_4k6/B"])
         walk = [*plan_a.triangles[::-1], *body, *plan_b.triangles]
     else:
         walk = expand_pair(small_table(n).pair).triangles
     pair = reference_encode_triples(TriangleSeq(list(walk)), n)
     return pair, reference_certify(pair)
+
+
+def route_cut(n: int) -> tuple[LabelsLayout, Edge]:
+    """The ring that ``construct_optimal(n)`` cuts and the edge it destroys,
+    read from a spy on ``assembly.cut_circular``."""
+    from diamforge import assembly
+
+    cuts, cut_circular = [], assembly.cut_circular
+
+    def spy(ring, destroyed_edge):
+        cuts.append((ring, edge(*destroyed_edge)))
+        return cut_circular(ring, destroyed_edge)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "cut_circular", spy)
+        assembly.construct_optimal(n)
+    (cut,) = cuts
+    return cut
 
 
 def _oriented_cut(ring: LabelsLayout, destroyed_edge: Edge, end_edge: Edge) -> list:

@@ -109,10 +109,10 @@ def test_criterion_04_families_have_exact_missing_sets():
         rep = verify_generating_sequence(gs_full(k))
         assert rep.valid and rep.missing == frozenset()
     for k in range(4, 61):
-        rep = verify_generating_sequence(gs_missing_12(k)[0])
+        rep = verify_generating_sequence(gs_missing_12(k))
         assert rep.valid and rep.missing == frozenset({1, 2})
     for k in range(7, 61):
-        rep = verify_generating_sequence(gs_missing_1248(k)[0])
+        rep = verify_generating_sequence(gs_missing_1248(k))
         assert rep.valid and rep.missing == frozenset({1, 2, 4, 8})
     assert time.monotonic() - started < BOUNDS_S[4]
 
@@ -120,8 +120,8 @@ def test_criterion_04_families_have_exact_missing_sets():
 def test_criterion_05_missing_classes_match_ring_coverage():
     started = time.monotonic()
     cases = [(gs_full(k), frozenset()) for k in range(3, 63)]
-    cases += [(gs_missing_12(k)[0], frozenset({1, 2})) for k in range(4, 63)]
-    cases += [(gs_missing_1248(k)[0], frozenset({1, 2, 4, 8})) for k in range(7, 63)]
+    cases += [(gs_missing_12(k), frozenset({1, 2})) for k in range(4, 63)]
+    cases += [(gs_missing_1248(k), frozenset({1, 2, 4, 8})) for k in range(7, 63)]
     assert len(cases) == 175
     for gs, missing in cases:
         n = gs.n

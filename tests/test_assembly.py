@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from conftest import plan_targets, reference_construct, reference_encode_triples
+from conftest import (
+    plan_anchors, plan_targets, reference_construct, reference_encode_triples, route_cut,
+)
 from diamforge.assembly import (
     _audit_plan,
     _construct_walk,
@@ -30,7 +34,7 @@ from diamforge.core import (
     is_ring,
     reverse_walk,
 )
-from diamforge.genseq import cut_circular, expand_pair_of, gs_missing_12, gs_missing_1248
+from diamforge.genseq import cut_circular
 
 
 def tri(*vs):
@@ -82,19 +86,37 @@ def test_zigzag_rejections():
 def test_plan_validation():
     """_audit_plan returns the plan as a sequence once it is good."""
     tris = [tri(0, 1, 2), tri(1, 2, 3)]
-    assert _audit_plan("demo", 1, (0, 1), tris) == TriangleSeq(tris)
+    assert _audit_plan("demo", 1, tris) == TriangleSeq(tris)
     with pytest.raises(AssertionError, match="not a good sequence"):
-        _audit_plan("demo", 1, (0, 1), [tri(0, 1, 2), tri(3, 4, 5)])
+        _audit_plan("demo", 1, [tri(0, 1, 2), tri(3, 4, 5)])
     with pytest.raises(ValueError, match="empty triangle sequence"):
-        _audit_plan("demo", 1, (0, 1), [])
+        _audit_plan("demo", 1, [])
+    assert list(inspect.signature(_audit_plan).parameters) == ["name", "k", "tris"]
 
 
-def test_audit_plan_requires_the_anchor():
-    """A good plan still fails when its first triangle misses the anchor:
-    is_good does not see the anchor."""
-    tris = [tri(0, 1, 2), tri(1, 2, 3)]
-    with pytest.raises(AssertionError, match="does not hold the anchor"):
-        _audit_plan("demo", 1, (0, 3), tris)
+def test_a_plan_that_misses_its_anchor_makes_construct_raise(monkeypatch):
+    """_audit_plan checks goodness only; where a plan attaches is proven by
+    the join.  With its first triangle dropped, each plan stays good but no
+    longer starts on its anchor, and construct_optimal raises: n = 4k+4 for
+    k = 4..12, 4k+3 for k = 5..12, and plans A and B at 4k+6 for k = 7..12."""
+    from diamforge import assembly
+
+    audit = assembly._audit_plan
+    cases = [("attach_4k4", 4 * k + 4, k) for k in range(4, 13)]
+    cases += [("attach_4k3", 4 * k + 3, k) for k in range(5, 13)]
+    cases += [(plan, 4 * k + 6, k) for plan in ("attach_4k6/A", "attach_4k6/B") for k in range(7, 13)]
+    for plan, n, k in cases:
+        def headless(name, k, tris, plan=plan):
+            if name != plan:
+                return audit(name, k, tris)
+            assert not set(plan_anchors(k)[name]) <= tris[1], (name, k)
+            return audit(name, k, tris[1:])
+
+        monkeypatch.setattr(assembly, "_audit_plan", headless)
+        with pytest.raises(ValueError, match="does not continue"):
+            construct_optimal(n)
+        monkeypatch.undo()
+    assert len(cases) == 29
 
 
 def test_plans_cover_exactly_their_target_edges():
@@ -229,19 +251,19 @@ def test_construct_residue_two():
 
 
 def test_a_cut_with_another_first_end_makes_construct_raise(monkeypatch):
-    """Each route names only the edge its cut destroys; the joins and the
-    walk's certificate check the anchors.  Patched to destroy any other
-    edge that the ring holds once, every route that joins a plan raises:
-    n = 4k+4 and 4k+3 for k = 5..8, n = 4k+6 for k = 7..12.  At n = 4k+1
-    no plan is joined, and another cut gives another valid optimal walk,
-    so only the golden digests pin that route's cut."""
+    """Each route names only the edge its cut destroys, read here from
+    construct as it cuts; the joins and the walk's certificate check the
+    anchors.  Patched to destroy any other edge that the ring holds once,
+    every route that joins a plan raises: n = 4k+4 and 4k+3 for k = 5..8,
+    n = 4k+6 for k = 7..12.  At n = 4k+1 no plan is joined, and another cut
+    gives another valid optimal walk, so only the golden digests pin that
+    route's cut."""
     from diamforge import assembly
 
-    routes = [(4 * k + 4, *gs_missing_12(k)) for k in range(5, 9)]
-    routes += [(4 * k + 3, gs_missing_12(k)[0], (0, 13)) for k in range(5, 9)]
-    routes += [(4 * k + 6, *gs_missing_1248(k)) for k in range(7, 13)]
-    for n, gs, destroyed in routes:
-        seq = expand_pair(expand_pair_of(gs))
+    orders = [4 * k + r for k in range(5, 9) for r in (4, 3)] + [4 * k + 6 for k in range(7, 13)]
+    for n in orders:
+        ring, destroyed = route_cut(n)
+        seq = expand_pair(ring)
         singles = [e for e, m in edge_multiplicities(seq).items() if m == 1]
         assert destroyed in singles and construct_optimal(n)[1].matches_optimum, n
         for other in singles:

@@ -47,9 +47,9 @@ def test_rings_are_circular():
     for k in range(3, 31):
         families = [gs_full(k)]
         if k >= 4:
-            families.append(gs_missing_12(k)[0])
+            families.append(gs_missing_12(k))
         if k >= 7:
-            families.append(gs_missing_1248(k)[0])
+            families.append(gs_missing_1248(k))
         for gs in families:
             cert = assert_agrees(expand_to_circular(gs))
             assert cert.good and cert.circular and not cert.matches_optimum

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (
     plan_anchors, random_good_pair, reference_cut_circular, reference_cut_exposing,
-    reference_expand_to_circular, reference_seed_cut,
+    reference_expand_to_circular, reference_seed_cut, route_cut,
 )
 from diamforge import genseq
 from diamforge.assembly import _construct_walk
@@ -60,7 +60,7 @@ def test_canonical_residue():
 
 
 def test_blue_terms_with_turn():
-    gs, _ = gs_missing_1248(7)
+    gs = gs_missing_1248(7)
     assert gs.terms == [5, 14, 3, 6, 11]
     assert sorted(gs.turns) == [1]
     assert blue_terms(gs) == [19, 22, 9, 17, 16]
@@ -71,8 +71,8 @@ def test_hard_coded_rows():
     assert gs_full(4).terms == [1, 2, 6, 4]
     assert gs_full(5).terms == [1, 2, 7, 6, 4]
     assert all(not gs_full(k).turns for k in (3, 4, 5))
-    assert gs_missing_12(4)[0].terms == [3, 4, 8]
-    assert gs_missing_12(7)[0].terms == [11, 8, 17, 7, 6, 3]
+    assert gs_missing_12(4).terms == [3, 4, 8]
+    assert gs_missing_12(7).terms == [11, 8, 17, 7, 6, 3]
 
 
 def test_generic_rows():
@@ -80,11 +80,11 @@ def test_generic_rows():
     assert (g.terms, sorted(g.turns)) == ([3, 2, 7, 6, 11, 10, 15, 14], [7])
     g = gs_full(7)
     assert (g.terms, sorted(g.turns)) == ([23, 14, 25, 20, 2, 1, 11], [])
-    g, _ = gs_missing_12(9)
+    g = gs_missing_12(9)
     assert (g.terms, sorted(g.turns)) == ([8, 32, 15, 4, 21, 7, 6, 11], [2])
-    g, _ = gs_missing_12(8)
+    g = gs_missing_12(8)
     assert (g.terms, sorted(g.turns)) == ([4, 10, 9, 21, 7, 6, 11], [0])
-    g, _ = gs_missing_1248(8)
+    g = gs_missing_1248(8)
     assert (g.terms, sorted(g.turns)) == ([3, 9, 5, 6, 11, 7], [2])
 
 
@@ -101,10 +101,10 @@ def test_family_verification_sample():
         rep = verify_generating_sequence(gs_full(k))
         assert rep.valid and rep.missing == frozenset()
     for k in (4, 5, 6, 7, 8, 9, 24, 25):
-        rep = verify_generating_sequence(gs_missing_12(k)[0])
+        rep = verify_generating_sequence(gs_missing_12(k))
         assert rep.valid and rep.missing == frozenset({1, 2})
     for k in (7, 8, 9, 10, 24, 25):
-        rep = verify_generating_sequence(gs_missing_1248(k)[0])
+        rep = verify_generating_sequence(gs_missing_1248(k))
         assert rep.valid and rep.missing == frozenset({1, 2, 4, 8})
 
 
@@ -136,7 +136,7 @@ def test_expansion_closes_into_ring():
 
 
 def test_expansion_with_turn_covers_predicted_residues():
-    gs, _ = gs_missing_1248(9)
+    gs = gs_missing_1248(9)
     seq = expand_pair(expand_pair_of(gs))
     n = gs.n
     assert len(seq.triangles) == gs.m * n
@@ -148,7 +148,7 @@ def test_expansion_with_turn_covers_predicted_residues():
 
 
 def test_turn_on_seed_is_rotated_away():
-    gs, _ = gs_missing_12(8)
+    gs = gs_missing_12(8)
     assert 0 in gs.turns
     ring = expand_pair_of(gs)
     seq = expand_pair(ring)
@@ -160,7 +160,7 @@ def test_turn_on_seed_is_rotated_away():
 
 def test_multiplicity_profile():
     """Each residue class sits at one uniform multiplicity across the ring."""
-    gs, _ = gs_missing_1248(9)
+    gs = gs_missing_1248(9)
     seq = expand_pair(expand_pair_of(gs))
     by_res: dict[int, set[int]] = {}
     for e, m in edge_multiplicities(seq).items():
@@ -173,17 +173,38 @@ def test_multiplicity_profile():
 
 
 def test_cut_specs_are_deterministic():
-    """Each family names the edge its cut destroys."""
-    assert gs_missing_12(4)[1] == (0, 6)
-    assert gs_missing_12(9)[1] == (5, 23)
-    assert gs_missing_12(10)[1] == (9, 27)
-    assert gs_missing_1248(7)[1] == gs_missing_1248(8)[1] == (0, 17)
+    """Each route names the edge its cut destroys on its family's ring."""
+    for n, family, k, destroyed in ((20, gs_missing_12, 4, (0, 6)), (40, gs_missing_12, 9, (5, 23)),
+                                    (44, gs_missing_12, 10, (9, 27)),
+                                    (34, gs_missing_1248, 7, (0, 17)),
+                                    (38, gs_missing_1248, 8, (0, 17))):
+        assert route_cut(n) == (expand_pair_of(family(k)), destroyed), n
+
+
+def test_cut_exposing_scan_matches_returned_spec():
+    """The edge the n = 4k+4 route destroys, read from construct_optimal as
+    it cuts, is the one cut_exposing finds at the plan's anchor {0, 4k-2}."""
+    for k in range(4, 61):
+        ring, destroyed = route_cut(4 * k + 4)
+        assert cut_exposing(ring, (0, 4 * k - 2)) == destroyed, k
+
+
+def test_each_plan_led_cut_agrees_with_the_scan():
+    """At n = 4k+6 for k = 7..60 the route destroys the edge cut_exposing
+    finds at plan A's anchor {6, 17}.  n = 4k+3 is the one exception: its
+    plan re-covers {0, 13}, while the scan at its anchor {0, 7} finds
+    (7, 17), (7, 15) and (7, 12) at k = 5, 6 and 7."""
+    for k in range(7, 61):
+        ring, destroyed = route_cut(4 * k + 6)
+        assert cut_exposing(ring, (6, 17)) == destroyed, k
+    for k, scanned in ((5, (7, 17)), (6, (7, 15)), (7, (7, 12))):
+        ring, destroyed = route_cut(4 * k + 3)
+        assert (destroyed, cut_exposing(ring, (0, 7))) == ((0, 13), scanned), k
 
 
 def test_cut_opens_ring():
-    gs, destroyed = gs_missing_12(4)
-    pair = expand_pair_of(gs)
-    cut = cut_circular(pair, destroyed)
+    pair = expand_pair_of(gs_missing_12(4))
+    cut = cut_circular(pair, (0, 6))
     ring, lin = expand_pair(pair), expand_pair(cut)
     assert not is_ring(cut) and is_good(lin)
     assert len(lin.triangles) == len(ring.triangles) - 1
@@ -196,16 +217,9 @@ def test_cut_exposes_both_ends_for_1248():
     """Cut at {0, 17}, the family puts {6, 17} in the first triangle and
     {0, 6} in the last."""
     for k in (7, 8, 9):
-        gs, destroyed = gs_missing_1248(k)
-        lin = expand_pair(cut_circular(expand_pair_of(gs), destroyed))
+        lin = expand_pair(cut_circular(expand_pair_of(gs_missing_1248(k)), (0, 17)))
         assert {6, 17} <= lin.triangles[0]
         assert {0, 6} <= lin.triangles[-1]
-
-
-def test_cut_exposing_scan_matches_returned_spec():
-    for k in range(4, 61):
-        gs, destroyed = gs_missing_12(k)
-        assert cut_exposing(expand_pair_of(gs), (0, 4 * k - 2)) == destroyed, k
 
 
 def test_cut_exposing_scan_matches_seed_cut():
@@ -229,12 +243,11 @@ def test_cut_exposing_matches_the_frozenset_scan():
     nine family rings and on random walks closed into rings, values and
     error texts alike."""
     cases = [(expand_pair_of(gs_full(k)), None) for k in range(3, 61)]
-    cases += [(expand_pair_of(gs_missing_12(k)[0]), (0, 4 * k - 2)) for k in range(4, 61)]
+    cases += [(expand_pair_of(gs_missing_12(k)), (0, 4 * k - 2)) for k in range(4, 61)]
     rng = random.Random(0xC075)
     rings = [expand_pair_of(gs) for gs in (
-        gs_full(3), gs_full(4), gs_full(7), gs_missing_12(4)[0], gs_missing_12(5)[0],
-        gs_missing_12(8)[0], gs_missing_1248(7)[0], gs_missing_1248(8)[0],
-        gs_missing_1248(9)[0],
+        gs_full(3), gs_full(4), gs_full(7), gs_missing_12(4), gs_missing_12(5),
+        gs_missing_12(8), gs_missing_1248(7), gs_missing_1248(8), gs_missing_1248(9),
     )]
     cases += [(ring, tuple(rng.sample(range(ring.n), 2))) for ring in rings for _ in range(60)]
     assert len(cases) == 655
@@ -261,18 +274,22 @@ def test_cut_exposing_matches_the_frozenset_scan():
 
 
 def test_cut_exposing_refuses_a_linear_walk():
-    gs, destroyed = gs_missing_12(4)
-    lin = cut_circular(expand_pair_of(gs), destroyed)
+    lin = cut_circular(expand_pair_of(gs_missing_12(4)), (0, 6))
     with pytest.raises(ValueError, match=r"^sequence is not circular$"):
         cut_exposing(lin, (0, 14))
 
 
 def test_a_cut_names_only_the_edge_it_destroys():
     """No cut record, end selector or reversal: each route that joins a plan
-    checks the plan's anchor where it joins it."""
+    checks the plan's anchor where it joins it, and names its own cut, so a
+    family returns its sequence alone."""
     assert {"CutSpec", "reverse_walk"}.isdisjoint(vars(genseq))
     assert list(inspect.signature(cut_circular).parameters) == ["ring", "destroyed_edge"]
-    assert list(inspect.signature(gs_missing_12).parameters) == ["k"]
+    assert list(inspect.signature(genseq._holders).parameters) == ["ring", "e"]
+    for family, ks in ((gs_full, (3, 6, 7)), (gs_missing_12, (4, 8, 9)),
+                       (gs_missing_1248, (7, 10, 11))):
+        assert list(inspect.signature(family).parameters) == ["k"]
+        assert all(type(family(k)) is GeneratingSequence for k in ks), family
 
 
 def test_genseq_holds_no_frozenset_code():
@@ -288,9 +305,9 @@ def test_decoded_rings_encode_as_linear_walks():
     for k in range(3, 40):
         rings.append(expand_pair_of(gs_full(k)))
         if k >= 4:
-            rings.append(expand_pair_of(gs_missing_12(k)[0]))
+            rings.append(expand_pair_of(gs_missing_12(k)))
         if k >= 7:
-            rings.append(expand_pair_of(gs_missing_1248(k)[0]))
+            rings.append(expand_pair_of(gs_missing_1248(k)))
     forwards = swapped = 0
     for ring in rings:
         seq = expand_pair(ring)
@@ -319,24 +336,22 @@ def test_cut_exposing_on_full_ring():
 
 
 def _cut_cases(kmax: int):
-    """Every family ring with the edge each assembly route destroys and
-    the anchors of the plans that route joins, with the end of the cut walk
-    that each must sit in, for each valid k <= kmax."""
+    """Every family ring with the edge each assembly route destroys, read
+    from construct as it cuts at n = 4k+4, 4k+3 and 4k+6, and the anchors
+    of the plans that route joins, with the end of the cut walk that each
+    must sit in, for each valid k <= kmax."""
     for k in range(3, kmax + 1):
         ring = expand_pair_of(gs_full(k))
         yield f"full k={k}", ring, reference_seed_cut(ring), {}
     for k in range(4, kmax + 1):
         anchor = plan_anchors(k)
-        gs, destroyed = gs_missing_12(k)
-        ring = expand_pair_of(gs)
-        yield f"4k+4 k={k}", ring, destroyed, {anchor["attach_4k4"]: 0}
+        yield f"4k+4 k={k}", *route_cut(4 * k + 4), {anchor["attach_4k4"]: 0}
         if k >= 5:
-            yield f"4k+3 k={k}", ring, (0, 13), {anchor["attach_4k3"]: -1}
+            yield f"4k+3 k={k}", *route_cut(4 * k + 3), {anchor["attach_4k3"]: -1}
     for k in range(7, kmax + 1):
         anchor = plan_anchors(k)
-        gs, destroyed = gs_missing_1248(k)
         ends = {anchor["attach_4k6/A"]: 0, anchor["attach_4k6/B"]: -1}
-        yield f"4k+6 k={k}", expand_pair_of(gs), destroyed, ends
+        yield f"4k+6 k={k}", *route_cut(4 * k + 6), ends
 
 
 @pytest.mark.slow
@@ -368,8 +383,7 @@ def _same_rejection(ring, destroyed):
 
 
 def test_cut_rejections_match_reference():
-    gs, destroyed = gs_missing_12(9)
-    ring = expand_pair_of(gs)
+    ring, destroyed = expand_pair_of(gs_missing_12(9)), (5, 23)
     mult = edge_multiplicities(expand_pair(ring))
     doubled = next(e for e, m in mult.items() if m == 2)
     msg = _same_rejection(ring, doubled)
@@ -382,8 +396,7 @@ def test_cut_rejections_match_reference():
 
 
 def test_cut_rejects_doubled_destroyed_edge():
-    gs, _ = gs_missing_12(4)
-    ring = expand_pair_of(gs)
+    ring = expand_pair_of(gs_missing_12(4))
     doubled = next(e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 2)
     with pytest.raises(ValueError):
         cut_circular(ring, doubled)
@@ -395,8 +408,8 @@ def test_closed_form_ring_matches_the_unrolled_reference():
     turns on and off the seed."""
     families = (
         (gs_full, 3),
-        (lambda k: gs_missing_12(k)[0], 4),
-        (lambda k: gs_missing_1248(k)[0], 7),
+        (gs_missing_12, 4),
+        (gs_missing_1248, 7),
     )
     for family, lo in families:
         for k in range(lo, 301):

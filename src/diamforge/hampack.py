@@ -2,15 +2,15 @@
 
 A cycle square connects every pair of vertices at cyclic distance one or
 two, so it is 4-regular and a perfect partition of K_n needs n congruent to
-1 mod 4.  Two constructions are provided: a coset construction that works
-for primes p = 1 mod 4 whose order of 2 is divisible by 4, and a
-sequence-driven construction used for the known order-105 data.
+1 mod 4.  Two constructions are provided: strides matching each difference
+class s with 2s, for primes p = 1 mod 4 whose order of 2 is divisible by 4,
+and a sequence-driven construction used for the known order-105 data.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, cycle, islice
 from math import isqrt
 from operator import itemgetter, sub
 
@@ -91,14 +91,14 @@ def square_edges(c: CycleSquare) -> set[Edge]:
     Exactly 2n edges once n >= 5; smaller orders degenerate and are
     rejected.
     """
-    n = c.n
-    if n < 5:
+    if c.n < 5:
         raise ValueError("cycle square needs at least five vertices")
-    out: set[Edge] = set()
-    for i, v in enumerate(c.order):
-        out.add(edge(v, c.order[(i + 1) % n]))
-        out.add(edge(v, c.order[(i + 2) % n]))
-    return out
+    return {edge(u, v) for u, v in _square_pairs(c.order)}
+
+
+def _square_pairs(o: tuple[int, ...]) -> chain:
+    """The pairs of the cyclic order ``o`` at distance one, then two."""
+    return chain(zip(o, o[1:] + o[:1]), zip(o, o[2:] + o[:2]))
 
 
 def _is_prime(n: int) -> bool:
@@ -123,15 +123,17 @@ def _times4(n: int) -> itemgetter:
 
 
 def decompose_prime(p: int) -> Decomposition:
-    """Partition E(K_p) into (p-1)/4 cycle squares via cosets of <2>.
+    """Partition E(K_p) into (p-1)/4 cycle squares by matching +- classes.
 
-    Needs p prime and ord_p(2) divisible by 4 (so p = 1 mod 4, as ord_p(2)
-    divides p - 1): exactly the p at which arithmetic cycle squares can
-    partition K_p, since they pair each class s with 2s.  Each cycle is
-    an arithmetic ordering with step a * 2^k for a coset representative a
-    and even k below ord/2; halfway through the powers of 2 reach -1, so
-    one coset contributes both signs of every difference.  p > :data:`MAX_P`
-    is rejected before trial division.
+    The square of the ordering of stride s holds the classes of s and 2s, so
+    such squares tile K_p when their strides match each class with its
+    double (see :func:`_tiles_by_classes`).  That needs p prime and
+    t = ord_p(2) divisible by 4, so p = 1 mod 4; any other p is rejected,
+    and p > :data:`MAX_P` before trial division.  Then 2^(t/2) = -1, so
+    each coset of <2> is a union of +- classes.  A scan of the classes
+    1..(p-1)/2 starts a chain at each class a not yet taken, the coset's
+    smallest element: the strides a * 4^i for i < t/4, which take the
+    classes a * 2^j for j < t/2, the whole coset.
     """
     if p > MAX_P:
         raise ValueError(f"p = {p} exceeds the ceiling {MAX_P}")
@@ -139,30 +141,20 @@ def decompose_prime(p: int) -> Decomposition:
     if t % 4 != 0:
         raise ValueError(f"no family of arithmetic cycle squares partitions K_{p}: "
                          f"ord_{p}(2) = {t} is not divisible by 4")
-
-    # Coset representatives of <2> in F_p*, smallest first.
-    seen = bytearray(p)
-    reps: list[int] = []
-    for x in range(1, p):
-        if seen[x]:
+    # The ordering of step 4s is that of step s read at the positions 4i mod p
+    # (see _times4).  Unit strides and their compositions are permutations by
+    # construction, so the orderings skip CycleSquare's check.
+    times4, taken, cycles = _times4(p), bytearray(p // 2 + 1), []
+    for a in range(1, p // 2 + 1):
+        if taken[a]:
             continue
-        reps.append(x)
-        cur = x
-        for _ in range(t):
-            seen[cur] = 1
-            cur = cur * 2 % p
-    # The ordering of step 4s is that of step s read at the positions 4i
-    # mod p (see _times4).  A unit stride and its compositions with x -> 4x
-    # are permutations by construction, so the orderings skip CycleSquare's
-    # check.
-    times4 = _times4(p)
-    cycles = []
-    for a in reps:
-        c = CycleSquare._of(tuple([x % p for x in range(0, a * p, a)]))
-        cycles.append(c)
-        for _ in range(2, t // 2, 2):
-            c = CycleSquare._of(times4(c.order))
-            cycles.append(c)
+        order, s = tuple([x % p for x in range(0, a * p, a)]), a
+        for i in range(t // 4):
+            if i:
+                order, s = times4(order), 4 * s % p
+            cycles.append(CycleSquare._of(order))
+            for k in (s, 2 * s % p):  # the classes of s and 2s (canonical_residue, inlined)
+                taken[k if 2 * k < p else p - k] = 1
     return Decomposition(p, tuple(cycles))
 
 
@@ -194,7 +186,14 @@ def cycles_from_sequences(n: int, seqs: tuple[tuple[int, ...], ...]) -> Decompos
 
 
 def _tiles_by_classes(d: Decomposition) -> bool:
-    """True when ``d`` is (n-1)/4 arithmetic cycles with distinct classes.
+    """True when ``d`` is (n-1)/4 arithmetic cycles with distinct classes,
+    which then tile E(K_n) exactly once (A. Rosa's difference method).
+
+    The cycle ``x_i = x_0 + i*s mod n`` is a permutation, so gcd(s, n) = 1,
+    and its square is exactly the pairs at difference +-s or +-2s: the
+    classes of s and 2s, distinct for odd n >= 5 (3s = 0 would need n | 3)
+    and of n edges each.  K_n is the disjoint union of its (n-1)/2 classes,
+    so when no class min(k, n-k) repeats, the family takes all of them.
 
     A cycle equal to :func:`_times4` of the previous one, which has been
     shown arithmetic of step s, is arithmetic of step 4s by composition:
@@ -229,19 +228,12 @@ def verify_partition(d: Decomposition) -> PartitionReport:
     edges, and with none missing 2n*c = C(n, 2): c = (n-1)/4, which forces
     n = 1 mod 4.  With no cycles nothing is missing only when n = 1.
 
-    Difference classes decide a family of (n-1)/4 arithmetic cycles
-    ``x_i = x_0 + i*s mod n`` when n = 1 mod 4 and n >= 5.  The order is a
-    permutation, so gcd(s, n) = 1, and the square of such a cycle is exactly
-    the classes {+-s} and {+-2s}: the pairs at difference +-s or +-2s.  For
-    odd n >= 5 these two classes are distinct (3s = 0 would need n | 3) and
-    each holds n edges, and K_n is the disjoint union of its (n-1)/2
-    classes.  So when no class min(k, n-k) repeats, the 2 * (n-1)/4 classes
-    are all of them and the family tiles E(K_n) exactly once (A. Rosa's
-    difference method).  Every step of a cycle is read, except in a cycle
-    that equals the previous one, of step s, read at the positions 4i mod n:
-    that cycle has step 4s by composition, and :func:`decompose_prime` builds
-    each ordering after the first of a coset that way.  Any other family, or
-    one whose classes repeat, goes to the edge count below.
+    Difference classes decide a family of (n-1)/4 arithmetic cycles whose
+    classes do not repeat (see :func:`_tiles_by_classes`), reading a cycle
+    that is the previous one composed with x -> 4x in one gather;
+    :func:`decompose_prime` builds each ordering after the first of a chain
+    that way.  Any other family, or one whose classes repeat, goes to the
+    edge count below.
 
     Edges are packed as keys ``lo*n + hi``, which order like ``(lo, hi)``.
     For n >= 5 the n distance-1 and n distance-2 pairs of a cycle are 2n
@@ -259,9 +251,7 @@ def verify_partition(d: Decomposition) -> PartitionReport:
         return PartitionReport(True, (), ())
     keys: list[int] = []
     for c in d.cycles:
-        o = c.order
-        for shifted in (o[1:] + o[:1], o[2:] + o[:2]):
-            keys += [u * n + v if u < v else v * n + u for u, v in zip(o, shifted)]
+        keys += [u * n + v if u < v else v * n + u for u, v in _square_pairs(c.order)]
     seen = set(keys)
     doubled: tuple[Edge, ...] = ()
     if len(seen) != len(keys):

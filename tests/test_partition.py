@@ -87,7 +87,11 @@ def test_eligible_primes_from_300_to_1100():
 
 def test_composed_orderings_match_their_strides():
     """decompose_prime builds its orderings without CycleSquare's check:
-    each is a tuple permutation that the checking constructor accepts."""
+    each is a tuple permutation that the checking constructor accepts.
+
+    It walks the +- classes 1..(p-1)/2; the reference walks the cosets of
+    <2> in F_p*, each from its own stride.  The two formulations give the
+    same orderings in the same order for every eligible p below 1,100."""
     for p in ELIGIBLE:
         cycles = decompose_prime(p).cycles
         for c in cycles:

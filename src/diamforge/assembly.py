@@ -147,18 +147,9 @@ def attach_4k4(k: int) -> TriangleSeq:
     tris.append(_tri(b, 4 * k, 0))
     zig_path = _steps(0, 4 * k - 8, 2) + _steps(4 * k - 7, 1, -2)
     tris += zigzag(b, c, zig_path)
-    tris += [
-        _tri(1, c, 4 * k),
-        _tri(c, 4 * k, 4 * k - 1),
-        _tri(c, 4 * k - 1, 4 * k - 3),
-        _tri(4 * k - 1, 4 * k - 3, b),
-        _tri(4 * k - 3, b, 4 * k - 2),
-        _tri(b, 4 * k - 2, 4 * k - 4),
-        _tri(b, 4 * k - 4, 4 * k - 6),
-        _tri(4 * k - 4, 4 * k - 6, 4 * k - 5),
-        _tri(4 * k - 6, 4 * k - 5, c),
-        _tri(4 * k - 5, c, b),
-    ]
+    tris += rotation(c, [1, 4 * k, 4 * k - 1, 4 * k - 3])
+    tris += rotation(b, [4 * k - 1, 4 * k - 3, 4 * k - 2, 4 * k - 4, 4 * k - 6])
+    tris += rotation(4 * k - 5, [4 * k - 4, 4 * k - 6, c, b])
     return _audit_plan("attach_4k4", k, tris)
 
 
@@ -181,26 +172,11 @@ def attach_4k3(k: int) -> TriangleSeq:
         + [9, 11, b]
     )
     tris: list[frozenset[int]] = list(rotation(a, fan_a))
-    tris += [
-        _tri(b, 11, 10),
-        _tri(b, 10, 9),
-        _tri(b, 9, 7),
-        _tri(b, 7, 5),
-        _tri(7, 5, 6),
-        _tri(6, 7, 8),
-        _tri(6, 8, b),
-        _tri(b, 6, 4),
-        _tri(4, 6, a),
-        _tri(a, 4, 2),
-        _tri(2, 3, 4),
-        _tri(3, 4, 5),
-        _tri(3, 5, a),
-        _tri(a, 3, 1),
-        _tri(1, 3, b),
-        _tri(b, 1, 2),
-        _tri(0, 1, 2),
-        _tri(0, 1, 4 * k),
-    ]
+    tris += rotation(b, [11, 10, 9, 7, 5])
+    tris += rotation(6, [5, 7, 8, b, 4, a])
+    tris += rotation(4, [a, 2, 3, 5])
+    tris += rotation(3, [5, a, 1, b])
+    tris += rotation(1, [b, 2, 0, 4 * k])
     fan_b = [4 * k, 0] + _steps(4 * k - 1, 12, -1)
     tris += rotation(b, fan_b)
     tris.append(_tri(11, 12, 13))
@@ -227,128 +203,72 @@ def attach_4k6(k: int) -> tuple[TriangleSeq, TriangleSeq]:
         + [1, b, 13]
     )
     tris_a: list[frozenset[int]] = list(rotation(a, fan_a))
-    tris_a += [
-        _tri(b, 13, 15),
-        _tri(b, 15, 14),
-        _tri(b, 14, 16),
-        _tri(14, 16, a),
-        _tri(a, 16, 15),
-        _tri(16, 15, 17),
-        _tri(16, 17, 18),
-    ]
+    tris_a += rotation(b, [13, 15, 14, 16])
+    tris_a += rotation(16, [14, a, 15, 17, 18])
     fan_b = [18, 17] + _steps(19, 4 * k, 1) + [0, 2]
     tris_a += rotation(b, fan_b)
-    tris_a += [
-        _tri(0, 1, 2),
-        _tri(1, 2, 3),
-        _tri(2, 3, a),
-        _tri(2, a, 4),
-        _tri(a, 4, 5),
-        _tri(4, 5, 3),
-        _tri(3, 4, b),
-        _tri(4, b, 6),
-        _tri(b, 6, 8),
-        _tri(6, 8, 7),
-        _tri(6, 7, 5),
-        _tri(5, 7, b),
-        _tri(7, b, 9),
-        _tri(7, 9, a),
-        _tri(9, a, 11),
-        _tri(9, 11, 10),
-        _tri(9, 10, 8),
-        _tri(10, 8, a),
-        _tri(10, a, 12),
-        _tri(10, 12, b),
-        _tri(12, b, 11),
-        _tri(11, 12, 13),
-        _tri(12, 13, 14),
-    ]
+    tris_a += rotation(2, [0, 1, 3, a, 4])
+    tris_a += rotation(4, [a, 5, 3, b, 6])
+    tris_a += rotation(6, [b, 8, 7, 5])
+    tris_a += rotation(7, [5, b, 9, a])
+    tris_a += rotation(9, [a, 11, 10, 8])
+    tris_a += rotation(10, [8, a, 12, b])
+    tris_a += rotation(12, [b, 11, 13, 14])
     plan_a = _audit_plan("attach_4k6/A", k, tris_a)
 
     if k % 2 == 0:
-        tris_b = _plan_b_even(k, a, b, c, d, e)
+        tris_b = [_tri(6, 0, c)]
+        zig1 = _steps(0, 4 * k, 4) + _steps(3, 4 * k - 1, 4) + [2]
+        tris_b += zigzag(c, d, zig1)
+        tris_b += rotation(d, [2, 6, 10])
+        zig2 = _steps(10, 4 * k - 2, 4) + _steps(1, 4 * k - 19, 4)
+        tris_b += zigzag(d, c, zig2)
+        tris_b += rotation(c, [4 * k - 19, 4 * k - 11, 4 * k - 3])
+        fan_e = (
+            [4 * k - 11, 4 * k - 3]
+            + _steps(4, 4 * k - 4, 8)
+            + _steps(3, 4 * k - 5, 8)
+            + _steps(2, 4 * k - 6, 8)
+            + _steps(1, 4 * k - 15, 8)
+            + _steps(4 * k - 19, 5, -8)
+            + _steps(4 * k - 2, 6, -8)
+            + _steps(4 * k - 1, 7, -8)
+            + _steps(4 * k, 8, -8)
+            + [0, 4 * k - 7]
+        )
+        tris_b += rotation(e, fan_e)
+        tris_b += rotation(4 * k - 7, [0, 4 * k - 3, d, 4 * k - 11, 4 * k - 15, c])
+        tris_b += rotation(c, [4 * k - 15, d, a, e, b])
+        tris_b.append(_tri(e, b, d))
     else:
-        tris_b = _plan_b_odd(k, a, b, c, d, e)
+        tris_b = list(rotation(c, [6, 0, 4]))
+        zig1 = _steps(4, 4 * k, 4) + _steps(3, 4 * k - 1, 4) + [2, 10]
+        tris_b += zigzag(c, d, zig1)
+        tris_b += rotation(c, [10, e, b, d, a])
+        tris_b += rotation(d, [a, e, 14, 6])
+        tris_b += rotation(14, [6, 10, 18])
+        fan_c = [18, 14] + _steps(22, 4 * k - 2, 4) + _steps(1, 4 * k - 3, 4)
+        tris_b += rotation(c, fan_c)
+        tris_b += rotation(4 * k - 7, [4 * k - 3, 0, d])
+        zig2 = (
+            _steps(4 * k - 7, 5, -8)
+            + _steps(4 * k - 2, 18, -8)
+            + _steps(22, 4 * k - 6, 8)
+            + _steps(1, 4 * k - 3, 8)
+        )
+        tris_b += zigzag(d, e, zig2)
+        fan_e = (
+            [4 * k - 3]
+            + _steps(4, 4 * k, 8)
+            + _steps(7, 4 * k - 5, 8)
+            + [2, 6]
+            + _steps(4 * k - 1, 3, -8)
+            + _steps(4 * k - 4, 8, -8)
+            + [0]
+        )
+        tris_b += rotation(e, fan_e)
     plan_b = _audit_plan("attach_4k6/B", k, tris_b)
     return plan_a, plan_b
-
-
-def _plan_b_even(
-    k: int, a: int, b: int, c: int, d: int, e: int
-) -> list[frozenset[int]]:
-    tris: list[frozenset[int]] = [_tri(6, 0, c)]
-    zig1 = _steps(0, 4 * k, 4) + _steps(3, 4 * k - 1, 4) + [2]
-    tris += zigzag(c, d, zig1)
-    tris += [_tri(2, d, 6), _tri(d, 6, 10)]
-    zig2 = _steps(10, 4 * k - 2, 4) + _steps(1, 4 * k - 19, 4)
-    tris += zigzag(d, c, zig2)
-    tris += [_tri(4 * k - 19, c, 4 * k - 11), _tri(c, 4 * k - 11, 4 * k - 3)]
-    fan_e = (
-        [4 * k - 11, 4 * k - 3]
-        + _steps(4, 4 * k - 4, 8)
-        + _steps(3, 4 * k - 5, 8)
-        + _steps(2, 4 * k - 6, 8)
-        + _steps(1, 4 * k - 15, 8)
-        + _steps(4 * k - 19, 5, -8)
-        + _steps(4 * k - 2, 6, -8)
-        + _steps(4 * k - 1, 7, -8)
-        + _steps(4 * k, 8, -8)
-        + [0, 4 * k - 7]
-    )
-    tris += rotation(e, fan_e)
-    tris += [
-        _tri(0, 4 * k - 7, 4 * k - 3),
-        _tri(4 * k - 3, 4 * k - 7, d),
-        _tri(4 * k - 7, d, 4 * k - 11),
-        _tri(4 * k - 11, 4 * k - 7, 4 * k - 15),
-        _tri(4 * k - 15, 4 * k - 7, c),
-        _tri(4 * k - 15, c, d),
-        _tri(c, d, a),
-        _tri(c, a, e),
-        _tri(c, e, b),
-        _tri(e, b, d),
-    ]
-    return tris
-
-
-def _plan_b_odd(
-    k: int, a: int, b: int, c: int, d: int, e: int
-) -> list[frozenset[int]]:
-    tris: list[frozenset[int]] = [_tri(6, 0, c), _tri(0, c, 4)]
-    zig1 = _steps(4, 4 * k, 4) + _steps(3, 4 * k - 1, 4) + [2, 10]
-    tris += zigzag(c, d, zig1)
-    tris += [
-        _tri(10, c, e),
-        _tri(c, e, b),
-        _tri(c, b, d),
-        _tri(c, d, a),
-        _tri(a, d, e),
-        _tri(d, e, 14),
-        _tri(d, 14, 6),
-        _tri(14, 6, 10),
-        _tri(14, 10, 18),
-    ]
-    fan_c = [18, 14] + _steps(22, 4 * k - 2, 4) + _steps(1, 4 * k - 3, 4)
-    tris += rotation(c, fan_c)
-    tris += [_tri(4 * k - 7, 4 * k - 3, 0), _tri(4 * k - 7, 0, d)]
-    zig2 = (
-        _steps(4 * k - 7, 5, -8)
-        + _steps(4 * k - 2, 18, -8)
-        + _steps(22, 4 * k - 6, 8)
-        + _steps(1, 4 * k - 3, 8)
-    )
-    tris += zigzag(d, e, zig2)
-    fan_e = (
-        [4 * k - 3]
-        + _steps(4, 4 * k, 8)
-        + _steps(7, 4 * k - 5, 8)
-        + [2, 6]
-        + _steps(4 * k - 1, 3, -8)
-        + _steps(4 * k - 4, 8, -8)
-        + [0]
-    )
-    tris += rotation(e, fan_e)
-    return tris
 
 
 def small_table(n: int) -> SmallTableEntry | None:

@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="partition complete-graph edges into cycle squares")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--p", type=int, help="prime for the coset construction")
+    grp.add_argument("--p", type=int, help="prime: strides matching each +- class s with 2s")
     grp.add_argument("--builtin", type=int, help="built-in sequence data (105)")
     grp.add_argument("--input", help="JSON file with a candidate decomposition")
     p.set_defaults(func=_cmd_decompose)

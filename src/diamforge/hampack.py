@@ -128,15 +128,19 @@ def decompose_prime(p: int) -> Decomposition:
     The square of the ordering of stride s holds the classes of s and 2s, so
     such squares tile K_p when their strides match each class with its
     double (see :func:`_tiles_by_classes`).  That needs p prime and
-    t = ord_p(2) divisible by 4, so p = 1 mod 4; any other p is rejected,
-    and p > :data:`MAX_P` before trial division.  Then 2^(t/2) = -1, so
-    each coset of <2> is a union of +- classes.  A scan of the classes
+    t = ord_p(2) divisible by 4, so p = 1 mod 4; any other p is rejected
+    (p = 2, where ord_2(2) is undefined, included), and p > :data:`MAX_P`
+    before trial division.  Then 2^(t/2) = -1, so each coset of <2> is a
+    union of +- classes.  A scan of the classes
     1..(p-1)/2 starts a chain at each class a not yet taken, the coset's
     smallest element: the strides a * 4^i for i < t/4, which take the
     classes a * 2^j for j < t/2, the whole coset.
     """
     if p > MAX_P:
         raise ValueError(f"p = {p} exceeds the ceiling {MAX_P}")
+    if p == 2:
+        raise ValueError("no family of arithmetic cycle squares partitions K_2: "
+                         "ord_2(2) is undefined")
     t = ord_mod(2, p)  # raises for p not prime
     if t % 4 != 0:
         raise ValueError(f"no family of arithmetic cycle squares partitions K_{p}: "

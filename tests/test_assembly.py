@@ -10,6 +10,7 @@ from conftest import (
     plan_anchors, plan_targets, reference_construct, reference_encode_triples, route_cut,
 )
 from diamforge.assembly import (
+    MAX_N,
     _audit_plan,
     _construct_walk,
     attach_4k3,
@@ -122,8 +123,10 @@ def test_a_plan_that_misses_its_anchor_makes_construct_raise(monkeypatch):
 def test_plans_cover_exactly_their_target_edges():
     """Besides its anchor, each plan covers exactly the residue classes the
     ring misses, the edges at its new vertices and the cut edge it
-    re-covers.  construct checks this only through the walk's certificate."""
-    for k in range(4, 61):
+    re-covers.  construct checks this only through the walk's certificate.
+    Besides k <= 60 it runs at the largest k each route reaches under
+    MAX_N: 1248 for n = 4k+6 and 1249 for 4k+4 and 4k+3."""
+    for k in [*range(4, 61), (MAX_N - 6) // 4, (MAX_N - 3) // 4]:
         for name, plan, anchor, want in plan_targets(k):
             got = covered_edges(plan) - {anchor}
             assert got == want, (name, k, sorted(got - want), sorted(want - got))
@@ -140,13 +143,14 @@ def test_plans_run_from_their_smaller_end():
 
 
 def test_plans_start_at_their_anchor_and_have_their_lengths():
-    for k in range(4, 61):
+    """Every valid k <= 60, and the largest k each route reaches under MAX_N."""
+    for k in [*range(4, 61), (MAX_N - 4) // 4]:
         plan = attach_4k4(k)
         assert {0, 4 * k - 2} <= plan.triangles[0] and len(plan) == 10 * k + 4
-    for k in range(5, 61):
+    for k in [*range(5, 61), (MAX_N - 3) // 4]:
         plan = attach_4k3(k)
         assert {0, 7} <= plan.triangles[0] and len(plan) == 8 * k + 3
-    for k in range(7, 61):
+    for k in [*range(7, 61), (MAX_N - 6) // 4]:
         plan_a, plan_b = attach_4k6(k)
         assert {6, 17} <= plan_a.triangles[0] and len(plan_a) == 8 * k + 3
         assert {0, 6} <= plan_b.triangles[0] and len(plan_b) == 10 * k + 7

@@ -513,7 +513,9 @@ ERRORS = {
                         "n = 13 is below 29, the smallest modulus of this family"),
     "genseq_above_ceiling": (("genseq", "--n", "1000005"), None, 2,
                              "n = 1000005 exceeds the ceiling 1000001"),
-    "decompose_p_2": (("decompose", "--p", "2"), None, 2, "2 is divisible by 2, order undefined"),
+    "decompose_p_2": (("decompose", "--p", "2"), None, 2,
+                      "no family of arithmetic cycle squares partitions K_2: "
+                      "ord_2(2) is undefined"),
     "decompose_p_3": (("decompose", "--p", "3"), None, 2,
                       "no family of arithmetic cycle squares partitions K_3: "
                       "ord_3(2) = 2 is not divisible by 4"),

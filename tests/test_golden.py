@@ -8,12 +8,15 @@ digest only for a deliberate output change, and say so in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 from conftest import run_main
+from diamforge.cli import main
 
 CORPUS = {
     "construct": [
@@ -79,7 +82,25 @@ DIGESTS = {
     "search_budget": "45729d7ca221c29d5ec85e0d90d7c156b752cf03575bf443201e1f097784e7b0",
     "verify": "7497c7d69ea692dbfc83c4f4590f2815da3bfa0cff65b47b11e3d4fe0c3b691e",
     "decompose_input": "001fe3ebc7adc8e839259d1d02ff9018adb0b381dbec8ccf8111cd1da95ab68b",
+    "usage": "dc8e32d38aed5ebc4f569ac8688e7254812128765376e5779c32a5da282c437b",
 }
+
+# Help, argv forms and argument errors: argparse's text and exit codes, with
+# stderr pinned as well.
+USAGE = [
+    ["--help"],
+    ["-h"],
+    *([verb, "--help"] for verb in ("construct", "verify", "genseq", "decompose", "search", "table")),
+    ["--seed", "3", "construct", "--n", "13"],
+    ["construct", "--form", "text", "--n", "13"],
+    ["construct", "--n=13"],
+    ["construct", "--n", "13", "--n", "14"],
+    ["construct", "--n", "x"],
+    ["construct"],
+    ["decompose", "--p", "13", "--builtin", "105"],
+    ["search", "--n", "9", "--budget", "-1"],
+    ["frobnicate"],
+]
 
 # verify's inputs, by name; ``construct`` outputs for n=3..40 are added in
 # the test.  A key missing from the input file is left out of its object.
@@ -139,6 +160,23 @@ def corpus_digest(invocations: list[list[str]], keys: list[str] | None = None) -
         h.update(f"{key}\n{rc}\n".encode())
         h.update(out.encode())
     return h.hexdigest()
+
+
+def test_usage_digest(monkeypatch):
+    """stdout, stderr and exit code of each usage argv, an argparse exit
+    caught, at a fixed terminal width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    h = hashlib.sha256()
+    for argv in USAGE:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        text = out.getvalue()
+        h.update(f"{' '.join(argv)}\n{rc}\n{len(text)}\n{text}{err.getvalue()}".encode())
+    assert h.hexdigest() == DIGESTS["usage"]
 
 
 @pytest.mark.parametrize(

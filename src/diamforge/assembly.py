@@ -12,6 +12,7 @@ transcribed table.
 from __future__ import annotations
 
 from .core import (
+    MAX_N,
     Certificate,
     LabelsLayout,
     Record,
@@ -42,12 +43,6 @@ __all__ = [
     "construct_optimal",
     "MAX_N",
 ]
-
-# construct's largest order.  Its walk has about n**2 / 4 triangles and the
-# verb peaks near 76 bytes per triangle, as json or text: 0.45 GB at n = 5000
-# (453.7 MB spawned for its 6,248,749 triangles).
-MAX_N = 5000
-
 
 class SmallTableEntry(Record):
     """One transcribed optimal complex for a small vertex count."""

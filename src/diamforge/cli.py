@@ -9,10 +9,10 @@ A verb rejects an argument or an input file by raising ValueError, and
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from operator import itemgetter
+from types import SimpleNamespace
 
 # Each layer runs its code only when a verb first reaches into it (see the
 # package docstring): decompose runs hampack alone, every other verb core.
@@ -109,14 +109,21 @@ def _int_list(what: str, xs) -> tuple[int, ...]:
     return tuple(xs)
 
 
+def _ceiling(n, limit: int) -> int:
+    """``n`` checked against ``limit`` before any work that grows with it."""
+    if _int("n", n) > limit:
+        raise ValueError(f"n = {n} exceeds the ceiling {limit}")
+    return n
+
+
 def _pair(n, labels, layout) -> core.LabelsLayout:
     return core.LabelsLayout(
-        _int("n", n), _int_list("labels", labels), _int_list("layout", layout)
+        _ceiling(n, core.MAX_N), _int_list("labels", labels), _int_list("layout", layout)
     )
 
 
 def _checked_decomposition(n, cycles) -> tuple:
-    n = _int("n", n)
+    n = _ceiling(n, hampack.MAX_P)
     if not isinstance(cycles, list):
         raise ValueError(f"cycles: expected a list of cycles, got {json.dumps(cycles)}")
     dec = hampack.Decomposition(n, [hampack.CycleSquare(_int_list("cycles", c)) for c in cycles])
@@ -235,66 +242,126 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each verb's help line, handler and options.  An option is (flag, kind,
+# default, help): kind is int, str, a tuple of choices or bool for a switch.
+# Default _REQUIRED marks a required option, _ONE_OF a member of the verb's
+# required mutually exclusive group, whose default is None.
+_REQUIRED, _ONE_OF = object(), object()
+_VERBS = {
+    "construct": ("build the optimal complex for n vertices", _cmd_construct, (
+        ("--n", int, _REQUIRED, None),
+        ("--format", ("json", "text"), "json", None),
+    )),
+    "verify": ("certify a labels/layout pair from a JSON file", _cmd_verify, (
+        ("--input", str, _REQUIRED, None),
+        ("--circular-ok", bool, False,
+         "accept circular complexes (exit 0 even though they close up)"),
+    )),
+    "genseq": ("emit a generating sequence for modulus n = 4k+1", _cmd_genseq, (
+        ("--n", int, _REQUIRED, None),
+        ("--missing", ("none", "12", "1248"), "none", None),
+    )),
+    "decompose": ("partition complete-graph edges into cycle squares", _cmd_decompose, (
+        ("--p", int, _ONE_OF, "prime: strides matching each +- class s with 2s"),
+        ("--builtin", int, _ONE_OF, "built-in sequence data (105)"),
+        ("--input", str, _ONE_OF, "JSON file with a candidate decomposition"),
+    )),
+    "search": ("exhaustive small-n diameter search", _cmd_search, (
+        ("--n", int, _REQUIRED, None),
+        # None stands for oracle.DEFAULT_BUDGET, read only when search runs.
+        ("--budget", int, None, "node limit, 0 = unlimited"),
+        ("--jobs", int, 1, "accepted for compatibility; the search runs in one process"),
+    )),
+    "table": ("look up a transcribed small-n optimal pair", _cmd_table, (
+        ("--n", int, _REQUIRED, None),
+    )),
+}
+
+
+def _build_parser():
+    # Imported here: argparse, its gettext and locale, and seven parsers cost
+    # a run about 5 ms, more than a small verb's work.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="diamforge",
         description="Maximum-diameter triangle complexes and Hamilton-square packings.",
     )
     parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; all commands are deterministic and ignore it",
+        "--seed", type=int, help="reserved; all commands are deterministic and ignore it"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("construct", help="build the optimal complex for n vertices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("verify", help="certify a labels/layout pair from a JSON file")
-    p.add_argument("--input", required=True)
-    p.add_argument(
-        "--circular-ok",
-        action="store_true",
-        help="accept circular complexes (exit 0 even though they close up)",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("genseq", help="emit a generating sequence for modulus n = 4k+1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--missing", choices=("none", "12", "1248"), default="none")
-    p.set_defaults(func=_cmd_genseq)
-
-    p = sub.add_parser("decompose", help="partition complete-graph edges into cycle squares")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--p", type=int, help="prime: strides matching each +- class s with 2s")
-    grp.add_argument("--builtin", type=int, help="built-in sequence data (105)")
-    grp.add_argument("--input", help="JSON file with a candidate decomposition")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("search", help="exhaustive small-n diameter search")
-    p.add_argument("--n", type=int, required=True)
-    # None stands for oracle.DEFAULT_BUDGET, read only when search runs.
-    p.add_argument("--budget", type=int, help="node limit, 0 = unlimited")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility; the search runs in one process",
-    )
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("table", help="look up a transcribed small-n optimal pair")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_table)
-
+    for verb, (summary, func, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=summary)
+        group = None
+        for flag, kind, default, text in options:
+            kw = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(
+                kind, {"choices": kind}
+            )
+            if default is _ONE_OF:
+                group = group or p.add_mutually_exclusive_group(required=True)
+                group.add_argument(flag, help=text, **kw)
+            elif default is _REQUIRED:
+                p.add_argument(flag, help=text, required=True, **kw)
+            else:
+                p.add_argument(flag, help=text, default=default, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read(kind, text: str):
+    """``text`` as argparse reads a value of ``kind``.  Raises ValueError where
+    argparse refuses it, and for text starting with "-", which argparse may
+    read as a flag or as a negative number."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    if kind is int:
+        return int(text)
+    if kind is not str and text not in kind:
+        raise ValueError(text)
+    return text
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would make of a plain ``argv``, else None.
+
+    Plain is ``[--seed INT] VERB (--flag VALUE | --switch)*``: each flag of
+    the verb spelled in full and given at most once, and every value,
+    required option and exclusive group valid.  Help, abbreviations,
+    ``--flag=value``, repeated flags and every error are left to argparse.
+    """
+    seed = None
+    if argv[:1] == ["--seed"] and len(argv) > 1:
+        seed, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, func, options = _VERBS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given = {}
+    rest = iter(argv[1:])
+    try:
+        seed = None if seed is None else _read(int, seed)
+        for flag in rest:
+            if flag not in kinds or flag in given:
+                return None
+            given[flag] = kinds[flag] is bool or _read(kinds[flag], next(rest, "-"))
+    except ValueError:
+        return None
+    args = {"seed": seed, "verb": argv[0], "func": func}
+    for flag, _, default, _ in options:
+        value = given.get(flag, default)
+        if value is _REQUIRED:
+            return None
+        args[flag[2:].replace("-", "_")] = None if value is _ONE_OF else value
+    group = [flag in given for flag, _, default, _ in options if default is _ONE_OF]
+    if group and sum(group) != 1:
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -13,11 +13,14 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_int_list, reference_verify_partition, run_main
 from diamforge import cli, oracle
 from diamforge.assembly import MAX_N, construct_optimal
 from diamforge.hampack import (
+    MAX_P,
     SEQUENCES_105,
     CycleSquare,
     Decomposition,
@@ -81,6 +84,22 @@ def test_construct_rejects_n_above_the_ceiling():
     res = run("construct", "--n", str(MAX_N + 1))
     assert res.returncode == 2 and res.stdout == ""
     assert f"n = {MAX_N + 1} exceeds the ceiling {MAX_N}" in res.stderr
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("verb, limit, data", [
+    ("verify", MAX_N, {"labels": [0, 1, 2], "layout": []}),
+    ("decompose", MAX_P, {"cycles": []}),
+])
+def test_input_declaring_n_above_the_ceiling(tmp_path, verb, limit, data):
+    """A sparse file declaring the ceiling + 1 is refused before any work
+    that grows with n."""
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"n": limit + 1, **data}))
+    started = time.monotonic()
+    assert run_in_process(verb, "--input", str(path)) == (
+        2, "", f"diamforge: {path}: n = {limit + 1} exceeds the ceiling {limit}\n"
+    )
     assert time.monotonic() - started < 1
 
 
@@ -228,6 +247,107 @@ def test_each_verb_runs_only_its_layers(tmp_path):
         assert layers_run("construct", "--n", str(n)) == {
             "_base", "core", "cli", "assembly", "genseq"
         }
+
+
+# Runs the entry point of python -m diamforge on argv in a fresh interpreter,
+# or nothing without argv, and lists which of argparse, gettext and locale
+# are then loaded.
+PARSER_MODULES = """
+import contextlib, io, sys
+if sys.argv[1:]:
+    from diamforge.__main__ import run
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            run()
+        except SystemExit:
+            pass
+print(*sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def parser_modules(*argv: str) -> set[str]:
+    res = subprocess.run([sys.executable, "-c", PARSER_MODULES, *argv],
+                         capture_output=True, text=True, check=True)
+    return set(res.stdout.split())
+
+
+def test_plain_argv_leaves_argparse_unloaded(tmp_path):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"n": 5, "labels": [0, 1, 2, 3, 4], "layout": [0, 0]}))
+    bare = parser_modules()
+    for argv in (
+        ["construct", "--n", "13"],
+        ["search", "--n", "6", "--budget", "0", "--jobs", "2"],
+        ["decompose", "--p", "13"],
+        ["decompose", "--builtin", "105"],
+        ["verify", "--input", str(path)],
+        ["genseq", "--n", "13", "--missing", "12"],
+        ["table", "--n", "7"],
+    ):
+        assert parser_modules(*argv) <= bare, argv
+    assert "argparse" in parser_modules("construct", "--help") - bare
+
+
+ODD_VALUES = ["-3", "+5", "5_0", "", "\u0667", " 7", "x", "xml", "-", "--", "-h"]
+MUTATIONS = ("abbreviate", "equals", "repeat", "drop", "add", "token")
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """An argv for a drawn verb, a quarter of its values negative, signed,
+    underscored, empty, non-ASCII, a bad choice or a flag, then up to three
+    mutations: a flag abbreviated, in ``=`` form, repeated, left out or
+    added, or ``-h``, ``--seed`` or a stray word put anywhere."""
+    verb = draw(st.sampled_from([*cli._VERBS, "frobnicate"]))
+    options = cli._VERBS.get(verb, cli._VERBS["table"])[2]
+    one_of = [o for o in options if o[2] is cli._ONE_OF]
+    picked = [o for o in options if o[2] is cli._REQUIRED
+              or o[2] is not cli._ONE_OF and draw(st.booleans())]
+    picked += [draw(st.sampled_from(one_of))] if one_of else []
+
+    def pair(option) -> list[str]:
+        flag, kind, _, _ = option
+        if kind is bool:
+            return [flag]
+        valid = (st.sampled_from(kind) if type(kind) is tuple else
+                 st.integers(0, 120).map(str) if kind is int else st.just("in.json"))
+        return [flag, draw(st.one_of(valid, valid, valid, st.sampled_from(ODD_VALUES)))]
+
+    args = [pair(o) for o in draw(st.permutations(picked))]
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(args)))
+        if mutation == "add" or i == len(args):
+            args.insert(i, pair(draw(st.sampled_from(options))))
+        elif mutation == "abbreviate" and len(args[i][0]) > 3:
+            args[i][0] = args[i][0][:-1]
+        elif mutation == "equals":
+            args[i] = ["=".join(args[i])]
+        elif mutation == "repeat":
+            args.insert(i, list(args[i]))
+        elif mutation == "drop":
+            del args[i]
+        elif mutation == "token":
+            args.insert(i, [draw(st.sampled_from(["-h", "--help", "--seed", "word"]))])
+    head = draw(st.sampled_from([[], [], ["--seed", "3"], ["--seed", "+4"], ["--seed", "-1"],
+                                 ["--seed", ""], ["--seed"], ["--se", "3"], ["-h"]]))
+    return [*head, verb, *(token for arg in args for token in arg)]
+
+
+PARSER = cli._build_parser()
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argvs())
+def test_plain_argv_matcher_agrees_with_argparse(argv):
+    """The matcher returns None, or the namespace argparse makes; None
+    whenever argparse exits, for help or for an error."""
+    matched = cli._match(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = PARSER.parse_args(argv)
+        except SystemExit:
+            parsed = None
+    assert matched is None or vars(matched) == vars(parsed), argv
 
 
 def test_decompose_leaves_core_an_unrun_placeholder():

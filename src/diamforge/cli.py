@@ -280,7 +280,7 @@ _VERBS = {
 
 def _build_parser():
     # Imported here: argparse, its gettext and locale, and seven parsers cost
-    # a run about 5 ms, more than a small verb's work.
+    # a run about 7 ms, more than a small verb's work.
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -347,7 +347,7 @@ def test_plain_argv_matcher_agrees_with_argparse(argv):
             parsed = PARSER.parse_args(argv)
         except SystemExit:
             parsed = None
-    assert matched is None or vars(matched) == vars(parsed), argv
+    assert matched is None or parsed is not None and vars(matched) == vars(parsed), argv
 
 
 def test_decompose_leaves_core_an_unrun_placeholder():

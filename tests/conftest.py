@@ -1,9 +1,16 @@
-"""Shared test helpers: the PYTHONPATH of child interpreters, the reference
-edge counter, goodness test, certifier, encoder, ring cut, cut finder, seed
-cut, construction, each route's cut as construct makes it, partition checker and class rule, sequence unroller and
-input type check, the attachment plans' anchors and target edges, random
-good-walk generation and acceptance reporting with each criterion's runtime
-and bound."""
+"""Shared test helpers:
+
+- the PYTHONPATH of child interpreters, and CLI runs in process;
+- core references: edge counts, goodness, the certificate and the encoder;
+- genseq and assembly references: ring unrolling, the ring cut, the cut
+  finder, the seed cut and the construction; each route's cut as construct
+  makes it; the attachment plans' anchors and target edges;
+- hampack references: arithmetic orders, the partition report, the class
+  rule, prime orderings, arithmetic families and the sequence unroller;
+- the CLI's integer-list check;
+- random good and corrupted walks;
+- each acceptance criterion's CRITERION line, with its runtime and bound.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +21,9 @@ import math
 import os
 import re
 from collections import Counter
-from itertools import accumulate, combinations, cycle, islice
-from operator import sub
+from functools import cache
+from itertools import combinations
+from operator import itemgetter, sub
 from pathlib import Path
 
 import pytest
@@ -41,9 +49,8 @@ from diamforge.genseq import (
     gs_full,
     gs_missing_12,
     gs_missing_1248,
-    verify_generating_sequence,
 )
-from diamforge.hampack import CycleSquare, Decomposition, PartitionReport, square_edges
+from diamforge.hampack import CycleSquare, Decomposition, PartitionReport
 from diamforge.cli import _int, main
 from diamforge.oracle import legal_moves
 
@@ -59,32 +66,16 @@ def child_pythonpath():
         yield
 
 
-def run_main(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``diamforge.cli.main(argv)`` run in process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    return rc, out.getvalue()
-
-
-def reference_good(seq: TriangleSeq, circular: bool) -> bool:
-    """Whether ``seq`` is good, read as a ring when ``circular``.
-
-    :func:`reference_is_good` for a linear sequence.  A ring's wrap-around
-    pair counts as consecutive: it must share two vertices, and its shared
-    edge may be covered twice.
-    """
-    if not circular:
-        return reference_is_good(seq)
-    tris = seq.triangles
-    shared = [prev & tri for prev, tri in zip(tris, tris[1:] + tris[:1])]
-    if any(len(s) != 2 for s in shared):
-        return False
-    twice = {tuple(sorted(s)) for s in shared}
-    return all(
-        m == 1 or (m == 2 and e in twice)
-        for e, m in reference_edge_multiplicities(seq).items()
-    )
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``diamforge.cli.main(argv)`` run in
+    process, an argparse exit's code included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
 
 
 def reference_edge_multiplicities(seq: TriangleSeq) -> Counter[Edge]:
@@ -98,22 +89,25 @@ def reference_edge_multiplicities(seq: TriangleSeq) -> Counter[Edge]:
     return Counter(sides)
 
 
-def reference_is_good(seq: TriangleSeq) -> bool:
-    """Whether ``seq`` is good, by its shared edges and edge counts.
+def reference_good(seq: TriangleSeq, circular: bool, counts: Counter[Edge] | None = None) -> bool:
+    """Whether ``seq`` is good, by its shared edges and edge counts, read as
+    a ring when ``circular``.
 
     The slow reference for :func:`diamforge.core.is_good`: consecutive
-    triangles share two vertices, and an edge held twice is one they share."""
+    triangles share two vertices, and an edge held twice is one they share.
+    A ring's wrap-around pair counts as consecutive.  ``counts``, the
+    :func:`reference_edge_multiplicities` of ``seq``, are counted when not
+    given.
+    """
     tris = seq.triangles
-    shared: set[Edge] = set()
-    for prev, tri in zip(tris, tris[1:]):
-        inter = prev & tri
-        if len(inter) != 2:
-            return False
-        shared.add(tuple(sorted(inter)))
-    return all(
-        m == 1 or (m == 2 and e in shared)
-        for e, m in reference_edge_multiplicities(seq).items()
-    )
+    pairs = zip(tris, tris[1:] + tris[:1] if circular else tris[1:])
+    shared = [prev & tri for prev, tri in pairs]
+    if any(len(s) != 2 for s in shared):
+        return False
+    twice = {tuple(sorted(s)) for s in shared}
+    if counts is None:
+        counts = reference_edge_multiplicities(seq)
+    return all(m == 1 or (m == 2 and e in twice) for e, m in counts.items())
 
 
 def reference_certify(pair: LabelsLayout) -> Certificate:
@@ -127,8 +121,9 @@ def reference_certify(pair: LabelsLayout) -> Certificate:
     difference.
     """
     seq, circular, n = expand_pair(pair), is_ring(pair), pair.n
-    good = reference_good(seq, circular)
-    covered = set(reference_edge_multiplicities(seq))
+    counts = reference_edge_multiplicities(seq)
+    good = reference_good(seq, circular, counts)
+    covered = set(counts)
     try:
         diameter: int | None = dual_diameter(seq)
     except ValueError:
@@ -148,21 +143,21 @@ def reference_certify(pair: LabelsLayout) -> Certificate:
 
 
 def reference_cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> TriangleSeq:
-    """Ring cut checked against an edge-multiplicity Counter of the ring.
+    """Ring cut found by a scan of the ring's expanded triangles.
 
     The slow reference for :func:`diamforge.genseq.cut_circular`, with the
-    same checks and error messages, over the ring's expanded triangles: the
-    walk is unrolled from the triangle after the destroyed one.
+    same checks and error messages: the walk is unrolled from the triangle
+    after the one triangle that holds the destroyed edge.
     """
     if not is_ring(ring):
         raise ValueError("sequence is not circular")
-    seq = expand_pair(ring)
+    tris = expand_pair(ring).triangles
     d = edge(*destroyed_edge)
-    count = edge_multiplicities(seq).get(d, 0)
-    if count != 1:
-        raise ValueError(f"destroyed edge {d} is covered {count} times, need exactly 1")
-    (c,) = [i for i, tri in enumerate(seq.triangles) if d[0] in tri and d[1] in tri]
-    return TriangleSeq(seq.triangles[c + 1 :] + seq.triangles[:c])
+    holders = [i for i, tri in enumerate(tris) if d[0] in tri and d[1] in tri]
+    if len(holders) != 1:
+        raise ValueError(f"destroyed edge {d} is covered {len(holders)} times, need exactly 1")
+    (c,) = holders
+    return TriangleSeq(tris[c + 1 :] + tris[:c])
 
 
 def reference_cut_exposing(triangles: list, end_edge: Edge) -> Edge:
@@ -193,22 +188,27 @@ def reference_cut_exposing(triangles: list, end_edge: Edge) -> Edge:
     raise ValueError(f"no cut exposes {end_edge} at an end")
 
 
-def reference_expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
-    """Ring of ``gs`` unrolled one step at a time.
+def is_unrolled(ring: LabelsLayout, gs: GeneratingSequence) -> bool:
+    """Whether ``ring`` is ``gs`` unrolled one step at a time.
 
-    The slow reference for :func:`diamforge.genseq.expand_to_circular`: the
-    terms read cyclically from the first turn-free index r, summed with
-    ``accumulate`` and reduced mod n, behind the checking constructor.
+    The reference for :func:`diamforge.genseq.expand_to_circular`: labels
+    x_0 = 0, ..., x_{mn+1} with x_{i+1} = x_i + a mod n for the term a read
+    cyclically from the first turn-free index r, and each period's turn
+    bits.  Every step is checked: the labels one step after those at
+    positions q, q + m, ... are theirs gathered through the table of
+    x -> x + a mod n.
     """
-    report = verify_generating_sequence(gs)
-    if not report.valid:
-        raise ValueError(f"invalid generating sequence: {report.reason}")
-    n, m = gs.n, gs.m
+    n, m, xs = gs.n, gs.m, ring.labels
+    if (ring.n, type(xs), len(xs), xs[0]) != (n, tuple, m * n + 2, 0):
+        return False
     r = min(set(range(m)) - gs.turns)
-    steps = islice(cycle(gs.terms), r, r + m * n + 1)
-    labels = tuple(map(n.__rmod__, accumulate(steps, initial=0)))
+    plus = tuple(range(n)) * 2  # plus[a : a + n] maps x to x + a mod n
+    for q in range(m):
+        a = gs.terms[(r + q) % m]
+        if itemgetter(*xs[q:-1:m])(plus[a : a + n]) != xs[q + 1 :: m]:
+            return False
     period = tuple(int((r + j + 1) % m in gs.turns) for j in range(m))
-    return LabelsLayout(n, labels, (period * n)[:-1])
+    return ring.layout == (period * n)[:-1]
 
 
 def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
@@ -342,8 +342,8 @@ def reference_seed_cut(ring: LabelsLayout) -> Edge:
     return edge(*(first - {r}))
 
 
-def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
-    """construct_optimal's pair and certificate by the frozenset route.
+def reference_construct(n: int) -> LabelsLayout:
+    """construct_optimal's pair by the frozenset route.
 
     The slow reference for :func:`diamforge.assembly.construct_optimal`:
     the ring expanded into triangles, cut by :func:`reference_cut_circular`
@@ -375,13 +375,13 @@ def reference_construct(n: int) -> tuple[LabelsLayout, Certificate]:
         walk = [*plan_a.triangles[::-1], *body, *plan_b.triangles]
     else:
         walk = expand_pair(small_table(n).pair).triangles
-    pair = reference_encode_triples(TriangleSeq(list(walk)), n)
-    return pair, reference_certify(pair)
+    return reference_encode_triples(TriangleSeq(list(walk)), n)
 
 
+@cache
 def route_cut(n: int) -> tuple[LabelsLayout, Edge]:
     """The ring that ``construct_optimal(n)`` cuts and the edge it destroys,
-    read from a spy on ``assembly.cut_circular``."""
+    read from a spy on ``assembly.cut_circular``, once per test run."""
     from diamforge import assembly
 
     cuts, cut_circular = [], assembly.cut_circular
@@ -407,25 +407,35 @@ def _oriented_cut(ring: LabelsLayout, destroyed_edge: Edge, end_edge: Edge) -> l
     return walk if held[0] else walk[::-1]
 
 
-def reference_verify_partition(d: Decomposition) -> PartitionReport:
-    """Partition report of ``d`` from edge tuples.
+def arithmetic(n: int, x0: int, s: int) -> list[int]:
+    """The cyclic order x_i = x0 + i*s mod n."""
+    return [(x0 + i * s) % n for i in range(n)]
 
-    The slow reference for :func:`diamforge.hampack.verify_partition`: a
-    Counter over every cycle's :func:`square_edges` and the missing edges
-    as a set difference from all of E(K_n).
+
+def reference_verify_partition(d: Decomposition) -> PartitionReport:
+    """Partition report of ``d`` from each vertex's neighbours.
+
+    The slow reference for :func:`diamforge.hampack.verify_partition`: in
+    each square, the vertices one and two places before and after v, read
+    through the inverse of the ordering.  An edge {u, v} is missing when u
+    never meets v, and doubled when it meets v in two squares.
     """
-    counts: Counter[Edge] = Counter()
+    n, near = d.n, []  # near[k][v]: v's neighbour at one offset of one square
     for c in d.cycles:
-        counts.update(square_edges(c))
-    missing = tuple(sorted(all_edges(d.n) - set(counts)))
-    doubled = tuple(sorted(e for e, m in counts.items() if m > 1))
-    ok = (
-        not missing
-        and not doubled
-        and d.n % 4 == 1
-        and len(d.cycles) == (d.n - 1) // 4
-    )
-    return PartitionReport(ok, missing, doubled)
+        if n < 5:
+            raise ValueError("cycle square needs at least five vertices")
+        o = c.order
+        place = sorted(range(n), key=o.__getitem__)  # o[place[v]] == v
+        near += [itemgetter(*place)(o[j:] + o[:j]) for j in (1, 2, n - 2, n - 1)]
+    missing, doubled = [], []
+    for u, met in enumerate(zip(*near) if near else [()] * n):
+        once = set(met)
+        missing += [(u, v) for v in range(u + 1, n) if v not in once]
+        if len(once) != len(met):
+            count = Counter(met)
+            doubled += [(u, v) for v in sorted(once) if v > u and count[v] > 1]
+    ok = not missing and not doubled and n % 4 == 1 and len(d.cycles) == (n - 1) // 4
+    return PartitionReport(ok, tuple(missing), tuple(doubled))
 
 
 def reference_tiles_by_classes(d: Decomposition) -> bool:

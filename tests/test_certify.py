@@ -160,15 +160,19 @@ def test_degenerate_steps_are_named_at_the_first_one():
 
 
 def test_certify_raises_exactly_when_expand_pair_does():
-    """On arbitrary in-range labels and bits, most of them degenerate
-    somewhere, certify and expand_pair raise together and alike."""
+    """On four hand-made degenerate pairs, then on arbitrary in-range labels
+    and bits, most of them degenerate somewhere, certify and expand_pair
+    raise together and alike."""
+    pairs = [LabelsLayout(4, (0, 1, 1), ()), LabelsLayout(4, (0, 1, 2, 1), (0,)),
+             LabelsLayout(5, (0, 1, 2, 3, 4, 1), (0, 1, 1)), LabelsLayout(5, (0, 1, 2, 3, 2), (0, 0))]
     rng = random.Random(0xD1A6)
-    raised = 0
     for _ in range(3000):
         n = rng.randint(3, 8)
         steps = rng.randint(0, 12)
-        pair = LabelsLayout(n, [rng.randrange(n) for _ in range(steps + 3)],
-                            [rng.randrange(2) for _ in range(steps)])
+        pairs.append(LabelsLayout(n, [rng.randrange(n) for _ in range(steps + 3)],
+                                  [rng.randrange(2) for _ in range(steps)]))
+    raised = 0
+    for i, pair in enumerate(pairs):
         try:
             expand_pair(pair)
         except ValueError as slow:
@@ -177,5 +181,6 @@ def test_certify_raises_exactly_when_expand_pair_does():
             assert str(fast.value) == str(slow)
             raised += 1
         else:
+            assert i >= 4, pair  # the hand-made pairs are degenerate
             assert_agrees(pair)
-    assert 1000 < raised < 2900
+    assert 1000 < raised - 4 < 2900

@@ -11,12 +11,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_int_list, reference_verify_partition, run_main
+from conftest import arithmetic, reference_int_list, reference_verify_partition, run_main
 from diamforge import cli, oracle
 from diamforge.assembly import MAX_N, construct_optimal
 from diamforge.hampack import (
@@ -32,17 +33,20 @@ from diamforge.hampack import (
 )
 
 
-def run(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "diamforge", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
+def spawn(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "diamforge", *args], capture_output=True, text=True)
+
+
+def run(*args: str) -> SimpleNamespace:
+    """A CLI run's exit code, stdout and stderr, run in process: the ones
+    ``python -m diamforge`` gives, as test_construct_json checks."""
+    rc, out, err = run_main(list(args))
+    return SimpleNamespace(returncode=rc, stdout=out, stderr=err)
 
 
 def test_construct_json():
-    res = run("construct", "--n", "13")
+    res = spawn("construct", "--n", "13")
+    assert (res.returncode, res.stdout, res.stderr) == run_main(["construct", "--n", "13"])
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert sorted(out) == ["certificate", "labels", "layout", "n"]
@@ -56,8 +60,8 @@ def test_construct_json():
 
 
 def test_construct_is_deterministic():
-    first = run("construct", "--n", "20")
-    second = run("construct", "--n", "20")
+    first = spawn("construct", "--n", "20")
+    second = spawn("construct", "--n", "20")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.dumps(json.loads(first.stdout), sort_keys=True,
@@ -97,38 +101,36 @@ def test_input_declaring_n_above_the_ceiling(tmp_path, verb, limit, data):
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps({"n": limit + 1, **data}))
     started = time.monotonic()
-    assert run_in_process(verb, "--input", str(path)) == (
+    assert run_main([verb, "--input", str(path)]) == (
         2, "", f"diamforge: {path}: n = {limit + 1} exceeds the ceiling {limit}\n"
     )
     assert time.monotonic() - started < 1
 
 
+def run_on(tmp_path, data, verb: str = "verify", *flags: str) -> SimpleNamespace:
+    """``VERB --input FILE FLAGS`` run on ``data`` written to FILE as JSON."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return run(verb, "--input", str(path), *flags)
+
+
 def test_construct_verify_round_trip(tmp_path):
     for n in ("7", "20", "34"):
-        built = run("construct", "--n", n)
-        data = json.loads(built.stdout)
-        del data["certificate"]
-        path = tmp_path / f"pair{n}.json"
-        path.write_text(json.dumps(data))
-        checked = run("verify", "--input", str(path))
+        built = json.loads(run("construct", "--n", n).stdout)
+        cert = built.pop("certificate")
+        checked = run_on(tmp_path, built)
         assert checked.returncode == 0
-        cert = json.loads(checked.stdout)
-        assert cert == json.loads(built.stdout)["certificate"]
+        assert json.loads(checked.stdout) == cert
 
 
 def test_verify_flags_bad_walks(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"n": 5, "labels": [0, 1, 2, 3, 1], "layout": [0, 0]}))
-    res = run("verify", "--input", str(path))
+    res = run_on(tmp_path, {"n": 5, "labels": [0, 1, 2, 3, 1], "layout": [0, 0]})
     assert res.returncode == 1
     assert not json.loads(res.stdout)["good"]
 
 
 def test_verify_schema_errors(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{"n": 5, "labels": [0, 1, 2]}')
-    res = run("verify", "--input", str(path))
+    res = run_on(tmp_path, {"n": 5, "labels": [0, 1, 2]})
     assert res.returncode == 2
     assert "layout" in res.stderr
     assert run("verify", "--input", str(tmp_path / "absent.json")).returncode == 2
@@ -138,17 +140,14 @@ def test_verify_schema_errors(tmp_path):
         {"n": True, "labels": [0, 0, 0], "layout": []},
         {"n": "5", "labels": [0, 1, 2], "layout": []},
     ):
-        path.write_text(json.dumps(pair))
-        res = run("verify", "--input", str(path))
+        res = run_on(tmp_path, pair)
         assert res.returncode == 2 and res.stdout == ""
         assert "expected an integer" in res.stderr
 
 
 def test_verify_reports_degenerate_triangles(tmp_path):
-    path = tmp_path / "degenerate.json"
     for labels, layout, index in (([0, 1, 1], [], 0), ([0, 1, 2, 3, 4, 1], [0, 1, 1], 3)):
-        path.write_text(json.dumps({"n": 5, "labels": labels, "layout": layout}))
-        res = run("verify", "--input", str(path))
+        res = run_on(tmp_path, {"n": 5, "labels": labels, "layout": layout})
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr == (
             f"diamforge: expansion failed: degenerate triangle at index {index}\n"
@@ -156,13 +155,11 @@ def test_verify_reports_degenerate_triangles(tmp_path):
 
 
 def test_verify_circular_flag(tmp_path):
-    path = tmp_path / "ring.json"
-    path.write_text(json.dumps(
-        {"n": 5, "labels": [0, 1, 2, 3, 4, 0, 1], "layout": [0, 0, 0, 0]}))
-    plain = run("verify", "--input", str(path))
+    ring = {"n": 5, "labels": [0, 1, 2, 3, 4, 0, 1], "layout": [0, 0, 0, 0]}
+    plain = run_on(tmp_path, ring)
     assert plain.returncode == 1
     assert json.loads(plain.stdout)["circular"]
-    eased = run("verify", "--input", str(path), "--circular-ok")
+    eased = run_on(tmp_path, ring, "verify", "--circular-ok")
     assert eased.returncode == 0
 
 
@@ -173,13 +170,6 @@ def test_genseq_output():
         '{"missing":[1,2],"n":37,"terms":[8,32,15,4,21,7,6,11],"turns":[2]}\n'
     )
     assert sorted(json.loads(res.stdout)) == ["missing", "n", "terms", "turns"]
-
-
-def test_genseq_full_and_1248():
-    full = json.loads(run("genseq", "--n", "29").stdout)
-    assert full["missing"] == []
-    wide = json.loads(run("genseq", "--n", "29", "--missing", "1248").stdout)
-    assert wide["missing"] == [1, 2, 4, 8]
 
 
 def test_genseq_rejects_bad_modulus():
@@ -378,43 +368,32 @@ def test_decompose_builtin():
 
 
 def test_decompose_input_round_trip(tmp_path):
-    built = json.loads(run("decompose", "--p", "29").stdout)
-    path = tmp_path / "dec.json"
-    path.write_text(json.dumps({"n": 29, "cycles": built["cycles"]}))
-    res = run("decompose", "--input", str(path))
+    cycles = json.loads(run("decompose", "--p", "29").stdout)["cycles"]
+    res = run_on(tmp_path, {"n": 29, "cycles": cycles}, "decompose")
     assert res.returncode == 0
     assert json.loads(res.stdout)["report"]["ok"]
 
-    short = {"n": 29, "cycles": built["cycles"][:-1]}
-    path.write_text(json.dumps(short))
-    res = run("decompose", "--input", str(path))
+    res = run_on(tmp_path, {"n": 29, "cycles": cycles[:-1]}, "decompose")
     assert res.returncode == 1
     report = json.loads(res.stdout)["report"]
     assert report["missing"] and not report["ok"]
 
-    path.write_text(json.dumps({"n": 5.9, "cycles": [[0, 1, 2, 3, 4]]}))
-    res = run("decompose", "--input", str(path))
+    res = run_on(tmp_path, {"n": 5.9, "cycles": [[0, 1, 2, 3, 4]]}, "decompose")
     assert res.returncode == 2 and res.stdout == ""
     assert "expected an integer" in res.stderr
 
 
 def test_decompose_input_circulant_families(tmp_path):
-    def arithmetic(x0, s):
-        return [(x0 + i * s) % 29 for i in range(29)]
-
-    path = tmp_path / "dec.json"
     # The steps of decompose --p 29, shifted and every other cycle reversed.
-    steps = [json.loads(run("decompose", "--p", "29").stdout)["cycles"][i][1] for i in range(7)]
-    cycles = [arithmetic(3 + i, s if i % 2 else 29 - s) for i, s in enumerate(steps)]
-    path.write_text(json.dumps({"n": 29, "cycles": cycles}))
-    res = run("decompose", "--input", str(path))
+    steps = [c[1] for c in json.loads(run("decompose", "--p", "29").stdout)["cycles"]]
+    cycles = [arithmetic(29, 3 + i, s if i % 2 else 29 - s) for i, s in enumerate(steps)]
+    res = run_on(tmp_path, {"n": 29, "cycles": cycles}, "decompose")
     assert res.returncode == 0
     assert json.loads(res.stdout)["report"] == {"ok": True, "missing": [], "doubled": []}
 
     # Steps 1 and 2 replace steps 1 and 4: class 2 twice, class 8 never.
-    cycles = [arithmetic(0, 1), arithmetic(5, 2)] + cycles[2:]
-    path.write_text(json.dumps({"n": 29, "cycles": cycles}))
-    res = run("decompose", "--input", str(path))
+    cycles = [arithmetic(29, 0, 1), arithmetic(29, 5, 2)] + cycles[2:]
+    res = run_on(tmp_path, {"n": 29, "cycles": cycles}, "decompose")
     assert res.returncode == 1
     want = reference_verify_partition(Decomposition(29, [CycleSquare(c) for c in cycles]))
     assert want.doubled and want.missing
@@ -453,29 +432,6 @@ def test_search_budget_defaults_to_the_oracle_budget(monkeypatch):
     assert json.loads(capped[1])["nodes_explored"] == 5
 
 
-def test_search_deeper_than_the_recursion_limit():
-    # The first branch runs about 1,000 triangles deep before the budget hits.
-    res = run("search", "--n", "70", "--budget", "3000")
-    assert res.returncode == 0, res.stderr
-    out = json.loads(res.stdout)
-    assert out["exhaustive"] is False
-    assert out["nodes_explored"] == 3000
-    assert out["best_diameter"] > 1000
-
-
-def test_table_lookup():
-    hit = run("table", "--n", "7")
-    assert hit.returncode == 0
-    assert json.loads(hit.stdout) == {
-        "n": 7,
-        "labels": [0, 1, 2, 3, 4, 5, 0, 6, 4, 1, 5, 2],
-        "layout": [0, 0, 0, 1, 1, 0, 0, 1, 1],
-    }
-    miss = run("table", "--n", "17")
-    assert miss.returncode == 1
-    assert "17" in miss.stderr and not miss.stdout
-
-
 def test_seed_is_accepted():
     res = run("--seed", "7", "table", "--n", "3")
     assert res.returncode == 0
@@ -486,23 +442,20 @@ def test_unknown_verb():
 
 
 def test_decompose_input_below_five_vertices(tmp_path):
-    path = tmp_path / "small.json"
+    path = tmp_path / "input.json"
     for n in (3, 4):
-        path.write_text(json.dumps({"n": n, "cycles": [list(range(n))]}))
-        res = run("decompose", "--input", str(path))
+        res = run_on(tmp_path, {"n": n, "cycles": [list(range(n))]}, "decompose")
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"diamforge: {path}: cycle square needs at least five vertices\n"
 
 
 def test_decompose_input_rejects_non_positive_n(tmp_path):
-    path = tmp_path / "empty.json"
+    path = tmp_path / "input.json"
     for n in (0, -3):
-        path.write_text(json.dumps({"n": n, "cycles": []}))
-        res = run("decompose", "--input", str(path))
+        res = run_on(tmp_path, {"n": n, "cycles": []}, "decompose")
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"diamforge: {path}: n must be positive, got {n}\n"
-    path.write_text(json.dumps({"n": 1, "cycles": []}))
-    res = run("decompose", "--input", str(path))
+    res = run_on(tmp_path, {"n": 1, "cycles": []}, "decompose")
     assert res.returncode == 0
     assert res.stdout == canonical(
         {"n": 1, "cycles": [], "report": {"ok": True, "missing": [], "doubled": []}}
@@ -525,14 +478,6 @@ def test_malformed_input_files_exit_2(tmp_path):
             assert res.returncode == 2 and res.stdout == "", (name, verb)
             assert "Traceback" not in res.stderr, (name, verb)
             assert res.stderr.startswith(f"diamforge: {path} is not valid JSON: "), (name, verb)
-
-
-def run_in_process(*argv: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``cli.main(argv)`` run in process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(list(argv))
-    return rc, out.getvalue(), err.getvalue()
 
 
 VERIFY = ("verify", "--input", "{path}")
@@ -675,14 +620,14 @@ def test_error_messages(tmp_path, argv, data, code, message):
             json.dump(data, fh)
     argv = [arg.replace("{path}", path) for arg in argv]
     want = f"diamforge: {message.replace('{path}', path)}\n"
-    assert run_in_process(*argv) == (code, "", want)
+    assert run_main(argv) == (code, "", want)
 
 
 def test_genseq_refuses_n_above_the_ceiling():
     assert cli.MAX_GENSEQ_N % 4 == 1
     n = cli.MAX_GENSEQ_N + 4  # the next modulus of the form 4k+1
     started = time.monotonic()
-    assert run_in_process("genseq", "--n", str(n)) == (
+    assert run_main(["genseq", "--n", str(n)]) == (
         2, "", f"diamforge: n = {n} exceeds the ceiling {cli.MAX_GENSEQ_N}\n"
     )
     assert time.monotonic() - started < 0.5
@@ -745,27 +690,24 @@ def test_construct_emit_matches_json_dumps():
                 "uncovered_edges": cert.uncovered_edges,
             },
         }
-        assert run_main(["construct", "--n", str(n)]) == (0, canonical(want)), n
+        assert run_main(["construct", "--n", str(n)]) == (0, canonical(want), ""), n
 
 
 def test_decompose_emit_matches_json_dumps():
     for p in range(5, 1014):
         if _is_prime(p) and p % 4 == 1 and ord_mod(2, p) % 4 == 0:
             rc, want = decomposition_object(decompose_prime(p))
-            assert run_main(["decompose", "--p", str(p)]) == (rc, canonical(want)), p
+            assert run_main(["decompose", "--p", str(p)]) == (rc, canonical(want), ""), p
     d = cycles_from_sequences(105, SEQUENCES_105)
     rc, want = decomposition_object(d)
-    assert run_main(["decompose", "--builtin", "105"]) == (rc, canonical(want))
+    assert run_main(["decompose", "--builtin", "105"]) == (rc, canonical(want), "")
 
 
 def test_decompose_input_emit_matches_json_dumps(tmp_path):
-    def arithmetic(n, s):
-        return [i * s % n for i in range(n)]
-
     families = {
-        "missing_edges": (29, [arithmetic(29, s) for s in (1, 4, 16, 6, 24, 9)]),
-        "doubled_edges": (13, [arithmetic(13, s) for s in (1, 2, 5)]),
-        "extra_cycle": (13, [arithmetic(13, s) for s in (1, 4, 3, 1)]),
+        "missing_edges": (29, [arithmetic(29, 0, s) for s in (1, 4, 16, 6, 24, 9)]),
+        "doubled_edges": (13, [arithmetic(13, 0, s) for s in (1, 2, 5)]),
+        "extra_cycle": (13, [arithmetic(13, 0, s) for s in (1, 4, 3, 1)]),
         "zero_cycles": (13, []),
         "zero_cycles_n40": (40, []),
     }
@@ -773,7 +715,7 @@ def test_decompose_input_emit_matches_json_dumps(tmp_path):
     for name, (n, cycles) in families.items():
         path.write_text(json.dumps({"n": n, "cycles": cycles}))
         rc, want = decomposition_object(Decomposition(n, [CycleSquare(c) for c in cycles]))
-        assert run_main(["decompose", "--input", str(path)]) == (rc, canonical(want)), name
+        assert run_main(["decompose", "--input", str(path)]) == (rc, canonical(want), ""), name
 
 
 def test_emit_chunk_boundaries():

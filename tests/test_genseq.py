@@ -8,8 +8,8 @@ import random
 import pytest
 
 from conftest import (
-    plan_anchors, random_good_pair, reference_cut_circular, reference_cut_exposing,
-    reference_expand_to_circular, reference_seed_cut, route_cut,
+    is_unrolled, plan_anchors, random_good_pair, reference_cut_circular, reference_cut_exposing,
+    reference_seed_cut, residue_class, route_cut,
 )
 from diamforge import genseq
 from diamforge.assembly import _construct_walk
@@ -127,12 +127,8 @@ def test_verification_failures():
 
 
 def test_expansion_closes_into_ring():
-    ring = expand_pair_of(gs_full(3))
-    seq = expand_pair(ring)
-    assert is_ring(ring) and len(seq.triangles) == 39
-    assert certify(ring).good and certify(ring).circular
-    assert dual_diameter(seq) == 19
-    assert len(covered_edges(seq)) == 78
+    """gs_full(3) unrolls into RING13, which test_core pins."""
+    assert expand_pair_of(gs_full(3)) == RING13
 
 
 def test_expansion_with_turn_covers_predicted_residues():
@@ -148,14 +144,13 @@ def test_expansion_with_turn_covers_predicted_residues():
 
 
 def test_turn_on_seed_is_rotated_away():
+    """A turn at index 0 cannot sit on the seed; the ring is read from index
+    1 and still closes, good, on every class but 1 and 2."""
     gs = gs_missing_12(8)
     assert 0 in gs.turns
-    ring = expand_pair_of(gs)
-    seq = expand_pair(ring)
-    assert certify(ring).good and certify(ring).circular
-    missing = {1, 2}
-    residues = {canonical_residue(v - u, gs.n) for u, v in covered_edges(seq)}
-    assert residues == set(range(1, (gs.n - 1) // 2 + 1)) - missing
+    cert = certify(expand_pair_of(gs))
+    assert cert.good and cert.circular
+    assert cert.uncovered_edges == sorted(residue_class(1, gs.n) | residue_class(2, gs.n))
 
 
 def test_multiplicity_profile():
@@ -359,18 +354,17 @@ def test_cut_matches_reference_and_exposes_its_ends():
     """A cut removes one edge, and each family leaves the anchor of every
     plan its route joins held once, in the end triangle where it joins."""
     for name, pair, destroyed, ends in _cut_cases(60):
-        ring = expand_pair(pair)
-        lin = expand_pair(cut_circular(pair, destroyed))
+        cut = cut_circular(pair, destroyed)
+        lin = expand_pair(cut)
         assert lin == reference_cut_circular(pair, destroyed), name
         # The walk is the ring minus one triangle, so it covers the ring's
-        # edges except those of that triangle which no other triangle holds.
-        (gone,) = set(ring.triangles) - set(lin.triangles)
-        assert len(lin) == len(ring) - 1, name
-        lin_mult = edge_multiplicities(lin)
-        a, b, c = sorted(gone)
-        assert {(a, b), (a, c), (b, c)} - set(lin_mult) == {destroyed}, name
+        # edges but the destroyed one, which no other triangle holds.
+        cert = certify(cut)
+        assert destroyed in cert.uncovered_edges, name
+        assert cert.covered_edges == certify(pair).covered_edges - 1, name
         for e, end in ends.items():
-            assert lin_mult[e] == 1 and set(e) <= lin.triangles[end], (name, e)
+            held = [i for i, tri in enumerate(lin.triangles) if set(e) <= tri]
+            assert held == [end % len(lin)], (name, e)
 
 
 def _same_rejection(ring, destroyed):
@@ -383,23 +377,16 @@ def _same_rejection(ring, destroyed):
 
 
 def test_cut_rejections_match_reference():
-    ring, destroyed = expand_pair_of(gs_missing_12(9)), (5, 23)
-    mult = edge_multiplicities(expand_pair(ring))
-    doubled = next(e for e, m in mult.items() if m == 2)
-    msg = _same_rejection(ring, doubled)
-    assert msg == f"destroyed edge {doubled} is covered 2 times, need exactly 1"
+    for ring in (expand_pair_of(gs_missing_12(4)), expand_pair_of(gs_missing_12(9))):
+        mult = edge_multiplicities(expand_pair(ring))
+        doubled = next(e for e, m in mult.items() if m == 2)
+        msg = _same_rejection(ring, doubled)
+        assert msg == f"destroyed edge {doubled} is covered 2 times, need exactly 1"
     # Residue class 1 is missing from the ring.
     assert _same_rejection(ring, (1, 0)) == "destroyed edge (0, 1) is covered 0 times, need exactly 1"
 
-    lin = cut_circular(ring, destroyed)
-    assert _same_rejection(lin, destroyed) == "sequence is not circular"
-
-
-def test_cut_rejects_doubled_destroyed_edge():
-    ring = expand_pair_of(gs_missing_12(4))
-    doubled = next(e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 2)
-    with pytest.raises(ValueError):
-        cut_circular(ring, doubled)
+    lin = cut_circular(ring, (5, 23))
+    assert _same_rejection(lin, (5, 23)) == "sequence is not circular"
 
 
 @pytest.mark.slow
@@ -414,7 +401,7 @@ def test_closed_form_ring_matches_the_unrolled_reference():
     for family, lo in families:
         for k in range(lo, 301):
             gs = family(k)
-            assert expand_to_circular(gs) == reference_expand_to_circular(gs), (family, k)
+            assert is_unrolled(expand_to_circular(gs), gs), (family, k)
 
 
 def test_closed_form_ring_with_a_turn_at_the_seed_and_a_term_sum_not_one():
@@ -424,7 +411,7 @@ def test_closed_form_ring_with_a_turn_at_the_seed_and_a_term_sum_not_one():
     ):
         assert verify_generating_sequence(gs).valid and sum(gs.terms) % gs.n != 1
         ring = expand_to_circular(gs)
-        assert ring == reference_expand_to_circular(gs)
+        assert is_unrolled(ring, gs)
         assert certify(ring).good and certify(ring).circular
 
 

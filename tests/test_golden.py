@@ -8,15 +8,12 @@ digest only for a deliberate output change, and say so in CHANGES.md.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
 
-from conftest import run_main
-from diamforge.cli import main
+from conftest import arithmetic, run_main
 
 CORPUS = {
     "construct": [
@@ -117,10 +114,6 @@ VERIFY_INPUTS = {
 VERIFY_TEXTS = {"not_json": "{", "not_an_object": "[0, 1, 2]"}
 
 
-def arithmetic(n: int, x0: int, s: int) -> list[int]:
-    return [(x0 + i * s) % n for i in range(n)]
-
-
 P29 = [arithmetic(29, 0, pow(2, k, 29)) for k in range(0, 14, 2)]
 
 # decompose --input's inputs, by name; the outputs of ``decompose --p 29``,
@@ -155,7 +148,7 @@ def corpus_digest(invocations: list[list[str]], keys: list[str] | None = None) -
     and stdout, in order."""
     h = hashlib.sha256()
     for i, argv in enumerate(invocations):
-        rc, out = run_main(argv)
+        rc, out, _ = run_main(argv)
         key = keys[i] if keys else " ".join(argv)
         h.update(f"{key}\n{rc}\n".encode())
         h.update(out.encode())
@@ -168,14 +161,8 @@ def test_usage_digest(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     h = hashlib.sha256()
     for argv in USAGE:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        text = out.getvalue()
-        h.update(f"{' '.join(argv)}\n{rc}\n{len(text)}\n{text}{err.getvalue()}".encode())
+        rc, text, err = run_main(argv)
+        h.update(f"{' '.join(argv)}\n{rc}\n{len(text)}\n{text}{err}".encode())
     assert h.hexdigest() == DIGESTS["usage"]
 
 

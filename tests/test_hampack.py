@@ -8,13 +8,18 @@ import random
 import pytest
 from sympy import isprime, n_order, primerange
 
-from conftest import reference_arithmetic_steps, reference_cycles_from_sequences
+from conftest import (
+    arithmetic, reference_arithmetic_steps, reference_cycles_from_sequences,
+    reference_tiles_by_classes, reference_verify_partition,
+)
 from diamforge.core import all_edges, edge
 from diamforge.hampack import (
     SEQUENCES_105,
     CycleSquare,
     Decomposition,
+    PartitionReport,
     _is_prime,
+    _tiles_by_classes,
     cycles_from_sequences,
     decompose_prime,
     ord_mod,
@@ -47,12 +52,7 @@ def test_square_edges_count():
 
 
 def test_cycle_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        CycleSquare((0, 1, 1, 2, 3))
-    with pytest.raises(ValueError):
-        CycleSquare((1, 2, 3, 4, 5))
-    with pytest.raises(ValueError):
-        CycleSquare((0, 1))
+    """test_records pins the message for fewer than three vertices."""
     bad = [
         (0, 1, 2, 3, 3),  # duplicate, 4 missing
         (0, 0, 0, 0, 0),
@@ -134,7 +134,7 @@ def test_arithmetic_families_exist_exactly_at_primes_where_4_divides_ord_2(arith
     for n, steps in arithmetic_steps.items():
         assert (steps is not None) == (isprime(n) and n_order(2, n) % 4 == 0), n
         if steps is not None and n < 300:
-            cycles = tuple(CycleSquare([i * s % n for i in range(n)]) for s in steps)
+            cycles = tuple(CycleSquare(arithmetic(n, 0, s)) for s in steps)
             assert verify_partition(Decomposition(n, cycles)).ok, n
 
 
@@ -186,8 +186,10 @@ def test_builtin_105():
     assert d.cycles[1].order == shift1
     assert d.cycles[2].order == shift2
     assert sum(len(square_edges(c)) for c in d.cycles) == 5460
-    assert verify_partition(d).ok
     assert cycles_from_sequences(105, SEQUENCES_105) == d  # tuples or lists, same cycles
+    assert not _tiles_by_classes(d)  # periodic steps: the edge count decides
+    assert not reference_tiles_by_classes(d)
+    assert verify_partition(d) == reference_verify_partition(d) == PartitionReport(True, (), ())
 
 
 def test_sequence_rejections():

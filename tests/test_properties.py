@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    grow_walk, reference_certify, reference_encode_triples, reference_verify_partition,
+    arithmetic, grow_walk, reference_certify, reference_encode_triples, reference_verify_partition,
 )
 from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair, is_ring
 from diamforge.hampack import CycleSquare, Decomposition, decompose_prime, verify_partition
@@ -134,7 +134,7 @@ def arithmetic_cycles(draw):
     for s in steps:
         s = n - s if draw(st.booleans()) else s
         x0 = draw(st.integers(0, n - 1))
-        cycles.append(CycleSquare([(x0 + i * s) % n for i in range(n)]))
+        cycles.append(CycleSquare(arithmetic(n, x0, s)))
     return Decomposition(n, cycles)
 
 
@@ -166,26 +166,9 @@ def families(draw):
     return Decomposition(d.n, cycles)
 
 
-def brute_force_report(d: Decomposition):
-    """(ok, missing, doubled) from counting, for every vertex pair, the cycles
-    that place it at cyclic distance one or two."""
-    n = d.n
-    positions = [{v: i for i, v in enumerate(c.order)} for c in d.cycles]
-    missing, doubled = [], []
-    for u in range(n):
-        for v in range(u + 1, n):
-            hits = sum((pos[u] - pos[v]) % n in (1, 2, n - 2, n - 1) for pos in positions)
-            if hits == 0:
-                missing.append((u, v))
-            elif hits > 1:
-                doubled.append((u, v))
-    ok = not missing and not doubled and n % 4 == 1 and len(d.cycles) == (n - 1) // 4
-    return ok, tuple(missing), tuple(doubled)
-
-
 @PROPERTY
 @given(families())
 def test_verify_partition_agrees_with_brute_force(d):
-    rep = verify_partition(d)
-    assert (rep.ok, rep.missing, rep.doubled) == brute_force_report(d)
-    assert rep == reference_verify_partition(d)
+    """The report equals the reference's, which reads every vertex's
+    neighbours in every square."""
+    assert verify_partition(d) == reference_verify_partition(d)

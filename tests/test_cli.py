@@ -172,6 +172,13 @@ def test_genseq_output():
     assert sorted(json.loads(res.stdout)) == ["missing", "n", "terms", "turns"]
 
 
+def test_genseq_full_and_1248():
+    full = json.loads(run("genseq", "--n", "29").stdout)
+    assert full["missing"] == []
+    wide = json.loads(run("genseq", "--n", "29", "--missing", "1248").stdout)
+    assert wide["missing"] == [1, 2, 4, 8]
+
+
 def test_genseq_rejects_bad_modulus():
     assert run("genseq", "--n", "12").returncode == 2
     assert run("genseq", "--n", "13", "--missing", "1248").returncode == 2
@@ -430,6 +437,29 @@ def test_search_budget_defaults_to_the_oracle_budget(monkeypatch):
     capped = run_main(["search", "--n", "9"])
     assert capped == run_main(["search", "--n", "9", "--budget", "5"])
     assert json.loads(capped[1])["nodes_explored"] == 5
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # The first branch runs about 1,000 triangles deep before the budget hits.
+    res = run("search", "--n", "70", "--budget", "3000")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["exhaustive"] is False
+    assert out["nodes_explored"] == 3000
+    assert out["best_diameter"] > 1000
+
+
+def test_table_lookup():
+    hit = run("table", "--n", "7")
+    assert hit.returncode == 0
+    assert json.loads(hit.stdout) == {
+        "n": 7,
+        "labels": [0, 1, 2, 3, 4, 5, 0, 6, 4, 1, 5, 2],
+        "layout": [0, 0, 0, 1, 1, 0, 0, 1, 1],
+    }
+    miss = run("table", "--n", "17")
+    assert miss.returncode == 1
+    assert "17" in miss.stderr and not miss.stdout
 
 
 def test_seed_is_accepted():

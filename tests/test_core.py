@@ -224,6 +224,29 @@ def test_certify_rejects_bad_walks():
     assert cert.covered_edges == 6 and cert.diameter == 1
 
 
+def test_random_walks_obey_the_edge_law():
+    from conftest import random_good_pair
+
+    rng = random.Random(4057)
+    for _ in range(300):
+        seq = expand_pair(random_good_pair(rng))
+        assert is_good(seq)
+        t = len(seq.triangles)
+        assert len(covered_edges(seq)) == 2 * t + 1
+        assert dual_diameter(seq) == t - 1
+
+
+def test_corrupted_walks_fail_goodness():
+    from conftest import corrupted_pair
+
+    rng = random.Random(977)
+    for _ in range(300):
+        seq = expand_pair(corrupted_pair(rng))
+        assert not is_good(seq)
+        t = len(seq.triangles)
+        assert len(covered_edges(seq)) < 2 * t + 1
+
+
 def test_pair_length_counts_triangles():
     assert len(LabelsLayout(3, (0, 1, 2), ())) == 1
     assert len(STRIP) == 8

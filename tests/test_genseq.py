@@ -389,6 +389,13 @@ def test_cut_rejections_match_reference():
     assert _same_rejection(lin, (5, 23)) == "sequence is not circular"
 
 
+def test_cut_rejects_doubled_destroyed_edge():
+    ring = expand_pair_of(gs_missing_12(4))
+    doubled = next(e for e, m in edge_multiplicities(expand_pair(ring)).items() if m == 2)
+    with pytest.raises(ValueError):
+        cut_circular(ring, doubled)
+
+
 @pytest.mark.slow
 def test_closed_form_ring_matches_the_unrolled_reference():
     """Every k of each family up to 300: both parities, the literal rows,

@@ -1,10 +1,11 @@
 """Maximum-diameter triangle complexes and Hamilton-square packings.
 
-The core codec turns (labels, layout) pairs into triangle walks; generating
-sequences build the long circular walks; the assembly layer cuts and extends
-them into diameter-optimal complexes for every vertex count; hampack
-partitions complete graphs into squares of Hamilton cycles; the oracle
-brute-forces tiny orders as independent ground truth.
+The core codec certifies (labels, layout) walks, and ``_walks`` turns them
+into triangles and joins them; generating sequences build the long circular
+walks; the assembly layer cuts and extends them into diameter-optimal
+complexes for every vertex count; hampack partitions complete graphs into
+squares of Hamilton cycles; the oracle brute-forces tiny orders as
+independent ground truth.
 
 Each layer module is bound here, and sits in ``sys.modules``, from the
 start, but its code runs on first attribute access
@@ -19,14 +20,16 @@ __version__ = "0.1.0"
 
 # Each re-exported name by the layer that defines it.
 _EXPORTS = {
-    "core": ("Certificate", "LabelsLayout", "TriangleSeq", "certify", "dual_diameter",
-             "encode_triples", "expand_pair", "hs_max_diameter", "is_good"),
+    "core": ("Certificate", "LabelsLayout", "certify", "hs_max_diameter"),
     "genseq": ("GeneratingSequence", "gs_full", "gs_missing_12", "gs_missing_1248",
                "verify_generating_sequence"),
     "assembly": ("construct_optimal", "small_table"),
     "hampack": ("SEQUENCES_105", "cycles_from_sequences", "decompose_prime",
                 "verify_partition"),
     "oracle": ("SearchResult", "search_max_diameter"),
+    # The part of core that a good walk does not need: construct runs it,
+    # verify only on a walk that is not good.
+    "_walks": ("TriangleSeq", "dual_diameter", "encode_triples", "expand_pair", "is_good"),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
@@ -45,7 +48,7 @@ def _bind_lazily(layer: str):
 
 # Bound as attributes here too: importing a module that is already in
 # sys.modules does not set it on its package.
-core, genseq, assembly, hampack, oracle = map(_bind_lazily, _EXPORTS)
+core, genseq, assembly, hampack, oracle, _walks = map(_bind_lazily, _EXPORTS)
 
 
 def __getattr__(name: str):

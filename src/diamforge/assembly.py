@@ -11,19 +11,8 @@ transcribed table.
 
 from __future__ import annotations
 
-from .core import (
-    MAX_N,
-    Certificate,
-    LabelsLayout,
-    Record,
-    TriangleSeq,
-    canonical,
-    certify,
-    encode_triples,
-    hs_max_diameter,
-    is_good,
-)
-from .core import join_walks, reverse_walk
+from ._walks import TriangleSeq, canonical, encode_triples, is_good, join_walks, reverse_walk
+from .core import MAX_N, Certificate, LabelsLayout, Record, certify, hs_max_diameter
 from .genseq import (
     cut_circular,
     expand_pair_of,

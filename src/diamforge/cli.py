@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 # Each layer runs its code only when a verb first reaches into it (see the
 # package docstring): decompose runs hampack alone, every other verb core.
+# The input-file readers of verify and decompose --input are in _input,
+# which those two import when they run.
 from . import assembly, core, genseq, hampack, oracle
 
 __all__ = ["main"]
@@ -70,66 +72,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path: str, keys: tuple[str, ...], build):
-    """``build(*values)`` of ``keys`` in the JSON object at ``path``, all keys fetched
-    before ``build`` checks any value; each fault raises ValueError naming the path."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad syntax, bytes that are not UTF-8 and integers
-        # past the digit limit; RecursionError covers arrays nested too deep.
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{path}: missing key {key!r}")
-    try:
-        return build(*[data[key] for key in keys])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _int(what: str, x) -> int:
-    # bool is a subclass of int, so compare the type itself.
-    if type(x) is not int:
-        raise ValueError(f"{what}: expected an integer, got {json.dumps(x)}")
-    return x
-
-
-def _int_list(what: str, xs) -> tuple[int, ...]:
-    if not isinstance(xs, list):
-        raise ValueError(f"{what}: expected a list of integers, got {json.dumps(xs)}")
-    if not set(map(type, xs)) <= {int}:
-        for x in xs:  # name the first offender
-            _int(what, x)
-    return tuple(xs)
-
-
-def _ceiling(n, limit: int) -> int:
-    """``n`` checked against ``limit`` before any work that grows with it."""
-    if _int("n", n) > limit:
-        raise ValueError(f"n = {n} exceeds the ceiling {limit}")
-    return n
-
-
-def _pair(n, labels, layout) -> core.LabelsLayout:
-    return core.LabelsLayout(
-        _ceiling(n, core.MAX_N), _int_list("labels", labels), _int_list("layout", layout)
-    )
-
-
-def _checked_decomposition(n, cycles) -> tuple:
-    n = _ceiling(n, hampack.MAX_P)
-    if not isinstance(cycles, list):
-        raise ValueError(f"cycles: expected a list of cycles, got {json.dumps(cycles)}")
-    dec = hampack.Decomposition(n, [hampack.CycleSquare(_int_list("cycles", c)) for c in cycles])
-    return dec, hampack.verify_partition(dec)  # rejects cycles below five vertices
-
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -182,6 +124,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from ._input import _load, _pair
+
     pair = _load(args.input, ("n", "labels", "layout"), _pair)
     try:
         cert = core.certify(pair)
@@ -215,6 +159,8 @@ def _cmd_genseq(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.input is not None:
+        from ._input import _checked_decomposition, _load
+
         dec, report = _load(args.input, ("n", "cycles"), _checked_decomposition)
     else:
         if args.p is not None:

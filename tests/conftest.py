@@ -1,6 +1,7 @@
 """Shared test helpers:
 
-- the PYTHONPATH of child interpreters, and CLI runs in process;
+- a per-test time limit, the PYTHONPATH of child interpreters, and CLI
+  runs in process;
 - core references: edge counts, goodness, the certificate and the encoder;
 - genseq and assembly references: ring unrolling, the ring cut, the cut
   finder, the seed cut and the construction; each route's cut as construct
@@ -20,6 +21,8 @@ import json
 import math
 import os
 import re
+import signal
+import threading
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -51,7 +54,8 @@ from diamforge.genseq import (
     gs_missing_1248,
 )
 from diamforge.hampack import CycleSquare, Decomposition, PartitionReport
-from diamforge.cli import _int, main
+from diamforge._input import _int
+from diamforge.cli import main
 from diamforge.oracle import legal_moves
 
 
@@ -64,6 +68,33 @@ def child_pythonpath():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         yield
+
+
+# Seconds a test may run, far above the slowest tier-1 test (7-10 s on a
+# 2-core VM); tests marked slow have no limit.
+TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs past :data:`TIME_LIMIT_S`, instead of letting
+    a hung one, say a walk stuck in certify's quadratic fallback, hold up
+    the suite.  A SIGALRM from ``setitimer`` raises in the main thread."""
+    slow = request.node.get_closest_marker("slow")
+    if slow or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its time limit of {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:
@@ -537,9 +568,9 @@ def reference_cycles_from_sequences(n: int, seqs: list[list[int]]) -> Decomposit
 
 
 def reference_int_list(what: str, xs) -> tuple[int, ...]:
-    """The integer list of a JSON input, each element checked by ``cli._int``.
+    """The integer list of a JSON input, each element checked by ``_input._int``.
 
-    The slow reference for ``cli._int_list``, which checks the element types
+    The slow reference for ``_input._int_list``, which checks the element types
     at C speed and loops only to name the first offender.
     """
     if not isinstance(xs, list):

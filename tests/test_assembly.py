@@ -301,15 +301,15 @@ def test_construct_reverses_at_most_one_long_walk(monkeypatch):
     unrolled, and canonical turns it; n = 4k+2 turns plan A round, and at
     odd k canonical the whole walk too, because plan B's end is the
     smaller; n = 4k+3 turns nothing."""
-    from diamforge import assembly, core
+    from diamforge import _walks, assembly
 
-    reverse, lengths = core.reverse_walk, []
+    reverse, lengths = _walks.reverse_walk, []
 
     def spy(pair):
         lengths.append(len(pair))
         return reverse(pair)
 
-    for module in (core, assembly):
+    for module in (_walks, assembly):
         monkeypatch.setattr(module, "reverse_walk", spy)
     seen = {}
     for n in range(400, 408):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import arithmetic, reference_int_list, reference_verify_partition, run_main
-from diamforge import cli, oracle
+from diamforge import _input, cli, oracle
 from diamforge.assembly import MAX_N, construct_optimal
 from diamforge.hampack import (
     MAX_P,
@@ -232,17 +232,28 @@ def layers_run(*argv: str) -> set[str]:
 
 
 def test_each_verb_runs_only_its_layers(tmp_path):
-    path = tmp_path / "walk.json"
+    path, reuse, cycles = tmp_path / "walk.json", tmp_path / "reuse.json", tmp_path / "d.json"
     path.write_text(json.dumps({"n": 5, "labels": [0, 1, 2, 3, 4], "layout": [0, 0]}))
+    # {0,1,2}, {1,2,3}, {2,3,0}: the last step re-covers {0, 2}.
+    reuse.write_text(json.dumps({"n": 5, "labels": [0, 1, 2, 3, 0], "layout": [0, 0]}))
+    family = [c.order for c in decompose_prime(13).cycles]
+    cycles.write_text(json.dumps({"n": 13, "cycles": family}))
     assert layers_run() == set()
-    # _base, the leaf that holds Record and edge, runs with any layer.
+    # _base, the leaf that holds Record and edge, runs with any layer; _walks
+    # only for a walk that is not good or is built, _input only for an input file.
     assert layers_run("search", "--n", "9") == {"_base", "core", "cli", "oracle"}
     assert layers_run("decompose", "--p", "13") == {"_base", "cli", "hampack"}
     assert layers_run("decompose", "--builtin", "105") == {"_base", "cli", "hampack"}
-    assert layers_run("verify", "--input", str(path)) == {"_base", "core", "cli"}
+    assert layers_run("decompose", "--input", str(cycles)) == {
+        "_base", "cli", "hampack", "_input"
+    }
+    assert layers_run("verify", "--input", str(path)) == {"_base", "core", "cli", "_input"}
+    assert layers_run("verify", "--input", str(reuse)) == {
+        "_base", "core", "cli", "_input", "_walks"
+    }
     for n in range(400, 404):
         assert layers_run("construct", "--n", str(n)) == {
-            "_base", "core", "cli", "assembly", "genseq"
+            "_base", "core", "cli", "assembly", "genseq", "_walks"
         }
 
 
@@ -674,17 +685,17 @@ def test_int_list_matches_the_reference():
     for length in (1, 2, 3, 10, 1000):
         for _ in range(3):
             xs = [rng.randrange(-10**6, 10**6) for _ in range(length)]
-            got = cli._int_list("labels", xs)
+            got = _input._int_list("labels", xs)
             assert type(got) is tuple and got == reference_int_list("labels", xs) == tuple(xs)
             for bad in (True, 1.5, "7", None, [1], {"a": 1}):
                 for at in (0, length // 2, length - 1):
                     ys = xs[:at] + [bad] + xs[at + 1 :]
                     for zs in (ys, ys + [None]):  # the first offender is named
                         want = outcome(reference_int_list, zs)
-                        assert type(want) is str and outcome(cli._int_list, zs) == want
+                        assert type(want) is str and outcome(_input._int_list, zs) == want
     for xs in (5, "abc", {"a": 1}, None, (1, 2)):
         want = outcome(reference_int_list, xs)
-        assert type(want) is str and outcome(cli._int_list, xs) == want
+        assert type(want) is str and outcome(_input._int_list, xs) == want
 
 
 def canonical(obj: dict) -> str:

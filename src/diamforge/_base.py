@@ -1,5 +1,5 @@
-"""What every layer shares: the record base class, the canonical edge and
-the residue class of a difference.
+"""What every layer shares: the record base class, the canonical edge, the
+residue class of a difference and the rule for distinct classes.
 
 A leaf with no imports, so that a layer needing only these, as hampack
 does, runs without core.  :mod:`diamforge.core` re-exports the record and
@@ -8,7 +8,7 @@ edge names, :mod:`diamforge.genseq` the residue class.
 
 Edge = tuple[int, int]
 
-__all__ = ["Edge", "Record", "canonical_residue", "edge"]
+__all__ = ["Edge", "Record", "canonical_residue", "distinct_classes", "edge"]
 
 
 def edge(u: int, v: int) -> Edge:
@@ -22,6 +22,13 @@ def canonical_residue(value: int, n: int) -> int:
     """Map a difference mod n to its residue class in {1..(n-1)/2}."""
     r = value % n
     return min(r, n - r)
+
+
+def distinct_classes(diffs: list[int], n: int) -> bool:
+    """Whether ``diffs`` lie in distinct non-zero +- classes mod n: the
+    2 * len(diffs) signed values +-d are pairwise distinct mod n.  A
+    difference 0, or n/2 for even n, is its own negative and fails."""
+    return len({d % n for d in diffs} | {-d % n for d in diffs}) == 2 * len(diffs)
 
 
 class Record:

@@ -12,6 +12,14 @@ import json
 
 from . import core, hampack
 
+# decompose --input's largest n, far below decompose --p's hampack.MAX_P.  A
+# file with few cycles leaves about C(n, 2) missing edges, which the report
+# lists at some 130 bytes each.  Spawned with RLIMIT_AS = 2 GB on the child
+# only (2-core x86_64 VM, Python 3.11.7), {"n": 2000, "cycles": []} exits 1
+# after 1.7 s at a 256 MB peak, inside a 300 MB budget; n = 2500 peaks at
+# 394 MB, and n = 15000 does not fit in 2 GB.
+MAX_DECOMPOSITION_N = 2000
+
 
 def _load(path: str, keys: tuple[str, ...], build):
     """``build(*values)`` of ``keys`` in the JSON object at ``path``, all keys fetched
@@ -66,7 +74,7 @@ def _pair(n, labels, layout) -> core.LabelsLayout:
 
 
 def _checked_decomposition(n, cycles) -> tuple:
-    n = _ceiling(n, hampack.MAX_P)
+    n = _ceiling(n, MAX_DECOMPOSITION_N)
     if not isinstance(cycles, list):
         raise ValueError(f"cycles: expected a list of cycles, got {json.dumps(cycles)}")
     dec = hampack.Decomposition(n, [hampack.CycleSquare(_int_list("cycles", c)) for c in cycles])

@@ -20,8 +20,8 @@ whose code runs only when one of them is first used; each of their names in
 
 from __future__ import annotations
 
-# Registered lazily by the package: its code runs on first attribute access.
-from . import _walks
+# Registered lazily by the package: their code runs on first attribute access.
+from . import _walks, genseq
 from ._base import Edge, Record, edge
 
 __all__ = [
@@ -163,6 +163,14 @@ def certify(pair: LabelsLayout) -> Certificate:
     a ring always re-covers the wrap edge ``{x_0, x_1}`` of the first
     triangle.
 
+    A walk of more than 4n triangles that is mostly one slice of a ring skips
+    the pass over that slice: :func:`~diamforge.genseq.ring_window` proves
+    from one period that the window adds two fresh edges per step (A. Rosa's
+    difference method), the pass runs over the steps outside it into a dict,
+    and :func:`~diamforge.genseq.window_uncovered` lists what neither covers,
+    class by class.  Either way the covered edges are the C(n, 2) less the
+    uncovered ones.
+
     The diameter of a good walk needs no search.  Only consecutive
     triangles share an edge, so the dual graph of a good linear walk of t
     triangles is a path, of diameter t - 1, and that of a good ring is a
@@ -181,32 +189,41 @@ def certify(pair: LabelsLayout) -> Certificate:
     f, u, v = xs[0], xs[1], xs[2]
     if f == u or f == v or u == v:
         raise ValueError("degenerate triangle at index 0")
-    dense = 4 * (2 * t + 1) >= n * (n - 1) // 2
+    # At most 4n steps cost the loop about what finding a window does.
+    window = genseq.ring_window(pair) if t > 4 * n else None
+    dense = not window and 4 * (2 * t + 1) >= n * (n - 1) // 2
     seen = bytearray(n * n) if dense else {}
     row = list(range(0, n * n, n))  # row[a] = a * n, read faster than computed
     for a, b in ((f, u), (f, v), (u, v)):
         seen[row[a] + b if a < b else row[b] + a] = 1
+    # The loop runs over triangles 1..a-1 and b..t-1, outside the window a..b-1.
     # A step keeps f, its first, across 1 bits.  The first degenerate step has
     # w == f or w == v, a diagonal key: f == v needs an earlier degenerate step.
-    for w, v, u, y in zip(xs[3:], xs[2:], xs[1:], layout):
-        if not y:
-            f = u
-        seen[row[f] + w if f < w else row[w] + f] = 1
-        seen[row[v] + w if v < w else row[w] + v] = 1
+    a, b = window[:2] if window else (t, t)
+    for start, stop in ((1, a), (b, t)):
+        f = triangle_at(pair, start - 1)[0]
+        for w, v, u, y in zip(xs[start + 2 : stop + 2], xs[start + 1 : stop + 1], xs[start:stop],
+                              layout[start - 1 : stop - 1]):
+            if not y:
+                f = u
+            seen[row[f] + w if f < w else row[w] + f] = 1
+            seen[row[v] + w if v < w else row[w] + v] = 1
     if seen[:: n + 1].count(1) if dense else any(map(seen.__contains__, range(0, n * n, n + 1))):
         _walks.expand_pair(pair)  # raises, naming the first degenerate step
 
     circular = is_ring(pair)
-    covered = seen.count(1) if dense else len(seen)
+    if window:
+        uncovered = genseq.window_uncovered(window, n, seen)
+    else:  # a dense table skips at C speed the rows with no uncovered edge
+        hit = seen.__getitem__ if dense else seen.__contains__
+        rows = [a for a in range(n) if not dense or seen.find(0, a * n + a + 1, a * n + n) >= 0]
+        uncovered = [(a, b) for a in rows for b in range(a + 1, n) if not hit(a * n + b)]
+    covered = n * (n - 1) // 2 - len(uncovered)
     good = covered == 2 * t + 1 - circular
     if good:
         diameter = t // 2 if circular else t - 1
     else:  # through the module, where the benchmark's tracer wraps both
         diameter = _walks.dual_diameter(_walks.expand_pair(pair))
-    # A dense table skips at C speed the rows with no uncovered edge.
-    hit = seen.__getitem__ if dense else seen.__contains__
-    rows = [a for a in range(n) if not dense or seen.find(0, a * n + a + 1, a * n + n) >= 0]
-    uncovered = [(a, b) for a in rows for b in range(a + 1, n) if not hit(a * n + b)]
     optimum = hs_max_diameter(n)
     return Certificate(
         good=good,

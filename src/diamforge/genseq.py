@@ -6,14 +6,18 @@ after m*n steps produces a circular good sequence of m*n triangles whose edge
 residues are exactly the step terms ("black") and their consecutive sums
 ("blue").  A valid sequence covers 2m of the (n-1)/2 residue classes twice or
 once in a controlled pattern.
+
+:func:`ring_window` finds such a ring's slice inside any codec walk, and
+:func:`window_uncovered` lists what it leaves, for :func:`core.certify`.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import gcd
+from operator import sub
 
-from ._base import canonical_residue
+from ._base import canonical_residue, distinct_classes
 from .core import Edge, LabelsLayout, Record, edge, is_ring, triangle_at
 
 __all__ = [
@@ -29,6 +33,8 @@ __all__ = [
     "expand_pair_of",
     "cut_circular",
     "cut_exposing",
+    "ring_window",
+    "window_uncovered",
 ]
 
 
@@ -106,8 +112,7 @@ def verify_generating_sequence(gs: GeneratingSequence) -> GenSeqReport:
     for i in gs.turns:
         if (i + 1) % m in gs.turns:
             return GenSeqReport(False, missing, f"turns at {i} and {(i + 1) % m} are adjacent")
-    # 4m distinct signed values iff 2m classes and none is 0, whose signs coincide.
-    if 0 in covered or len(covered) != 2 * m:
+    if not distinct_classes(gs.terms + blues, n):
         distinct = 2 * len(covered - {0}) + (0 in covered)
         reason = f"signed values collide: {distinct} distinct, expected {4 * m}"
         return GenSeqReport(False, missing, reason)
@@ -334,3 +339,112 @@ def _positions(xs: tuple[int, ...], x: int):
             yield i
     except ValueError:
         return
+
+
+# ---------------------------------------------------------------------------
+# the periodic window of a walk, for core.certify
+# ---------------------------------------------------------------------------
+
+def ring_window(pair: LabelsLayout) -> tuple | None:
+    """The window of ``pair`` that repeats like a ring, checked by Rosa's
+    difference method; None when there is none.
+
+    A ring of m terms over Z_n0 repeats with period m: label i + m is label
+    i plus the term sum S, mod n0, and the layout repeats (see
+    :func:`expand_to_circular`).  n0, m and S are read from the labels:
+
+    - n0 - 1 is the largest label of the middle half, or of its first 16n
+      labels.  These hold 16n / m translates of each of the m columns, so a
+      ring whose m is n/4 misses its top vertex there with odds near e^-16,
+      and a miss costs the window, not the certificate;
+    - m is the first return of the middle step's residue, within a quarter
+      of the walk, and S the middle label's move over one period.
+
+    The window's ends are where a scan in from each end of the walk first
+    finds a full period that repeats.  Between them each column of labels
+    i, i + m, ... is compared at C speed with a slice of the table j*S mod
+    n0, and the bits with themselves m steps on.  The window is triangles
+    a..b-1, where triangle a has a 0 bit and so carries its own label.
+
+    Step i + jm then adds the edges of step i translated by jS, so the
+    window adds 2(b - a) distinct edges when the 2m differences of one
+    period lie in distinct non-zero +- classes, S is a unit mod n0 and the
+    window is shorter than a full turn of m * n0 triangles (A. Rosa, "On
+    certain valuations of the vertices of a graph", Theory of Graphs, Rome
+    1966, 1967).  A longer run is cut short of a full turn.
+
+    Returns ``(a, b, n0, S, slots)``: ``slots`` maps each difference d of
+    the first period to ``(x, r)``, and the window's edges of class d are
+    {x + jS, x + jS + d} mod n0 for j < r.
+    """
+    xs, t = pair.labels, len(pair)
+    bits = b"\0" + bytes(pair.layout)  # bits[j] = 1: triangle j keeps its carried vertex
+    p = t // 2
+    n0 = max(xs[t // 4 : t // 4 + min(p, 16 * pair.n)]) + 1
+    steps = tuple(map(n0.__rmod__, map(sub, xs[p + 1 : p + n0 + 1], xs[p : p + n0])))
+    try:
+        m = steps.index(steps[0], 1, t // 4)
+        s = (xs[p + m] - xs[p]) % n0
+        inverse = pow(s, -1, n0)
+        table = tuple(x % n0 for x in range(0, s * n0, s)) * 2  # table[j] = j*S mod n0
+    except ValueError:  # no return, or S is not a unit
+        return None
+
+    def repeats(k: int) -> bool:
+        return xs[k] < n0 and (xs[k] + s) % n0 == xs[k + m] and bits[k] == bits[k + m]
+
+    if not all(map(repeats, range(p, p + m))):  # a walk with no period fails here
+        return None
+    lo = k = 0  # k in lo..lo+m-1 repeat; a break moves lo past it
+    while k < lo + m:
+        if k >= p:
+            return None
+        lo = lo if repeats(k) else k + 1
+        k += 1
+    hi = k = t - m  # k in hi-m..hi-1 repeat
+    while k > hi - m:
+        k -= 1
+        if k < lo:
+            return None
+        hi = hi if repeats(k) else k
+    hi = min(hi, lo + m * (n0 - 1))  # each column then holds at most n0 labels
+    for q in range(lo, lo + m):
+        column = xs[q : hi + m : m]
+        c = column[0] * inverse % n0
+        if column != table[c : c + len(column)]:
+            return None
+    a, b = bits.find(0, max(lo, 1)), hi + m - 2
+    if bits[lo:hi] != bits[lo + m : hi + m] or a < 0 or b - a < 2 * m:
+        return None
+
+    period, f = [], xs[a]
+    for j in range(a, a + m):
+        if not bits[j]:
+            f = xs[j]
+        r = (b - 1 - j) // m + 1
+        period += [((xs[j + 2] - f) % n0, f, r), ((xs[j + 2] - xs[j + 1]) % n0, xs[j + 1], r)]
+    if not distinct_classes([d for d, _, _ in period], n0):
+        return None
+    return a, b, n0, s, {d: (x, r) for d, x, r in period}
+
+
+def window_uncovered(window: tuple, n: int, seen: dict[int, int]) -> list[Edge]:
+    """The sorted edges of K_n that neither the window of :func:`ring_window`
+    nor ``seen``, keyed by ``lo * n + hi``, covers.
+
+    Listed class by class: the window leaves translates j = r..n0-1 of its
+    edge of class d, every edge of a class it misses, and every edge at a
+    vertex n0 or above."""
+    _, _, n0, s, slots = window
+    left = set(chain.from_iterable(range(y, y * n, n) for y in range(n0, n)))
+    for c in range(1, n0 // 2 + 1):
+        d = c if c in slots else n0 - c
+        if d in slots:
+            x, r = slots[d]
+            for y in range(x + r * s, x + n0 * s, s):
+                u, v = y % n0, (y + d) % n0
+                left.add(u * n + v if u < v else v * n + u)
+        else:  # {u, u + c} for u < n0 - c, then {w, w + n0 - c} for w < c
+            left.update(range(c, c + (n0 - c) * (n + 1), n + 1),
+                        range(n0 - c, n0 - c + c * (n + 1), n + 1))
+    return [divmod(k, n) for k in sorted(left - seen.keys())]

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, cycle, islice
 from math import isqrt
 from operator import itemgetter, sub
 
-from ._base import Edge, Record, canonical_residue, edge
+from ._base import Edge, Record, distinct_classes, edge
 
 __all__ = [
     "CycleSquare",
@@ -199,7 +199,8 @@ def _tiles_by_classes(d: Decomposition) -> bool:
     and its square is exactly the pairs at difference +-s or +-2s: the
     classes of s and 2s, distinct for odd n >= 5 (3s = 0 would need n | 3)
     and of n edges each.  K_n is the disjoint union of its (n-1)/2 classes,
-    so when no class min(k, n-k) repeats, the family takes all of them.
+    so when the 2 * (n-1)/4 strides lie in distinct classes
+    (:func:`~diamforge._base.distinct_classes`), the family takes all of them.
 
     A cycle equal to :func:`_times4` of the previous one, which has been
     shown arithmetic of step s, is arithmetic of step 4s by composition:
@@ -208,7 +209,7 @@ def _tiles_by_classes(d: Decomposition) -> bool:
     n = d.n
     if n % 4 != 1 or n < 5 or len(d.cycles) * 4 != n - 1:
         return False
-    times4, prev, hit = _times4(n), None, bytearray(n)
+    times4, prev, strides = _times4(n), None, []
     for c in d.cycles:
         o = c.order
         if prev is not None and o == times4(prev):
@@ -218,11 +219,8 @@ def _tiles_by_classes(d: Decomposition) -> bool:
             if not set(map(sub, o[1:], o)) <= {s, s - n}:  # each step is s mod n
                 return False
         prev = o
-        for k in (canonical_residue(s, n), canonical_residue(2 * s, n)):
-            if hit[k]:
-                return False
-            hit[k] = 1
-    return True
+        strides += (s, 2 * s)
+    return distinct_classes(strides, n)
 
 
 def verify_partition(d: Decomposition) -> PartitionReport:

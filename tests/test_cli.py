@@ -21,7 +21,6 @@ from conftest import arithmetic, reference_int_list, reference_verify_partition,
 from diamforge import _input, cli, oracle
 from diamforge.assembly import MAX_N, construct_optimal
 from diamforge.hampack import (
-    MAX_P,
     SEQUENCES_105,
     CycleSquare,
     Decomposition,
@@ -93,7 +92,7 @@ def test_construct_rejects_n_above_the_ceiling():
 
 @pytest.mark.parametrize("verb, limit, data", [
     ("verify", MAX_N, {"labels": [0, 1, 2], "layout": []}),
-    ("decompose", MAX_P, {"cycles": []}),
+    ("decompose", _input.MAX_DECOMPOSITION_N, {"cycles": []}),
 ])
 def test_input_declaring_n_above_the_ceiling(tmp_path, verb, limit, data):
     """A sparse file declaring the ceiling + 1 is refused before any work

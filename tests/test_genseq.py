@@ -24,6 +24,7 @@ from diamforge.core import (
     is_good,
     is_ring,
 )
+from diamforge._base import distinct_classes
 from diamforge.genseq import (
     GeneratingSequence,
     blue_terms,
@@ -57,6 +58,15 @@ def test_canonical_residue():
     assert canonical_residue(8, 13) == 5
     assert canonical_residue(30, 37) == 7
     assert canonical_residue(-3, 37) == 3
+
+
+def test_distinct_classes():
+    """The one rule for "distinct non-zero +- classes": 0, n/2 for even n,
+    and two values of one class all fail."""
+    assert distinct_classes([1, 2, 4, 8, -16], 41) and distinct_classes([], 7)
+    assert not distinct_classes([1, 2, 12], 13)  # 12 = -1
+    assert not distinct_classes([3, 13], 13)
+    assert not distinct_classes([2, 3], 6) and distinct_classes([1, 2], 6)
 
 
 def test_blue_terms_with_turn():

@@ -15,7 +15,7 @@ compile it.  Every name in ``__all__`` is also importable from
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, combinations, compress, count, repeat
+from itertools import chain, combinations, repeat
 
 from ._base import Edge, Record
 from .core import LabelsLayout, triangle_at
@@ -100,42 +100,91 @@ def expand_pair(pair: LabelsLayout) -> TriangleSeq:
 
 def reverse_walk(pair: LabelsLayout) -> LabelsLayout:
     """The walk from its last triangle back, for a walk :func:`encode_triples`
-    accepts.  Each step back adds the vertex its forward step dropped, and
-    from the third on carries the bit of the forward step two ahead of it."""
+    accepts, with the first labels and bits :func:`canonical` gives that
+    orientation.  Each step back adds the vertex its forward step dropped, and
+    from the third on carries the bit of the forward step two ahead of it:
+    the labels are the reversed labels but at the 1 bits, found at C speed."""
     xs, ys, t = pair.labels, pair.layout, len(pair)
     # The last two labels, the last triangle's carried vertex, then back[t + 2 - j]
     # for step j: the label it drops, j - 1 unless bit j or j - 1 is 1.
-    back, prev = list(reversed(xs)), -1
-    for j in compress(count(1), ys):
-        if j - 1 != prev:  # triangle j starts a run of 1 bits and carries label j - 1
+    back, ones, j = list(xs[::-1]), bytes(ys), 0
+    while j := ones.find(1, j) + 1:  # step j has a 1 bit
+        if j < 2 or not ys[j - 2]:  # triangle j starts a run of 1 bits and carries label j - 1
             carried = xs[j - 1]
-        back[t + 2 - j], prev = xs[j], j
+        back[t + 2 - j] = xs[j]
         if j < t - 1 and not ys[j]:
             back[t + 1 - j] = carried
     back[2] = triangle_at(pair, t - 1)[0]
-    return LabelsLayout._of(pair.n, tuple(back), ((0, 0) + ys[:1:-1])[: len(ys)])
+    bits = (0, 0)[: len(ys)]
+    if ys:  # the last triangle back is the first; a lone triangle keeps its labels reversed
+        back[:3], bits = _seed(back, bits, (*(set(xs[:3]) - set(back[-2:])), *back[-2:]))
+    labels = tuple(back)
+    del back  # before the bits are written, which lowers the peak of a long walk
+    return LabelsLayout._of(pair.n, labels, tuple(bytes(bits) + ones[:1:-1]))
 
 
-def join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
-    """``head`` followed by ``tail``, whose first triangle must meet head's
-    last in an edge, as the next triangle of a good walk does.  Only the bits
-    of tail's first three triangles depend on what precedes.
+def join_walks(*parts: LabelsLayout) -> LabelsLayout:
+    """The walk of ``parts``' triangles in order, written once, with the first
+    labels and bits :func:`canonical` gives that orientation.  Each part's
+    first triangle must meet the last of the part before in an edge, as the
+    next triangle of a good walk does; only the bits of its first three
+    triangles depend on what precedes.  One walk already in that form comes
+    back as itself.
 
-    The result has ``max(head.n, tail.n)`` vertices, so every label of
-    either walk is in range.  A tail that does not continue head raises
+    The result has the largest ``n`` of the parts, so every label of each is
+    in range.  A part that does not continue the one before raises
     ValueError."""
+    head = parts[0]
     c, u, v = triangle_at(head, len(head) - 1)
-    fresh = set(tail.labels[:3]) - {c, u, v}
-    if len(fresh) != 1:
-        raise ValueError(f"tail's first triangle {sorted(tail.labels[:3])} does not "
-                         f"continue head's last {sorted((c, u, v))}")
-    (w0,) = fresh
-    bits = []
-    for j, w in enumerate((w0, *tail.labels[3:5])):
-        bits.append(int(u not in triangle_at(tail, j)))
-        c, u, v = (c if bits[-1] else u), v, w
-    labels = head.labels + (w0, *tail.labels[3:])
-    return LabelsLayout._of(max(head.n, tail.n), labels, head.layout + (*bits, *tail.layout[2:]))
+    labels, layout = [], []  # what follows head's labels and bits
+    for tail in parts[1:]:
+        fresh = set(tail.labels[:3]) - {c, u, v}
+        if len(fresh) != 1:
+            raise ValueError(f"tail's first triangle {sorted(tail.labels[:3])} does not "
+                             f"continue head's last {sorted((c, u, v))}")
+        (w0,) = fresh
+        bits = []
+        for j, w in enumerate((w0, *tail.labels[3:5])):
+            bits.append(int(u not in triangle_at(tail, j)))
+            c, u, v = (c if bits[-1] else u), v, w
+        i, k = len(labels), len(layout)
+        labels += tail.labels
+        layout += tail.layout
+        labels[i : i + 3] = (w0,)  # tail's first triangle adds only w0
+        layout[k : k + 2] = bits  # and the bits of its first three depend on head
+        if len(tail) > 3:  # the same vertices in either encoding of tail's first labels
+            c, u, v = triangle_at(tail, len(tail) - 1)
+    seed, bits = _seed(head.labels, (head.layout[:2] + tuple(layout[:2]))[:2], (c, u, v))
+    labels, layout = _glued(head.labels, labels, seed), _glued(head.layout, layout, bits)
+    if labels is head.labels and layout is head.layout:
+        return head
+    return LabelsLayout._of(max(p.n for p in parts), labels, layout)
+
+
+def _glued(head, rest, first):
+    """``head + tuple(rest)`` with ``first`` for its first items, each item
+    copied at most twice: ``head`` itself when nothing changes."""
+    if head[: len(first)] == first and len(rest) <= len(head):
+        return head + tuple(rest)
+    rest[:0] = head
+    rest[: len(first)] = first
+    return tuple(rest)
+
+
+def _seed(xs, ys, end):
+    """The first three labels and two bits :func:`canonical` gives the walk
+    whose first labels and bits are ``xs`` and ``ys``, and whose last
+    triangle's state (carried, u, v) is ``end``, read only with three or more
+    triangles.  A single triangle's labels are sorted."""
+    if not ys:
+        return tuple(sorted(xs[:3])), ()
+    # Triangle 1 keeps label 0 across a 1 bit and drops it across a 0 bit;
+    # triangle 2 carries label 2 across a 0 bit and kept across a 1 bit.
+    x0, kept = (xs[1], xs[0]) if ys[0] else (xs[0], xs[1])
+    x1, x2 = sorted((kept, xs[2]))
+    if end[1:] == (x0, x1) and end[0] != x2 and len(ys) > 1:
+        x1, x2 = x2, x1  # the labels would end on the first two and decode as a ring
+    return (x0, x1, x2), (0, int((kept if ys[1:] and ys[1] else xs[2]) != x2))[: len(ys)]
 
 
 def canonical(pair: LabelsLayout) -> LabelsLayout:
@@ -143,22 +192,10 @@ def canonical(pair: LabelsLayout) -> LabelsLayout:
     smaller sorted triangle first, then the vertex it drops, then the two it
     shares with the next triangle in ascending order, unless the labels would
     then end on the first two and decode as a ring; then in the other order.
-    A walk of two or more triangles already in that form comes back as
-    itself, not copied."""
-    t = len(pair)
-    if t == 1:
-        return LabelsLayout._of(pair.n, tuple(sorted(pair.labels)), ())
-    if sorted(triangle_at(pair, t - 1)) < sorted(pair.labels[:3]):
-        pair = reverse_walk(pair)
-    xs, kept = pair.labels, triangle_at(pair, 1)[0]
-    x0 = xs[1] if kept == xs[0] else xs[0]
-    x1, x2 = sorted((kept, xs[2]))
-    if t >= 3 and xs[-2:] == (x0, x1) and triangle_at(pair, t - 1)[0] != x2:
-        x1, x2 = x2, x1
-    bits = (0,) if t == 2 else (0, int(triangle_at(pair, 2)[0] != x2))
-    if (x0, x1, x2) == xs[:3] and bits == pair.layout[:2]:
-        return pair
-    return LabelsLayout._of(pair.n, (x0, x1, x2) + xs[3:], bits + pair.layout[2:])
+    A walk already in that form comes back as itself, not copied."""
+    if sorted(triangle_at(pair, len(pair) - 1)) < sorted(pair.labels[:3]):
+        return reverse_walk(pair)
+    return join_walks(pair)
 
 
 def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
@@ -177,41 +214,26 @@ def encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLayout:
     tris = seq.triangles
     if n is None:
         n = max(max(t) for t in tris) + 1
-
-    if len(tris) == 1:
-        return LabelsLayout(n, sorted(tris[0]), [])
-
-    shared01 = tris[0] & tris[1]
-    if len(shared01) != 2:
-        raise ValueError("cannot encode: triangles 0 and 1 do not share 2 vertices")
-    (x0,) = tris[0] - shared01
-    x1, x2 = sorted(shared01)
-    labels = [x0, x1, x2]
+    # The first triangle, the two it shares with the next last: canonical then
+    # writes the first labels in their form.
+    shared = list(map(frozenset.intersection, tris, tris[1:]))
+    labels = sorted(tris[0] - tris[1]) + sorted(shared[0]) if shared else sorted(tris[0])
     layout: list[int] = []
-    carried, u, v = x0, x1, x2
-    prev = tris[0]
-    for k, tri in enumerate(tris[1:], start=1):
-        shared = prev & tri
-        if len(shared) != 2:
-            raise ValueError(
-                f"cannot encode: triangles {k - 1} and {k} share {len(shared)} vertices"
-            )
-        (w,) = tri - shared
-        if shared == {u, v}:
-            y = 0
-        elif shared == {carried, v}:
-            y = 1
-        else:
+    u, v = labels[1:]
+    # Triangle k shares v, the label before its own, and u (bit 0) or the
+    # carried label (bit 1) with the triangle before it.
+    for k, (pair, new) in enumerate(zip(shared, map(frozenset.difference, tris[1:], shared)), 1):
+        if len(pair) != 2:
+            raise ValueError(f"cannot encode: triangles {k - 1} and {k} share {len(pair)} vertices")
+        if v not in pair:
             raise ValueError(
                 f"cannot encode: triangle {k} reattaches to the edge already "
                 f"shared by triangles {k - 2} and {k - 1}"
             )
+        layout.append(int(u not in pair))
+        (w,) = new
         labels.append(w)
-        layout.append(y)
-        first = u if y == 0 else carried
-        carried, u, v = first, v, w
-        prev = tri
-
+        u, v = v, w
     return canonical(LabelsLayout(n, labels, layout))
 
 

@@ -12,7 +12,7 @@ transcribed table.
 from __future__ import annotations
 
 from ._walks import TriangleSeq, canonical, encode_triples, is_good, join_walks, reverse_walk
-from .core import MAX_N, Certificate, LabelsLayout, Record, certify, hs_max_diameter
+from .core import MAX_N, Certificate, LabelsLayout, Record, certify, hs_max_diameter, triangle_at
 from .genseq import (
     cut_circular,
     expand_pair_of,
@@ -279,7 +279,7 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
         raise ValueError("need at least three vertices")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the ceiling {MAX_N}")
-    pair = canonical(_construct_walk(n))
+    pair = canonical(_write(_route_parts(n)))
     cert = certify(pair)
     if not cert.matches_optimum:
         raise AssertionError(
@@ -293,26 +293,28 @@ def construct_optimal(n: int) -> tuple[LabelsLayout, Certificate]:
 _CUTS_4K4 = {4: (0, 6), 5: (6, 14), 6: (6, 18), 7: (0, 20)}
 
 
-def _construct_walk(n: int) -> LabelsLayout:
+def _route_parts(n: int) -> list:
+    """The parts of the walk for n in walk order, each with whether it runs
+    backwards in it, for :func:`_write`; the ring is freed on return."""
     r = n % 4
     if r == 1 and n >= 13:
         # A gs_full ring is read from term 0 and any turn sits at index k - 1 >= 2,
         # so triangle 1 is {x1, x2, x3} and the last ends on x0, x1: the seed
         # shares x1 with both neighbours, and destroying {x0, x2} removes it.
         ring = expand_pair_of(gs_full((n - 1) // 4))
-        return cut_circular(ring, (ring.labels[0], ring.labels[2]))
+        return [(cut_circular(ring, (ring.labels[0], ring.labels[2])), False)]
     if r == 0 and n >= 20:
         k = (n - 4) // 4
         # Destroying this edge starts the walk on the plan's anchor {0, 4k-2}:
         # the plan, turned round, leads into it.
         destroyed = _CUTS_4K4.get(k) or ((5, 2 * k + 5) if k % 2 else (9, 2 * k + 7))
         body = cut_circular(expand_pair_of(gs_missing_12(k)), destroyed)
-        return join_walks(reverse_walk(encode_triples(attach_4k4(k), n)), body)
+        return [(encode_triples(attach_4k4(k), n), True), (body, False)]
     if r == 3 and n >= 23:
         k = (n - 3) // 4
         # Destroying {0, 13}, which the plan covers again, ends the walk on its anchor.
         body = cut_circular(expand_pair_of(gs_missing_12(k)), (0, 13))
-        return join_walks(body, encode_triples(attach_4k3(k), n))
+        return [(body, False), (encode_triples(attach_4k3(k), n), False)]
     if r == 2 and n >= 34:
         k = (n - 6) // 4
         # Destroying {0, 17} starts the walk on plan A's anchor {6, 17} and
@@ -320,8 +322,24 @@ def _construct_walk(n: int) -> LabelsLayout:
         body = cut_circular(expand_pair_of(gs_missing_1248(k)), (0, 17))
         plan_a, plan_b = (encode_triples(p, n) for p in attach_4k6(k))
         # Plan A prefixes the body: turned round, it leads into the body's first triangle.
-        return join_walks(reverse_walk(plan_a), join_walks(body, plan_b))
+        return [(plan_a, True), (body, False), (plan_b, False)]
     entry = small_table(n)
     if entry is None:
         raise ValueError(f"no construction available for n={n}")
-    return entry.pair
+    return [(entry.pair, False)]
+
+
+def _write(parts: list) -> LabelsLayout:
+    """The walk of ``parts``, each a walk and whether it runs backwards in
+    this one, written once by :func:`join_walks` in the form :func:`canonical`
+    gives it.  canonical's rule is read from the parts' end triangles first:
+    when the last sorts before the first, the parts come in reverse order,
+    each turned the other way, so that no part is turned twice.  ``parts``
+    is emptied, so that a part turned round is freed before the join."""
+    (head, head_back), (tail, tail_back) = parts[0], parts[-1]
+    first = triangle_at(head, len(head) - 1 if head_back else 0)
+    last = triangle_at(tail, 0 if tail_back else len(tail) - 1)
+    turn = sorted(last) < sorted(first)
+    walks = [reverse_walk(part) if back != turn else part for part, back in (parts[::-1] if turn else parts)]
+    del head, tail, parts[:]
+    return join_walks(*walks)

@@ -144,8 +144,8 @@ def hs_max_diameter(n: int) -> int:
 
 
 # construct's largest order, and the largest n that verify accepts.  Its walk
-# has about n**2 / 4 triangles and construct peaks near 51 bytes per triangle,
-# as json or text: 306 MB spawned at n = 5000 (6,248,749 triangles) on a
+# has about n**2 / 4 triangles and construct peaks near 43 bytes per triangle,
+# as json or text: 253 MB spawned at n = 5000 (6,248,749 triangles) on a
 # 2-core x86_64 VM with Python 3.11.7.
 MAX_N = 5000
 

@@ -233,17 +233,17 @@ def expand_to_circular(gs: GeneratingSequence) -> LabelsLayout:
     terms = gs.terms[r:] + gs.terms[:r]
     s = sum(terms) % n
     vertex = tuple(range(n))  # one int object per vertex, shared by all the labels
-    perm = [vertex[x % n] for x in range(0, s * n, s)]  # perm[j] = j * s
+    perm = [vertex[x % n] for x in range(0, s * n, s)] * 2  # perm[j] = j * s, twice round
     # x_{jm+q} = P_q + j*s with P_q = x_q, so labels q, q + m, ... run
     # through perm from the index c with c*s = P_q.
     labels = [0] * (m * n + 2)
     inverse = pow(s, -1, n)  # s is a unit: the report checked gcd(s, n) = 1
     for q, p in enumerate(accumulate(terms[:-1], initial=0)):
         c = p * inverse % n
-        labels[q : m * n : m] = perm[c:] + perm[:c]
+        labels[q : m * n : m] = perm[c : c + n]
     labels[-2:] = vertex[0], vertex[terms[0]]  # x_{mn} = 0 closes, x_{mn+1} = x_1
     period = tuple(int((r + j + 1) % m in gs.turns) for j in range(m))
-    return LabelsLayout._of(n, tuple(labels), (period * n)[:-1])
+    return LabelsLayout._of(n, tuple(labels), tuple((bytes(period) * n)[:-1]))
 
 
 def expand_pair_of(gs: GeneratingSequence) -> LabelsLayout:
@@ -306,10 +306,11 @@ def cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> LabelsLayout:
     if len(cut) != 1:
         raise ValueError(f"destroyed edge {d} is covered {len(cut)} times, need exactly 1")
     (c,) = cut
-    t = len(ring) - 1
-    s, xs, bits = (c + 1) % (t + 1), ring.labels, (0,) + ring.layout
-    labels = (triangle_at(ring, s)[0],) + xs[c + 2 :] + xs[2 : c + 2]
-    return LabelsLayout._of(ring.n, labels, bits[s + 1 :] + bits[: s - 1] if s else bits[1:-1])
+    xs, ys, s = ring.labels, ring.layout, (c + 1) % len(ring)
+    # Triangle s carries its own label across a 0 bit: the labels are then one rotation.
+    head = xs[c + 1 :] if s and not ys[c] else (triangle_at(ring, s)[0],) + xs[c + 2 :]
+    layout = ys[c + 1 :] + ((0,) + ys[: c - 1] if c else ()) if s else ys[:-1]
+    return LabelsLayout._of(ring.n, head + xs[2 : c + 2], layout)
 
 
 def _holders(ring: LabelsLayout, e: Edge) -> list[int]:

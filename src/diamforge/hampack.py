@@ -32,7 +32,7 @@ __all__ = [
 # decompose_prime's largest p, and the largest n that decompose --input accepts.
 # Its cycles hold p(p - 1)/4 ids, about 8 bytes each: spawned on a 2-core x86_64
 # VM with Python 3.11.7, decompose --p peaks at 46 MB at p = 4001 and 446 MB at
-# 14957, against construct's 306 MB at core.MAX_N.
+# 14957, against construct's 253 MB at core.MAX_N.
 MAX_P = 15_000
 
 # Known step-sequence data generating a 26-cycle partition of K_105.

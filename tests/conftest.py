@@ -2,7 +2,8 @@
 
 - a per-test time limit, the PYTHONPATH of child interpreters, and CLI
   runs in process;
-- core references: edge counts, goodness, the certificate and the encoder;
+- core references: edge counts, goodness, the certificate, the encoder,
+  and the walk writer's chain: reversal, the two-walk join and canonical;
 - genseq and assembly references: ring unrolling, the ring cut, the cut
   finder, the seed cut and the construction; each route's cut as construct
   makes it; the attachment plans' anchors and target edges;
@@ -16,6 +17,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -24,8 +26,8 @@ import re
 import signal
 import threading
 from collections import Counter
-from functools import cache
-from itertools import combinations
+from functools import cache, reduce
+from itertools import chain, combinations, compress, count, repeat
 from operator import itemgetter, sub
 from pathlib import Path
 
@@ -37,7 +39,6 @@ from diamforge.core import (
     LabelsLayout,
     TriangleSeq,
     all_edges,
-    dual_diameter,
     edge,
     edge_multiplicities,
     expand_pair,
@@ -131,46 +132,103 @@ def reference_good(seq: TriangleSeq, circular: bool, counts: Counter[Edge] | Non
     given.
     """
     tris = seq.triangles
-    pairs = zip(tris, tris[1:] + tris[:1] if circular else tris[1:])
-    shared = [prev & tri for prev, tri in pairs]
+    shared = list(map(frozenset.intersection, tris, tris[1:] + tris[:1] if circular else tris[1:]))
     if any(len(s) != 2 for s in shared):
         return False
-    twice = {tuple(sorted(s)) for s in shared}
+    twice = set(map(tuple, map(sorted, shared)))
     if counts is None:
         counts = reference_edge_multiplicities(seq)
-    return all(m == 1 or (m == 2 and e in twice) for e, m in counts.items())
+    return max(counts.values()) <= 2 and {e for e, m in counts.items() if m == 2} <= twice
 
 
 def reference_certify(pair: LabelsLayout) -> Certificate:
     """Certificate of ``pair`` against K_n from the frozenset helpers.
 
     The slow reference for :func:`diamforge.core.certify`: the triangles of
-    :func:`expand_pair`, circular when :func:`is_ring`, goodness from
-    :func:`reference_good`, the diameter by BFS over the dual graph (None
-    when it is disconnected), the covered edges as the key set of
-    :func:`reference_edge_multiplicities` and the uncovered edges as a set
+    :func:`expand_pair`, circular when :func:`is_ring`, how many of them hold
+    each side, goodness from :func:`reference_good` on those counts, the
+    diameter from :func:`reference_dual_diameter` on the triangles that hold
+    each side held more than once (None when the dual is disconnected), the
+    covered edges as the counted sides and the uncovered edges as a set
     difference.
     """
-    seq, circular, n = expand_pair(pair), is_ring(pair), pair.n
-    counts = reference_edge_multiplicities(seq)
-    good = reference_good(seq, circular, counts)
-    covered = set(counts)
+    with _no_cycle_collection():
+        return _reference_certify(pair)
+
+
+@contextlib.contextmanager
+def _no_cycle_collection():
+    """Pause the cycle collector, which would otherwise rescan the few
+    tuples a reference makes per triangle many times over: the reference
+    certificate of a construct walk near n = 200 then takes half as long."""
+    was = gc.isenabled()
+    gc.disable()
     try:
-        diameter: int | None = dual_diameter(seq)
-    except ValueError:
-        diameter = None
+        yield
+    finally:
+        if was:
+            gc.enable()
+
+
+def _reference_certify(pair: LabelsLayout) -> Certificate:
+    seq, circular, n = expand_pair(pair), is_ring(pair), pair.n
+    # Side j is one of triangle j // 3's; a side held twice is held by the
+    # triangles of its first and its last occurrence.
+    sides = list(chain.from_iterable(map(combinations, map(sorted, seq.triangles), repeat(2))))
+    counts = Counter(sides)
+    good = reference_good(seq, circular, counts)
+    first = dict(zip(reversed(sides), range(len(sides) - 1, -1, -1)))
+    last = dict(zip(sides, range(len(sides))))
+    holders = {e: [first[e] // 3, last[e] // 3] if m == 2 else [j // 3 for j, s in enumerate(sides) if s == e]
+               for e, m in counts.items() if m > 1}
+    diameter = reference_dual_diameter(holders, len(seq))
     optimum = hs_max_diameter(n)
     matches = good and not circular and diameter == optimum
-    uncovered = sorted(all_edges(n) - covered)
+    uncovered = sorted(all_edges(n) - counts.keys())
     return Certificate(
         good=good,
         circular=circular,
-        covered_edges=len(covered),
+        covered_edges=len(counts),
         diameter=diameter,
         optimum=optimum,
         matches_optimum=matches,
         uncovered_edges=uncovered,
     )
+
+
+def reference_dual_diameter(holders: dict[Edge, list[int]], t: int) -> int | None:
+    """Diameter of the dual graph of triangles 0..t-1, two of them adjacent
+    when some edge's ``holders`` list both; None when it is disconnected.
+
+    The reference for :func:`diamforge.core.dual_diameter`, sharing none of
+    its code: BFS twice when the dual is a tree, its length over two when it
+    is one cycle, else BFS from every triangle.
+    """
+    near: list[set[int]] = [set() for _ in range(t)]
+    for held in holders.values():
+        for i in held:
+            near[i].update(held)
+            near[i].discard(i)
+
+    def distances(source: int) -> list[int]:
+        dist, queue = [-1] * t, [source]
+        dist[source] = 0
+        for x in queue:
+            for y in near[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist
+
+    dist = distances(0)
+    if -1 in dist:
+        return None
+    links = sum(map(len, near)) // 2
+    if links == t - 1:  # a tree: the triangle farthest from any one ends a longest path
+        return max(distances(dist.index(max(dist))))
+    if links == t and all(len(others) == 2 for others in near):
+        return t // 2
+    return max(max(distances(s)) for s in range(t))
 
 
 def reference_cut_circular(ring: LabelsLayout, destroyed_edge: Edge) -> TriangleSeq:
@@ -311,6 +369,73 @@ def reference_encode_triples(seq: TriangleSeq, n: int | None = None) -> LabelsLa
         carried, u, v = first, v, w
         prev = tri
     return LabelsLayout(n, labels, layout)
+
+
+def reference_reverse_walk(pair: LabelsLayout) -> LabelsLayout:
+    """The walk from its last triangle back, its first labels as reversal
+    leaves them: the reversed labels, each step's bit read from a scan of
+    every step.
+
+    The reference for :func:`diamforge.core.reverse_walk`, which writes the
+    first labels and bits :func:`reference_canonical` gives that orientation
+    and finds the 1 bits by jumps."""
+    xs, ys, t = pair.labels, pair.layout, len(pair)
+    back, prev = list(reversed(xs)), -1
+    for j in compress(count(1), ys):
+        if j - 1 != prev:  # triangle j starts a run of 1 bits and carries label j - 1
+            carried = xs[j - 1]
+        back[t + 2 - j], prev = xs[j], j
+        if j < t - 1 and not ys[j]:
+            back[t + 1 - j] = carried
+    back[2] = triangle_at(pair, t - 1)[0]
+    return LabelsLayout(pair.n, back, ((0, 0) + ys[:1:-1])[: len(ys)])
+
+
+def reference_join_walks(head: LabelsLayout, tail: LabelsLayout) -> LabelsLayout:
+    """``head`` followed by ``tail``, head's labels and bits kept as they are.
+
+    With :func:`reference_canonical` after it, the reference for
+    :func:`diamforge.core.join_walks`, which takes any number of walks and
+    writes the first labels in canonical form in the same pass."""
+    c, u, v = triangle_at(head, len(head) - 1)
+    fresh = set(tail.labels[:3]) - {c, u, v}
+    if len(fresh) != 1:
+        raise ValueError(f"tail's first triangle {sorted(tail.labels[:3])} does not "
+                         f"continue head's last {sorted((c, u, v))}")
+    (w0,) = fresh
+    bits = []
+    for j, w in enumerate((w0, *tail.labels[3:5])):
+        bits.append(int(u not in triangle_at(tail, j)))
+        c, u, v = (c if bits[-1] else u), v, w
+    labels = head.labels + (w0, *tail.labels[3:])
+    return LabelsLayout(max(head.n, tail.n), labels, head.layout + (*bits, *tail.layout[2:]))
+
+
+def reference_canonical(pair: LabelsLayout) -> LabelsLayout:
+    """The walk turned by :func:`reference_reverse_walk` when its last
+    triangle sorts before its first, then its first labels and bits
+    rewritten: the reference for :func:`diamforge.core.canonical`."""
+    t = len(pair)
+    if t == 1:
+        return LabelsLayout(pair.n, sorted(pair.labels), ())
+    if sorted(triangle_at(pair, t - 1)) < sorted(pair.labels[:3]):
+        pair = reference_reverse_walk(pair)
+    xs, kept = pair.labels, triangle_at(pair, 1)[0]
+    x0 = xs[1] if kept == xs[0] else xs[0]
+    x1, x2 = sorted((kept, xs[2]))
+    if t >= 3 and xs[-2:] == (x0, x1) and triangle_at(pair, t - 1)[0] != x2:
+        x1, x2 = x2, x1
+    bits = (0,) if t == 2 else (0, int(triangle_at(pair, 2)[0] != x2))
+    return LabelsLayout(pair.n, (x0, x1, x2) + xs[3:], bits + pair.layout[2:])
+
+
+def reference_write(parts) -> LabelsLayout:
+    """The walk of ``parts``, each a walk and whether it runs backwards, by
+    the chain of the references: each backward part turned, the parts
+    joined in order, and the whole walk made canonical, turned again if
+    need be.  The reference for :func:`diamforge.assembly._write`."""
+    walks = [reference_reverse_walk(part) if back else part for part, back in parts]
+    return reference_canonical(reduce(reference_join_walks, walks))
 
 
 def residue_class(r: int, n: int) -> set[Edge]:

@@ -7,12 +7,14 @@ import inspect
 import pytest
 
 from conftest import (
-    plan_anchors, plan_targets, reference_construct, reference_encode_triples, route_cut,
+    plan_anchors, plan_targets, reference_construct, reference_encode_triples, reference_write,
+    route_cut,
 )
 from diamforge.assembly import (
     MAX_N,
     _audit_plan,
-    _construct_walk,
+    _route_parts,
+    _write,
     attach_4k3,
     attach_4k4,
     attach_4k6,
@@ -295,14 +297,15 @@ def test_construct_matches_the_frozenset_reference():
 
 
 def test_construct_reverses_at_most_one_long_walk(monkeypatch):
-    """Near n = 400 each route turns round at most one walk longer than its
-    plans.  n = 4k+4 turns its plan round to lead into the cut walk, and
-    canonical then the whole walk; n = 4k+1 leaves the cut walk as it is
-    unrolled, and canonical turns it; n = 4k+2 turns plan A round, and at
-    odd k canonical the whole walk too, because plan B's end is the
-    smaller; n = 4k+3 turns nothing."""
+    """Near n = 400 each order turns round at most one walk longer than its
+    plans, and never one longer than its cut body: the orientation is read
+    from the parts' ends before the walk is written.  n = 4k+4 and 4k+1
+    turn the body, the plan of 4k+4 then following as encoded; n = 4k+2
+    turns plan A at even k, and plan B and the body at odd k; n = 4k+3
+    turns nothing.  canonical gives each written walk back uncopied."""
     from diamforge import _walks, assembly
 
+    body = {n: len(route_cut(n)[0]) - 1 for n in range(400, 408)}
     reverse, lengths = _walks.reverse_walk, []
 
     def spy(pair):
@@ -312,29 +315,42 @@ def test_construct_reverses_at_most_one_long_walk(monkeypatch):
     for module in (_walks, assembly):
         monkeypatch.setattr(module, "reverse_walk", spy)
     seen = {}
-    for n in range(400, 408):
+    for n in body:
         lengths.clear()
-        construct_optimal(n)
+        walk = _write(_route_parts(n))
         seen[n] = list(lengths)
-    whole = {n: hs_max_diameter(n) + 1 for n in seen}
-    want = {400: [10 * 99 + 4, whole[400]], 401: [whole[401]], 402: [8 * 99 + 3, whole[402]],
-            403: [], 404: [10 * 100 + 4, whole[404]], 405: [whole[405]], 406: [8 * 100 + 3],
-            407: []}
+        assert canonical(walk) is walk, n
+    want = {400: [body[400]], 401: [body[401]], 402: [10 * 99 + 7, body[402]], 403: [],
+            404: [body[404]], 405: [body[405]], 406: [8 * 100 + 3], 407: []}
     assert seen == want
 
 
 def test_canonical_returns_a_walk_already_in_its_form():
-    """Over the construct corpus canonical gives the pair rebuilt through the
-    checking constructor, from either orientation of the built walk, and
-    the frozenset reference agrees where it is affordable.  A walk longer
-    than one triangle is copied only when something changes; at n = 403
-    and 407 the walk is built in canonical form and comes back uncopied."""
+    """Over the construct corpus the written walk is in canonical form, and
+    canonical gives it back uncopied, the same pair as from the walk turned
+    round and as rebuilt through the checking constructor; the frozenset
+    reference agrees where it is affordable."""
     for n in (*range(3, 204), *range(400, 408), *range(2000, 2004)):
-        walk = _construct_walk(n)
-        got = canonical(walk)
-        assert got == LabelsLayout(n, got.labels, got.layout) == canonical(reverse_walk(walk)), n
+        walk = _write(_route_parts(n))
+        assert canonical(walk) is walk, n
+        assert walk == LabelsLayout(n, walk.labels, walk.layout) == canonical(reverse_walk(walk)), n
         if 150 < n < 2000:  # test_construct_matches_the_frozenset_reference covers n <= 150
-            assert got == reference_encode_triples(expand_pair(walk), n), n
-        assert (got is walk) == (len(walk) > 1 and got == walk), n
-        if n in (403, 407):
-            assert got is walk
+            assert walk == reference_encode_triples(expand_pair(walk), n), n
+
+
+def test_writer_matches_the_chain_of_references_on_every_route():
+    """_write against the references' chain, reverse then join then
+    canonical, on each route's parts for k <= 60."""
+    for n in range(3, 4 * 60 + 7):
+        parts = _route_parts(n)
+        assert _write(list(parts)) == reference_write(parts), n
+
+
+@pytest.mark.slow
+def test_writer_matches_the_chain_of_references_at_the_ceiling():
+    """The same at the largest k of each route under MAX_N, about 6.2
+    million triangles a walk, one order at a time."""
+    for n in range(MAX_N - 3, MAX_N + 1):
+        parts = _route_parts(n)
+        assert _write(list(parts)) == reference_write(parts), n
+        del parts

@@ -12,7 +12,7 @@ from conftest import (
     reference_seed_cut, residue_class, route_cut,
 )
 from diamforge import genseq
-from diamforge.assembly import _construct_walk
+from diamforge.assembly import _route_parts
 from diamforge.core import (
     LabelsLayout,
     certify,
@@ -332,7 +332,7 @@ def test_seed_cut_reads_the_reference_cut_off_the_labels():
     neighbours."""
     for k in range(3, 151):
         ring = expand_pair_of(gs_full(k))
-        assert _construct_walk(4 * k + 1) == cut_circular(ring, reference_seed_cut(ring)), k
+        assert _route_parts(4 * k + 1) == [(cut_circular(ring, reference_seed_cut(ring)), False)], k
 
 
 def test_cut_exposing_on_full_ring():

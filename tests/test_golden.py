@@ -46,13 +46,16 @@ CORPUS = {
     ],
 }
 
-# Large orders, a few seconds each in process; and a wide sweep of small
-# orders, every prime's outcome at --p up to 1013 included.
+# Large orders, a few seconds each in process, up to the ceiling MAX_N; and a
+# wide sweep of small orders, every prime's outcome at --p up to 1013 included.
 SLOW_CORPUS = {
     "construct_large_slow": [
         ["construct", "--n", str(n), "--format", fmt]
         for n in range(2000, 2004)
         for fmt in ("json", "text")
+    ],
+    "construct_ceiling_slow": [
+        ["construct", "--n", str(n), "--format", "json"] for n in range(4997, 5001)
     ],
     "sweep_slow": [
         ["construct", "--n", str(n), "--format", fmt]
@@ -71,6 +74,7 @@ DIGESTS = {
     "construct": "4301565cb8248bfaa3ec91b11f5ad1df5eb95f0b89e39e8274ebb86df5b3daa8",
     "construct_large": "fca7805c2ae4124faa43e8e67356222500bb06e867ddec86e49a26dc9bc828bb",
     "construct_large_slow": "ff5b0f567730d0b74524dc0285ebf56df28727f6425c176c954891616a7c08ef",
+    "construct_ceiling_slow": "6edb51ecd1bdc05b2f37ab9c3fafb580a9f4ce62a0882eec0de870e6e1ca2b1a",
     "sweep_slow": "6046f53aa01201162633f090bec69811ceda30683127416f5fb7e0ab168419f1",
     "genseq": "3d7de6eee6176c680b8f194cf9866df34a23236645ac23cd4e5a71dc782a8aab",
     "table": "bc52e9c5afccbf74b4f51383b270a5e6add3fa4d2f2682d765bd76e71ba7396d",

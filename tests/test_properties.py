@@ -1,5 +1,5 @@
 """Property tests over drawn walks and families: the codec round trip, the
-certifier and the partition checker."""
+walk writer, the certifier and the partition checker."""
 
 from __future__ import annotations
 
@@ -10,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    arithmetic, grow_walk, reference_certify, reference_encode_triples, reference_verify_partition,
+    arithmetic, grow_walk, reference_canonical, reference_certify, reference_encode_triples,
+    reference_reverse_walk, reference_verify_partition, reference_write,
 )
-from diamforge.core import LabelsLayout, certify, encode_triples, expand_pair, is_ring
+from diamforge.assembly import _write
+from diamforge.core import (
+    LabelsLayout, canonical, certify, encode_triples, expand_pair, is_ring, join_walks, reverse_walk,
+    triangle_at,
+)
 from diamforge.hampack import CycleSquare, Decomposition, decompose_prime, verify_partition
 
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -99,6 +104,44 @@ def test_encode_triples_agrees_with_the_reference(pair):
             encode_triples(seq, pair.n)
         return
     assert encode_triples(seq, pair.n) == want
+
+
+@st.composite
+def split_walks(draw):
+    """A good walk drawn with its 1-bit moves first, so that it has runs of
+    1 bits, and cut into up to four parts, each given as a walk and whether
+    it runs backwards, that walk then being the part turned round."""
+    n = draw(st.integers(4, 12))
+    steps = draw(st.integers(0, 3 * n))
+    pair = grow_walk(lambda moves: draw(st.sampled_from(sorted(moves, key=lambda m: -m[1]))),
+                     n, steps)[0]
+    cuts = sorted(draw(st.sets(st.integers(1, len(pair) - 1), max_size=3)) if len(pair) > 1 else ())
+    parts = []
+    for i, j in zip([0, *cuts], [*cuts, len(pair)]):
+        c, u, v = triangle_at(pair, i)
+        part = LabelsLayout(n, (c, u, v) + pair.labels[i + 3 : j + 2], pair.layout[i : j - 1])
+        back = draw(st.booleans())
+        parts.append((reference_reverse_walk(part) if back else part, back))
+    return pair, parts
+
+
+@PROPERTY
+@given(split_walks())
+def test_walk_writer_agrees_with_the_chain_of_references(case):
+    """reverse_walk, join_walks, canonical and construct's writer against the
+    references' chain: the same triangles and, past the first labels and
+    bits, the same codec; canonical forms equal."""
+    pair, parts = case
+    want = reference_canonical(pair)
+    back, ref = reverse_walk(pair), reference_reverse_walk(pair)
+    assert (back.labels[3:], back.layout[2:]) == (ref.labels[3:], ref.layout[2:])
+    assert expand_pair(back).triangles == expand_pair(ref).triangles
+    assert canonical(pair) == canonical(back) == reference_canonical(ref) == want
+    walks = [reverse_walk(part) if turned else part for part, turned in parts]
+    joined = join_walks(*walks)
+    assert (joined.labels[3:], joined.layout[2:]) == (pair.labels[3:], pair.layout[2:])
+    assert expand_pair(joined).triangles == expand_pair(pair).triangles
+    assert canonical(joined) == _write(list(parts)) == reference_write(parts) == want
 
 
 @PROPERTY
